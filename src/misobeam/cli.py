@@ -85,6 +85,22 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+def _parse_manifest(text: str) -> dict:
+    """Parse a JSON config: a manifest.json whose "config" object holds the
+    keys, or a bare object of config keys."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+    raw = data.get("config", data)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"manifest 'config' must be an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"manifest config: unknown key {key!r}")
+    return {k: _parse_value(k, v, CONFIG_KEYS[k]) for k, v in raw.items()}
+
+
 def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
     """Load a flat config file or a manifest.json written by an earlier run."""
     try:
@@ -93,10 +109,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
-        raw = data.get("config", data)
-        values = {k: _parse_value(k, v, CONFIG_KEYS[k])
-                  for k, v in raw.items() if k in CONFIG_KEYS}
+        values = _parse_manifest(text)
     else:
         values = parse_config_text(text)
 
@@ -201,7 +214,19 @@ def _get_channels(config: ExperimentConfig, channels: ChannelSet | None) -> Chan
     return model.generate_channels(config.n_u, config.n_t, config.seed)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Command group whose usage errors exit 1, like config errors; exit
+    code 2 is reserved for infeasible designs and solver failures."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main():
     """Minimum-power SINR-constrained precoder design and experiments."""
@@ -274,7 +299,7 @@ def cmd_design(config_path, method, seed, out):
 @click.argument("config_path", type=str)
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel trial workers.")
 def cmd_cdf(config_path, seed, out, workers):
     """Empirical CDF of achieved SINR under channel errors (cdf.csv)."""
@@ -322,7 +347,7 @@ def _run_sweep(command, config_path, seed, out, workers, grid_text, axis, column
               help="Comma-separated SINR targets in dB.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_sweep_gamma(config_path, grid, seed, out, workers):
     """Mean transmit power versus SINR target (sweep_gamma.csv)."""
     _run_sweep("sweep-gamma", config_path, seed, out, workers, grid, "gamma_db",
@@ -335,7 +360,7 @@ def cmd_sweep_gamma(config_path, grid, seed, out, workers):
               show_default=True, help="Comma-separated uncertainty radii.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_sweep_delta(config_path, grid, seed, out, workers):
     """Mean transmit power versus uncertainty size (sweep_delta.csv)."""
     _run_sweep("sweep-delta", config_path, seed, out, workers, grid, "delta",

@@ -1,4 +1,4 @@
-"""Standard-form second-order cone programs and a dense interior-point solver.
+"""Standard-form second-order cone programs and an interior-point solver.
 
 Problem form:
 
@@ -13,18 +13,28 @@ The solver runs a Mehrotra predictor-corrector interior-point method on the
 homogeneous self-dual embedding of the primal-dual pair, with Nesterov-Todd
 scaling for the nonnegative and second-order blocks.  Infeasible and
 unbounded problems are reported through approximate Farkas certificates,
-never through exceptions.  Everything is dense; problems here are desk-scale
-(at most a few hundred variables).
+never through exceptions.
+
+Each iteration's Newton system is reduced to G' W^-2 G (bordered by the
+equality rows, if any).  The cone rows are kept in CSR form for
+matrix-vector products, and the Gram matrix is assembled cone by cone from
+dense blocks restricted to the columns each cone touches, so the work
+follows the constraint matrix's nonzeros rather than its full size.  The
+reduced matrix is factored densely: Cholesky without equality rows, LU of
+the bordered system with them.  Problems here are desk-scale (at most a
+few hundred variables, a few thousand cone rows).
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 
 class ConeProgramError(ValueError):
@@ -219,8 +229,9 @@ def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
 # ---------------------------------------------------------------------------
 # Interior-point solver internals.
 #
-# The cone rows are permuted into [nonnegative | soc_1 | soc_2 | ...] with the
-# Zero rows split off as equality constraints:
+# The cone rows are permuted into [nonnegative | soc_1 | soc_2 | ...], with
+# second-order blocks sorted by dimension, and the Zero rows are split off as
+# equality constraints:
 #
 #     minimize c'x  s.t.  E x = f,   G x + s = h,   s in K.
 #
@@ -240,33 +251,78 @@ def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
 class _ConeLayout:
     """Row layout of the cone block [nonnegative | soc_1 | soc_2 | ...].
 
-    Second-order blocks are grouped by dimension so all per-cone algebra
-    (scaling, Jordan products, step lengths) runs batched over (count, dim)
-    gathers instead of a Python loop per cone.
+    The layout is built from cone units in row order: one unit per
+    nonnegative row, one per second-order block.  Units come sorted by
+    dimension, then by the size of their column support in G.  So every
+    second-order group of equal dimension is a contiguous run of rows,
+    ``(start, count, dim)``, and per-cone algebra (scaling, Jordan products,
+    step lengths) runs batched over ``(count, dim)`` views of it with no
+    Python loop per cone and no index gathers.
+
+    ``classes`` are the runs of units with equal dimension and equal nonzero
+    support size, as ``(group, first, count, dim, start)``: ``group`` indexes
+    ``groups`` (-1 for nonnegative rows), ``first`` is the class's first unit
+    within that group and ``start`` its first row.  They drive the Gram
+    assembly in :class:`_KktPlan`.
     """
 
-    def __init__(self, m_lp: int, soc_dims: list[int]):
-        self.m_lp = m_lp
-        self.soc_dims = soc_dims
-        self.m = m_lp + sum(soc_dims)
-        self.degree = m_lp + len(soc_dims)
-        starts: dict[int, list[int]] = {}
-        offset = m_lp
-        for d in soc_dims:
-            starts.setdefault(d, []).append(offset)
-            offset += d
-        # dim -> (count, dim) row-index array
-        self.groups: list[tuple[int, np.ndarray]] = [
-            (d, np.asarray(s)[:, None] + np.arange(d)[None, :])
-            for d, s in sorted(starts.items())
-        ]
+    def __init__(self, unit_dims: np.ndarray, unit_support: np.ndarray):
+        self.m_lp = int(np.count_nonzero(unit_dims == 1))
+        self.m = int(unit_dims.sum())
+        self.degree = len(unit_dims)
+        groups: list[list[int]] = []
+        self.classes: list[tuple[int, int, int, int, int]] = []
+        start = 0
+        for (dim, size), run in itertools.groupby(zip(unit_dims.tolist(),
+                                                      unit_support.tolist())):
+            count = len(list(run))
+            if dim == 1:
+                group, first = -1, start
+            else:
+                if not groups or groups[-1][2] != dim:
+                    groups.append([start, 0, dim])
+                group, first = len(groups) - 1, groups[-1][1]
+                groups[-1][1] += count
+            if size:
+                self.classes.append((group, first, count, dim, start))
+            start += count * dim
+        self.groups = [tuple(g) for g in groups]
+
+    def blocks(self, u: np.ndarray):
+        """The (count, dim) views of u's second-order groups, in order."""
+        return [u[a : a + count * dim].reshape(count, dim) for a, count, dim in self.groups]
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.m)
         e[: self.m_lp] = 1.0
-        for _, idx in self.groups:
-            e[idx[:, 0]] = 1.0
+        for block in self.blocks(e):
+            block[:, 0] = 1.0
         return e
+
+
+def _lorentz(U: np.ndarray, w0: np.ndarray, w1: np.ndarray, sign: float) -> np.ndarray:
+    """V(w) U for sign = 1, or V(Jw) U = V(w)^-1 U for sign = -1, block by
+    block; U is (count, dim) or a stack of columns (count, dim, k)."""
+    col = (slice(None),) + (None,) * (U.ndim - 2)
+    u0, u1 = U[:, 0], U[:, 1:]
+    dot = np.einsum("nd,nd...->n...", w1, u1)
+    coef = sign * u0 + dot / (1.0 + w0)[col]
+    res = np.empty_like(U)
+    res[:, 0] = w0[col] * u0 + sign * dot
+    res[:, 1:] = u1 + w1[(slice(None),) + col] * coef[:, None]
+    return res
+
+
+def _square_terms(eta, w0, w1, invert: bool):
+    """(v, 2 c v, c J) per block, so that W^2 u = 2 c v (v'u) - c J u with
+    c = eta, v = w, and W^-2 u is the same with c = 1/eta, v = J w."""
+    v = np.empty((w1.shape[0], w1.shape[1] + 1))
+    v[:, 0] = w0
+    v[:, 1:] = -w1 if invert else w1
+    c = (1.0 / eta if invert else eta)[:, None]
+    J = np.full(v.shape[1], -1.0)
+    J[0] = 1.0
+    return v, 2.0 * c * v, c * J
 
 
 class _Scaling:
@@ -281,58 +337,66 @@ class _Scaling:
     def __init__(self, layout: _ConeLayout, s: np.ndarray, z: np.ndarray):
         self.layout = layout
         m_lp = layout.m_lp
-        self.w_lp = np.sqrt(s[:m_lp] / z[:m_lp]) if m_lp else np.zeros(0)
-        self.soc: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for _, idx in layout.groups:
-            S, Z = s[idx], z[idx]
+        self.w_lp_sq = s[:m_lp] / z[:m_lp]
+        self.w_lp = np.sqrt(self.w_lp_sq)
+        self.soc: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for S, Z in zip(layout.blocks(s), layout.blocks(z)):
             a = np.sqrt(S[:, 0] ** 2 - np.einsum("nd,nd->n", S[:, 1:], S[:, 1:]))
             b = np.sqrt(Z[:, 0] ** 2 - np.einsum("nd,nd->n", Z[:, 1:], Z[:, 1:]))
             sbar, zbar = S / a[:, None], Z / b[:, None]
             gamma = np.sqrt((1.0 + np.einsum("nd,nd->n", sbar, zbar)) / 2.0)
             w0 = (sbar[:, 0] + zbar[:, 0]) / (2.0 * gamma)
             w1 = (sbar[:, 1:] - zbar[:, 1:]) / (2.0 * gamma)[:, None]
-            self.soc.append((idx, a / b, w0, w1))
+            self.soc.append((a / b, w0, w1))
+        self.squares = {invert: [_square_terms(eta, w0, w1, invert)
+                                 for eta, w0, w1 in self.soc]
+                        for invert in (False, True)}
 
     def apply(self, u: np.ndarray, invert: bool = False) -> np.ndarray:
-        """W u (or W^-1 u).  u may be a vector or a matrix of columns."""
+        """W u (or W^-1 u) for a vector u."""
         out = np.empty_like(u)
         m_lp = self.layout.m_lp
-        if m_lp:
-            w = self.w_lp if not invert else 1.0 / self.w_lp
-            out[:m_lp] = u[:m_lp] * (w[:, None] if u.ndim == 2 else w)
+        w = self.w_lp if not invert else 1.0 / self.w_lp
+        out[:m_lp] = u[:m_lp] * w
         sign = -1.0 if invert else 1.0
-        for idx, eta, w0, w1 in self.soc:
-            scale = eta ** (-0.5 if invert else 0.5)
-            U = u[idx]
-            if u.ndim == 2:
-                u0, u1 = U[:, 0, :], U[:, 1:, :]
-                dot = np.einsum("nd,ndk->nk", w1, u1)
-                coef = sign * u0 + dot / (1.0 + w0)[:, None]
-                res = np.empty_like(U)
-                res[:, 0, :] = w0[:, None] * u0 + sign * dot
-                res[:, 1:, :] = u1 + w1[:, :, None] * coef[:, None, :]
-                out[idx] = res * scale[:, None, None]
-            else:
-                u0, u1 = U[:, 0], U[:, 1:]
-                dot = np.einsum("nd,nd->n", w1, u1)
-                coef = sign * u0 + dot / (1.0 + w0)
-                res = np.empty_like(U)
-                res[:, 0] = w0 * u0 + sign * dot
-                res[:, 1:] = u1 + w1 * coef[:, None]
-                out[idx] = res * scale[:, None]
+        power = -0.5 if invert else 0.5
+        for U, O, (eta, w0, w1) in zip(self.layout.blocks(u), self.layout.blocks(out),
+                                       self.soc):
+            O[:] = _lorentz(U, w0, w1, sign) * (eta ** power)[:, None]
         return out
+
+    def apply_sq(self, u: np.ndarray, invert: bool = False) -> np.ndarray:
+        """W^2 u (or W^-2 u) for a vector u, in one pass.
+
+        V(w)^2 = 2 w w' - J for w on the unit hyperboloid, so per block
+        W^2 = eta (2 w w' - J) and W^-2 = eta^-1 (2 v v' - J) with v = J w.
+        """
+        out = np.empty_like(u)
+        m_lp = self.layout.m_lp
+        out[:m_lp] = u[:m_lp] / self.w_lp_sq if invert else u[:m_lp] * self.w_lp_sq
+        for U, O, (v, two_cv, cJ) in zip(self.layout.blocks(u), self.layout.blocks(out),
+                                         self.squares[invert]):
+            np.subtract(two_cv * np.einsum("nd,nd->n", v, U)[:, None], cJ * U, out=O)
+        return out
+
+    def inverse_blocks(self, group: int, first: int, U: np.ndarray) -> np.ndarray:
+        """W^-1 applied to stacked column blocks U of shape (count, dim, k),
+        taken from units first .. first + count - 1 of a second-order group
+        (group -1: nonnegative rows)."""
+        units = slice(first, first + U.shape[0])
+        if group < 0:
+            return U / self.w_lp[units, None, None]
+        eta, w0, w1 = self.soc[group]
+        return _lorentz(U, w0[units], w1[units], -1.0) * (eta[units] ** -0.5)[:, None, None]
 
 
 def _jordan_product(layout: _ConeLayout, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty(layout.m)
     m_lp = layout.m_lp
     out[:m_lp] = u[:m_lp] * v[:m_lp]
-    for _, idx in layout.groups:
-        U, V = u[idx], v[idx]
-        res = np.empty_like(U)
-        res[:, 0] = np.einsum("nd,nd->n", U, V)
-        res[:, 1:] = U[:, 0, None] * V[:, 1:] + V[:, 0, None] * U[:, 1:]
-        out[idx] = res
+    for U, V, O in zip(layout.blocks(u), layout.blocks(v), layout.blocks(out)):
+        O[:, 0] = np.einsum("nd,nd->n", U, V)
+        O[:, 1:] = U[:, 0, None] * V[:, 1:] + V[:, 0, None] * U[:, 1:]
     return out
 
 
@@ -341,14 +405,11 @@ def _jordan_solve(layout: _ConeLayout, lam: np.ndarray, d: np.ndarray) -> np.nda
     out = np.empty(layout.m)
     m_lp = layout.m_lp
     out[:m_lp] = d[:m_lp] / lam[:m_lp]
-    for _, idx in layout.groups:
-        L, D = lam[idx], d[idx]
+    for L, D, O in zip(layout.blocks(lam), layout.blocks(d), layout.blocks(out)):
         det = L[:, 0] ** 2 - np.einsum("nd,nd->n", L[:, 1:], L[:, 1:])
         w0 = (L[:, 0] * D[:, 0] - np.einsum("nd,nd->n", L[:, 1:], D[:, 1:])) / det
-        res = np.empty_like(L)
-        res[:, 0] = w0
-        res[:, 1:] = (D[:, 1:] - w0[:, None] * L[:, 1:]) / L[:, 0, None]
-        out[idx] = res
+        O[:, 0] = w0
+        O[:, 1:] = (D[:, 1:] - w0[:, None] * L[:, 1:]) / L[:, 0, None]
     return out
 
 
@@ -356,8 +417,7 @@ def _margin(layout: _ConeLayout, u: np.ndarray) -> float:
     """Distance-like interiority measure: positive iff u is strictly inside K."""
     m_lp = layout.m_lp
     margin = float(np.min(u[:m_lp])) if m_lp else np.inf
-    for _, idx in layout.groups:
-        U = u[idx]
+    for U in layout.blocks(u):
         margin = min(margin, float(np.min(
             U[:, 0] - np.sqrt(np.einsum("nd,nd->n", U[:, 1:], U[:, 1:])))))
     return margin
@@ -370,8 +430,7 @@ def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> float:
     neg = du[:m_lp] < 0
     if np.any(neg):
         alpha = float(np.min(-u[:m_lp][neg] / du[:m_lp][neg]))
-    for _, idx in layout.groups:
-        U, dU = u[idx], du[idx]
+    for U, dU in zip(layout.blocks(u), layout.blocks(du)):
         # per block, first positive root of c2 a^2 + 2 c1 a + c0 = 0, if any
         c2 = dU[:, 0] ** 2 - np.einsum("nd,nd->n", dU[:, 1:], dU[:, 1:])
         c1 = U[:, 0] * dU[:, 0] - np.einsum("nd,nd->n", U[:, 1:], dU[:, 1:])
@@ -387,9 +446,54 @@ def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> float:
             r1 = np.where(r1 > 0, r1, np.inf)
             r2 = np.where(r2 > 0, r2, np.inf)
         block_alpha = np.minimum(np.minimum(r1, r2), lin_root)
-        if block_alpha.size:
-            alpha = min(alpha, float(np.min(block_alpha)))
+        alpha = min(alpha, float(np.min(block_alpha)))
     return alpha
+
+
+class _KktPlan:
+    """Structure of the reduced KKT system, fixed for one solve.
+
+    E stays dense; G is held in CSR form, with its transpose, for the
+    matrix-vector products.  For the Gram matrix G' W^-2 G: W is block
+    diagonal over cone units, so W_k^-1 G_k is zero outside the column
+    support of the unit's rows G_k, and
+
+        G' W^-2 G = sum_k T_k' T_k,   T_k = W_k^-1 G_k[:, support_k].
+
+    The units of one layout class share dimension and support size, so
+    their restricted blocks G_k[:, support_k] stack into one dense
+    (count, dim, s) array, stored once here.  Each iteration scales the
+    stacks, takes batched Grams T_k' T_k and scatter-adds them into the
+    n x n matrix with one bincount over the flat indices precomputed here.
+    This is the arithmetic of a dense (W^-1 G)' (W^-1 G) in another
+    summation order, without forming W^-1 G.
+    """
+
+    def __init__(self, E: np.ndarray, G: np.ndarray, layout: _ConeLayout):
+        self.E = E
+        self.p, self.n = E.shape
+        n = self.n
+        self.G = scipy.sparse.csr_array(G)
+        self.Gt = self.G.T.tocsr()
+        self.stacks: list[tuple[int, int, np.ndarray]] = []
+        index = [np.zeros(0, dtype=np.intp)]
+        for group, first, count, dim, start in layout.classes:
+            rows = G[start : start + count * dim].reshape(count, dim, n)
+            cols = np.nonzero(np.any(rows != 0, axis=1))[1].reshape(count, -1)
+            self.stacks.append(
+                (group, first, np.take_along_axis(rows, cols[:, None, :], axis=2)))
+            index.append((cols[:, :, None] * n + cols[:, None, :]).ravel())
+        self.gram_index = np.concatenate(index)
+
+    def gram(self, scaling: _Scaling) -> np.ndarray:
+        """G' W^-2 G as a dense n x n array."""
+        parts = [np.zeros(0)]
+        for group, first, stack in self.stacks:
+            T = scaling.inverse_blocks(group, first, stack)
+            parts.append(np.matmul(T.transpose(0, 2, 1), T).ravel())
+        flat = np.bincount(self.gram_index, weights=np.concatenate(parts),
+                           minlength=self.n * self.n)
+        return flat.astype(float, copy=False).reshape(self.n, self.n)
 
 
 class _KktSolver:
@@ -400,85 +504,98 @@ class _KktSolver:
 
     used to solve the 3x3 block system
         E'dy + G'dz = rx,  E dx = ry,  G dx - W^2 dz = rz
-    with static regularization and iterative refinement.
+    (dz = W^-2 (G dx - rz)) with static regularization and iterative
+    refinement.  Without equality rows the regularized G' W^-2 G is
+    symmetric positive definite and is factored by Cholesky; with them the
+    bordered matrix is indefinite and is factored by LU.
     """
 
     _REG = 1e-12
 
-    def __init__(self, E, G, scaling: _Scaling):
-        self.E, self.G, self.scaling = E, G, scaling
-        p, n = E.shape
-        self.n, self.p = n, p
-        self.Gt = scaling.apply(G, invert=True) if G.shape[0] else G
-        M = np.zeros((n + p, n + p))
-        M[:n, :n] = self.Gt.T @ self.Gt if G.shape[0] else 0.0
+    def __init__(self, plan: _KktPlan, scaling: _Scaling):
+        self.plan, self.scaling = plan, scaling
+        n, p = plan.n, plan.p
+        H = plan.gram(scaling)
         # regularization proportional to the matrix scale so it survives the
         # addition even when the scaled system is huge; iterative refinement
         # in solve() takes the perturbation back out
-        reg = self._REG * max(1.0, float(np.abs(np.diagonal(M[:n, :n])).max()) if n else 1.0)
-        M[:n, :n] += reg * np.eye(n)
-        if p:
-            M[:n, n:] = E.T
-            M[n:, :n] = E
-            M[n:, n:] = -reg * np.eye(p)
+        reg = self._REG * max(1.0, float(np.abs(np.diagonal(H)).max()))
+        H[np.diag_indices(n)] += reg
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # singular pivots surface as NaN steps
-            self.lu = scipy.linalg.lu_factor(M, check_finite=False)
+            if p:
+                M = np.zeros((n + p, n + p))
+                M[:n, :n] = H
+                M[:n, n:] = plan.E.T
+                M[n:, :n] = plan.E
+                M[n:, n:] = -reg * np.eye(p)
+                self.factor = scipy.linalg.lu_factor(M, check_finite=False)
+                self.back_solve = scipy.linalg.lu_solve
+            else:
+                self.factor = scipy.linalg.cho_factor(H, check_finite=False)
+                self.back_solve = scipy.linalg.cho_solve
 
     def _base_solve(self, rx, ry, rz):
-        if self.G.shape[0]:
-            t = self.scaling.apply(rz, invert=True)
-            top = rx + self.Gt.T @ t
-        else:
-            t = rz
-            top = rx
-        sol = scipy.linalg.lu_solve(self.lu, np.concatenate([top, ry]),
-                                    check_finite=False)
-        dx, dy = sol[: self.n], sol[self.n :]
-        dz = self.scaling.apply(self.Gt @ dx - t, invert=True) if self.G.shape[0] else rz[:0]
+        plan, n = self.plan, self.plan.n
+        top = rx + plan.Gt @ self.scaling.apply_sq(rz, invert=True)
+        sol = self.back_solve(self.factor, np.concatenate([top, ry]), check_finite=False)
+        dx, dy = sol[:n], sol[n:]
+        dz = self.scaling.apply_sq(plan.G @ dx - rz, invert=True)
         return dx, dy, dz
 
     def solve(self, rx, ry, rz, refine: int = 2):
+        plan = self.plan
         dx, dy, dz = self._base_solve(rx, ry, rz)
         for _ in range(refine):
-            res_x = rx - (self.E.T @ dy + self.G.T @ dz)
-            res_y = ry - self.E @ dx
-            if self.G.shape[0]:
-                res_z = rz - (self.G @ dx - self.scaling.apply(self.scaling.apply(dz)))
-            else:
-                res_z = rz[:0]
+            res_x = rx - (plan.E.T @ dy + plan.Gt @ dz)
+            res_y = ry - plan.E @ dx
+            res_z = rz - (plan.G @ dx - self.scaling.apply_sq(dz))
             cx, cy, cz = self._base_solve(res_x, res_y, res_z)
             dx, dy, dz = dx + cx, dy + cy, dz + cz
         return dx, dy, dz
 
 
+def _row_ranges(starts: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Concatenation of the row ranges start .. start + dim - 1."""
+    offsets = np.cumsum(dims) - dims
+    return np.repeat(starts - offsets, dims) + np.arange(int(dims.sum()))
+
+
 def _split_rows(program: ConeProgram):
-    """Permute rows into equality block (E, f) and cone block (G, h) with
-    layout [nonnegative | soc...].  SecondOrder(1) degenerates to a
-    nonnegative row; zero-dimension cones are skipped."""
+    """Permute rows into equality block (E, f) and cone block (G, h).
+
+    The cone block holds one unit per nonnegative row (SecondOrder(1)
+    included) and one per second-order block, stably sorted by dimension
+    and then by the number of columns the unit's rows touch; see
+    :class:`_ConeLayout`.  Zero-dimension cones are skipped.
+    """
     zero_rows: list[int] = []
-    lp_rows: list[int] = []
-    soc_blocks: list[list[int]] = []
+    unit_starts: list[int] = []
+    unit_dims: list[int] = []
     start = 0
     for cone in program.cones:
-        rows = list(range(start, start + cone.dim))
-        start += cone.dim
-        if cone.dim == 0:
-            continue
         if isinstance(cone, Zero):
-            zero_rows.extend(rows)
-        elif isinstance(cone, Nonnegative):
-            lp_rows.extend(rows)
-        elif cone.dim == 1:
-            lp_rows.extend(rows)
+            zero_rows.extend(range(start, start + cone.dim))
+        elif isinstance(cone, Nonnegative) or cone.dim == 1:
+            unit_starts.extend(range(start, start + cone.dim))
+            unit_dims.extend([1] * cone.dim)
         else:
-            soc_blocks.append(rows)
+            unit_starts.append(start)
+            unit_dims.append(cone.dim)
+        start += cone.dim
     A, b = program.constraint_matrix, program.offset
     E, f = A[zero_rows], b[zero_rows]
-    cone_rows = lp_rows + [r for blk in soc_blocks for r in blk]
+    starts = np.asarray(unit_starts, dtype=np.intp)
+    dims = np.asarray(unit_dims, dtype=np.intp)
+    support = np.zeros(len(dims), dtype=np.intp)
+    if len(dims):
+        touched = A[_row_ranges(starts, dims)] != 0
+        unit_rows = np.cumsum(dims) - dims
+        support = np.logical_or.reduceat(touched, unit_rows, axis=0).sum(axis=1)
+    order = np.lexsort((support, dims))
+    cone_rows = _row_ranges(starts[order], dims[order])
     G, h = A[cone_rows], b[cone_rows]
-    layout = _ConeLayout(m_lp=len(lp_rows), soc_dims=[len(blk) for blk in soc_blocks])
-    return E, f, G, h, layout
+    return E, f, G, h, _ConeLayout(dims[order], support[order])
 
 
 def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solution:
@@ -504,6 +621,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
     norm_c = max(1.0, float(np.max(np.abs(c))))
     norm_fh = max(1.0, float(max(np.max(np.abs(f)) if p else 0.0,
                                  np.max(np.abs(h)) if m else 0.0)))
+    plan = _KktPlan(E, G, layout)
 
     e = layout.identity()
     x = np.zeros(n)
@@ -516,48 +634,48 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
     best = Solution(SolveStatus.MAX_ITERATIONS, np.zeros(n), np.nan, np.inf, settings.max_iter)
 
     with np.errstate(all="ignore"):
-        return _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
+        return _iterate(program, settings, c, n, plan, f, h, layout, m, p,
                         norm_c, norm_fh, x, y, z, s, tau, kappa, degree, best)
 
 
-def _primal_violation(E, f, G, h, layout: _ConeLayout, xh: np.ndarray) -> float:
+def _primal_violation(plan: _KktPlan, f, h, layout: _ConeLayout, xh: np.ndarray) -> float:
     """True feasibility error of the de-homogenized point: equality residual
     plus cone shortfall of the implied slack h - G xh (matches the public
     :func:`residuals` audit)."""
-    viol = float(np.max(np.abs(E @ xh - f))) if E.shape[0] else 0.0
-    if G.shape[0]:
-        slack = h - G @ xh
+    viol = float(np.max(np.abs(plan.E @ xh - f))) if plan.p else 0.0
+    if layout.m:
+        slack = h - plan.G @ xh
         if layout.m_lp:
             viol = max(viol, -float(np.min(slack[: layout.m_lp])))
-        for _, idx in layout.groups:
-            blk = slack[idx]
+        for blk in layout.blocks(slack):
             viol = max(viol, float(np.max(
                 np.sqrt(np.einsum("nd,nd->n", blk[:, 1:], blk[:, 1:])) - blk[:, 0])))
     return max(viol, 0.0)
 
 
-def _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
+def _iterate(program, settings, c, n, plan, f, h, layout, m, p,
              norm_c, norm_fh, x, y, z, s, tau, kappa, degree, best) -> Solution:
+    E, G, Gt = plan.E, plan.G, plan.Gt
     e = layout.identity()
     best_merit = np.inf
     stall = 0
 
     for iteration in range(settings.max_iter):
         # residuals of the homogeneous system
-        r_dual = E.T @ y + G.T @ z + c * tau          # -> 0
+        r_dual = E.T @ y + Gt @ z + c * tau           # -> 0
         r_eq = E @ x - f * tau                        # -> 0
         r_cone = G @ x + s - h * tau                  # -> 0
         r_gap = float(c @ x + f @ y + h @ z + kappa)  # -> 0
         mu = (s @ z + tau * kappa) / degree
 
         if not np.all(np.isfinite(np.concatenate([r_dual, r_eq, r_cone, [r_gap, mu]]))):
-            return _breakdown(program, settings, x, y, z, s, tau, E, f, G, h,
+            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
                               norm_c, norm_fh, best, iteration)
 
         # --- convergence tests on the de-homogenized point ---
         xh, yh, zh = x / tau, y / tau, z / tau
-        pres = _primal_violation(E, f, G, h, layout, xh)
-        dres = float(np.max(np.abs(E.T @ yh + G.T @ zh + c))) if (p or m) else 0.0
+        pres = _primal_violation(plan, f, h, layout, xh)
+        dres = float(np.max(np.abs(E.T @ yh + Gt @ zh + c))) if (p or m) else 0.0
         # dual feasibility is judged relative to the dual iterate magnitude
         # (the primal bound stays absolute so external audits hold verbatim)
         dual_scale = norm_c * (1.0 + max(
@@ -581,7 +699,7 @@ def _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
         # --- infeasibility certificates ---
         by_hz = -(f @ y) - (h @ z)
         if by_hz > 1e-12:
-            cert_res = float(np.max(np.abs(E.T @ y + G.T @ z))) if (p or m) else np.inf
+            cert_res = float(np.max(np.abs(E.T @ y + Gt @ z))) if (p or m) else np.inf
             if cert_res <= settings.feas_tol * norm_c * by_hz:
                 return Solution(SolveStatus.PRIMAL_INFEASIBLE, xh, np.nan, np.inf, iteration)
         cx = -(c @ x)
@@ -598,15 +716,15 @@ def _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
         # bail out before the scaled KKT system turns to noise
         if mu < 1e-18 or min(_margin(layout, s), _margin(layout, z)) < 1e-40 \
                 or stall >= 15:
-            return _breakdown(program, settings, x, y, z, s, tau, E, f, G, h,
+            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
                               norm_c, norm_fh, best, iteration)
 
         scaling = _Scaling(layout, s, z)
         lam = scaling.apply(z)
         try:
-            kkt = _KktSolver(E, G, scaling)
+            kkt = _KktSolver(plan, scaling)
         except (scipy.linalg.LinAlgError, ValueError):
-            return _breakdown(program, settings, x, y, z, s, tau, E, f, G, h,
+            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
                               norm_c, norm_fh, best, iteration)
 
         # column of the KKT solve responsible for d_tau
@@ -654,7 +772,7 @@ def _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
 
         if not (np.isfinite(dtau) and np.isfinite(dkappa)
                 and np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
-            return _breakdown(program, settings, x, y, z, s, tau, E, f, G, h,
+            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
                               norm_c, norm_fh, best, iteration)
 
         alpha = 0.99 * min(
@@ -665,7 +783,7 @@ def _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
         )
         alpha = min(alpha, 1.0)
         if not np.isfinite(alpha):
-            return _breakdown(program, settings, x, y, z, s, tau, E, f, G, h,
+            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
                               norm_c, norm_fh, best, iteration)
 
         # keep iterates strictly interior despite floating-point step rounding
@@ -679,7 +797,7 @@ def _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
                 break
             alpha *= 0.5
         if not ok or alpha <= 1e-13:
-            return _breakdown(program, settings, x, y, z, s, tau, E, f, G, h,
+            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
                               norm_c, norm_fh, best, iteration)
 
         x += alpha * dx
@@ -690,15 +808,16 @@ def _iterate(program, settings, c, n, E, f, G, h, layout, m, p,
     return best
 
 
-def _breakdown(program, settings, x, y, z, s, tau, E, f, G, h,
+def _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
                norm_c, norm_fh, best: Solution, iteration: int) -> Solution:
     """Progress has stalled; accept a modestly looser certificate if one is
     in hand, otherwise report numerical failure at the best iterate seen."""
     c = program.objective
+    E, G, Gt = plan.E, plan.G, plan.Gt
     loose = max(1e3 * settings.feas_tol, 1e-6)
     by_hz = -(f @ y) - (h @ z)
     if by_hz > 1e-12 and np.all(np.isfinite(y)) and np.all(np.isfinite(z)):
-        cert_res = float(np.max(np.abs(E.T @ y + G.T @ z)))
+        cert_res = float(np.max(np.abs(E.T @ y + Gt @ z)))
         if cert_res <= loose * norm_c * by_hz:
             return Solution(SolveStatus.PRIMAL_INFEASIBLE, best.x,
                             np.nan, np.inf, iteration)

@@ -88,6 +88,54 @@ class TestConfigParsing:
         with pytest.raises(Exception, match="explicit channels"):
             load_config(path)
 
+    def test_malformed_manifest_json_exits_one(self, runner, tmp_path):
+        path = write(tmp_path, "manifest.json", '{"n_u": 3, ')
+        with pytest.raises(cli.ConfigError, match="not valid JSON"):
+            load_config(path)
+        result = runner.invoke(main, ["design", path])
+        assert result.exit_code == 1
+        assert "not valid JSON" in result.output
+
+    def test_manifest_config_must_be_an_object(self, tmp_path):
+        path = write(tmp_path, "manifest.json", '{"config": [3, 3]}')
+        with pytest.raises(cli.ConfigError, match="must be an object"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", ['{"config": {"n_u": 3, "nt": 3}}',
+                                      '{"n_u": 3, "nt": 3}'])
+    def test_manifest_unknown_key(self, tmp_path, text):
+        path = write(tmp_path, "manifest.json", text)
+        with pytest.raises(cli.ConfigError, match="unknown key 'nt'"):
+            load_config(path)
+
+    def test_written_manifest_reloads_with_channels(self, tmp_path):
+        path = write(tmp_path, "c.cfg",
+                     "n_t = 2\nn_u = 2\nseed = 4\nchannels = 1+0j, 0+1j ; 2-1j, 0.5+0j\n")
+        config, channels = load_config(path)
+        manifest = cli._write_manifest(tmp_path, "design", config, channels, [], cli._now())
+        reloaded, reloaded_channels = load_config(str(manifest))
+        np.testing.assert_array_equal(reloaded_channels.rows, channels.rows)
+        assert cli._config_as_dict(reloaded, reloaded_channels) == \
+            cli._config_as_dict(config, channels)
+
+
+class TestWorkersOption:
+    @pytest.mark.parametrize("command", ["cdf", "sweep-gamma", "sweep-delta"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected_before_any_trial(
+            self, runner, tmp_path, monkeypatch, command, workers):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("an experiment ran despite a bad --workers")
+
+        for name in ("sinr_cdf_experiment", "power_vs_gamma_sweep", "power_vs_delta_sweep"):
+            monkeypatch.setattr(cli.montecarlo, name, no_trials)
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        result = runner.invoke(main, [command, cfg, "--workers", workers,
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "--workers" in result.output
+        assert not (tmp_path / "o").exists()
+
 
 class TestDesignCommand:
     def test_scalar_power_one(self, runner, tmp_path):

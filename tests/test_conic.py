@@ -15,6 +15,7 @@ from misobeam.conic import (
     solve,
     validate,
 )
+from misobeam.conic import _KktPlan, _Scaling, _split_rows
 
 
 def soc_min_norm_program():
@@ -214,3 +215,116 @@ class TestSolverInvariants:
         assert sol_scaled.objective_value == pytest.approx(7.5 * sol.objective_value,
                                                            rel=1e-6)
         np.testing.assert_allclose(sol_scaled.x, sol.x, atol=1e-7 * (1 + np.abs(sol.x).max()))
+
+
+def mixed_structure_program(rng):
+    """Every cone kind, out of order: second-order blocks of dimensions 3
+    and 4 whose equal-dimension blocks touch different numbers of columns,
+    a block with an all-zero row, nonnegative rows and a SecondOrder(1)."""
+    n = 7
+    # (cone, columns each row of the block may touch, all-zero row or None)
+    spec = [
+        (SecondOrder(4), [0, 1, 2], None),
+        (Nonnegative(2), [3, 4], None),
+        (SecondOrder(3), [0, 2, 5, 6], None),
+        (SecondOrder(1), [1, 4, 6], None),
+        (SecondOrder(4), [1, 2, 3, 4, 5], 2),
+        (SecondOrder(3), [5, 6], None),
+        (SecondOrder(4), [4, 5, 6], None),
+    ]
+    blocks = []
+    for cone, cols, zero_row in spec:
+        block = np.zeros((cone.dim, n))
+        block[:, cols] = rng.normal(size=(cone.dim, len(cols)))
+        if zero_row is not None:
+            block[zero_row] = 0.0
+        blocks.append(block)
+    A = np.vstack(blocks)
+    return ConeProgram(n, rng.normal(size=n), A, rng.normal(size=A.shape[0]),
+                       [cone for cone, _, _ in spec])
+
+
+def interior_point(layout, rng):
+    u = np.empty(layout.m)
+    u[: layout.m_lp] = rng.uniform(0.1, 2.0, size=layout.m_lp)
+    for block in layout.blocks(u):
+        block[:, 1:] = rng.normal(size=(block.shape[0], block.shape[1] - 1))
+        block[:, 0] = np.linalg.norm(block[:, 1:], axis=1) + rng.uniform(0.01, 1.0)
+    return u
+
+
+def nt_scaling_inverse(s, z):
+    """Dense W^-1 of one cone block, built from the textbook NT formulas."""
+    if s.size == 1:
+        return np.array([[np.sqrt(z[0] / s[0])]])
+    J = np.diag(np.r_[1.0, -np.ones(s.size - 1)])
+    a, b = np.sqrt(s @ J @ s), np.sqrt(z @ J @ z)
+    sbar, zbar = s / a, z / b
+    gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
+    v = J @ (sbar + J @ zbar) / (2.0 * gamma)  # J wbar
+    V = np.empty((s.size, s.size))
+    V[0, 0], V[0, 1:], V[1:, 0] = v[0], v[1:], v[1:]
+    V[1:, 1:] = np.eye(s.size - 1) + np.outer(v[1:], v[1:]) / (1.0 + v[0])
+    return V / np.sqrt(a / b)
+
+
+class TestStructuredKkt:
+    def test_gram_matches_dense_reference(self):
+        rng = np.random.default_rng(2024)
+        E, f, G, h, layout = _split_rows(mixed_structure_program(rng))
+        assert E.shape[0] == 0
+        for _ in range(5):
+            s, z = interior_point(layout, rng), interior_point(layout, rng)
+            gram = _KktPlan(E, G, layout).gram(_Scaling(layout, s, z))
+
+            spans = [(r, 1) for r in range(layout.m_lp)]
+            spans += [(start + i * dim, dim) for start, count, dim in layout.groups
+                      for i in range(count)]
+            W_inv = np.zeros((layout.m, layout.m))
+            for start, dim in spans:
+                blk = slice(start, start + dim)
+                W_inv[blk, blk] = nt_scaling_inverse(s[blk], z[blk])
+                # the reference is the NT scaling: W z = W^-1 s
+                np.testing.assert_allclose(
+                    np.linalg.solve(W_inv[blk, blk], z[blk]), W_inv[blk, blk] @ s[blk],
+                    rtol=1e-10, atol=1e-12)
+            scaled = W_inv @ G
+            reference = scaled.T @ scaled
+            assert np.abs(gram - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_one_pass_square_scaling_matches_two_applies(self):
+        rng = np.random.default_rng(7)
+        E, f, G, h, layout = _split_rows(mixed_structure_program(rng))
+        scaling = _Scaling(layout, interior_point(layout, rng), interior_point(layout, rng))
+        u = rng.normal(size=layout.m)
+        for invert in (False, True):
+            twice = scaling.apply(scaling.apply(u, invert), invert)
+            np.testing.assert_allclose(scaling.apply_sq(u, invert), twice,
+                                       rtol=1e-12, atol=1e-12 * np.abs(twice).max())
+
+    def test_equality_rows_closed_form(self):
+        # min ||x - x0|| s.t. a'x = beta and x >= -10 (inactive), with the
+        # Zero row between the cone rows: x* = x0 - (a'x0 - beta) a / ||a||^2
+        rng = np.random.default_rng(99)
+        n = 5
+        for _ in range(5):
+            a, x0, beta = rng.normal(size=n), rng.normal(size=n), float(rng.normal())
+            A = np.zeros((2 * n + 2, n + 1))
+            A[:n, :n] = -np.eye(n)
+            A[n, :n] = a
+            A[n + 1, n] = -1.0
+            A[n + 2 :, :n] = -np.eye(n)
+            b = np.concatenate([10.0 * np.ones(n), [beta, 0.0], -x0])
+            c = np.zeros(n + 1)
+            c[n] = 1.0
+            prog = ConeProgram(n + 1, c, A, b,
+                               [Nonnegative(n), Zero(1), SecondOrder(n + 1)])
+            sol = solve(prog)
+            gap = a @ x0 - beta
+            assert sol.status == SolveStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(abs(gap) / np.linalg.norm(a),
+                                                        abs=1e-6)
+            # feasible x has ||x - x0||^2 = ||x - x*||^2 + t*^2, so an objective
+            # gap eps leaves the minimizer off by up to sqrt(2 t* eps)
+            np.testing.assert_allclose(sol.x[:n], x0 - gap * a / (a @ a), atol=1e-4)
+            assert residuals(prog, sol.x).cone_violation <= 1e-8
