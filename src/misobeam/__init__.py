@@ -4,16 +4,16 @@ The package splits into:
 
 * :mod:`misobeam.conic` - standard-form second-order cone programs and a
   self-contained interior-point solver;
-* :mod:`misobeam.model` - channels, precoders, SINR/power evaluation, error
-  sampling, and the complex-to-real embedding;
+* :mod:`misobeam.model` - channels, precoders, SINR/power evaluation and
+  batched error sampling;
 * :mod:`misobeam.design` - the nominal and the uncertainty-robust precoder
-  designs compiled onto the cone solver;
+  designs, compiled by one program builder onto the cone solver;
 * :mod:`misobeam.montecarlo` - seeded experiment harness (SINR CDFs, power
   sweeps, worst-case audits);
 * :mod:`misobeam.cli` - the ``misobeam`` command-line front end.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .conic import (
     ConeProgram,
@@ -42,13 +42,10 @@ from .design import (
 )
 from .model import (
     ChannelSet,
-    ErrorVector,
     Precoder,
     QosSpec,
-    RealEmbedding,
     achieved_sinr,
     generate_channels,
-    real_embedding,
     sample_error,
     transmit_power,
 )
@@ -65,9 +62,8 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
-    "ChannelSet", "ErrorVector", "Precoder", "QosSpec", "RealEmbedding",
-    "achieved_sinr", "generate_channels", "real_embedding", "sample_error",
-    "transmit_power",
+    "ChannelSet", "Precoder", "QosSpec",
+    "achieved_sinr", "generate_channels", "sample_error", "transmit_power",
     "ConeProgram", "ConeProgramError", "ConeResiduals", "Nonnegative",
     "SecondOrder", "Solution", "SolverSettings", "SolveStatus", "Zero",
     "residuals", "solve", "validate",

@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, design, model, montecarlo
+from . import __version__, model, montecarlo
 from .conic import SolveStatus
 from .model import ChannelSet
 from .montecarlo import ExperimentConfig
@@ -243,7 +243,8 @@ def _seed_override(config: ExperimentConfig, seed: int | None) -> ExperimentConf
 @click.argument("config_path", type=str)
 @click.option("--method", type=click.Choice(montecarlo.METHODS), default="robust",
               show_default=True, help="Which design to run.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seed.")
 @click.option("--out", type=str, default=None,
               help=f"Output directory (default: ${OUTDIR_ENV} or '.').")
 def cmd_design(config_path, method, seed, out):
@@ -258,11 +259,7 @@ def cmd_design(config_path, method, seed, out):
     config = _seed_override(config, seed)
     estimates = _get_channels(config, channels)
     qos = config.qos()
-    if method == "nominal":
-        result = design.design_nominal(estimates, qos)
-    else:
-        result = design.design_robust(estimates, qos, config.uncertainty(),
-                                      perturbation_sigma=config.perturbation_sigma)
+    result = montecarlo.run_design(method, config, estimates)
 
     outdir = _resolve_outdir(out)
     summary_path = outdir / "summary.csv"
@@ -297,7 +294,8 @@ def cmd_design(config_path, method, seed, out):
 
 @main.command("cdf")
 @click.argument("config_path", type=str)
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel trial workers.")
@@ -332,6 +330,11 @@ def _run_sweep(command, config_path, seed, out, workers, grid_text, axis, column
         raise ConfigError(f"bad --grid: {exc}")
     if not grid:
         raise ConfigError("--grid must contain at least one value")
+    for value in grid:  # reject a bad point before any trial runs
+        try:
+            montecarlo.sweep_point(config, axis, value)
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid value {value}: {exc}")
     table = runner(config, grid, workers=workers)
     outdir = _resolve_outdir(out)
     path = outdir / f"{command.replace('-', '_')}.csv"
@@ -345,7 +348,8 @@ def _run_sweep(command, config_path, seed, out, workers, grid_text, axis, column
 @click.argument("config_path", type=str)
 @click.option("--grid", default="0,2,4,6,8,10", show_default=True,
               help="Comma-separated SINR targets in dB.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_sweep_gamma(config_path, grid, seed, out, workers):
@@ -358,7 +362,8 @@ def cmd_sweep_gamma(config_path, grid, seed, out, workers):
 @click.argument("config_path", type=str)
 @click.option("--grid", default="0.005,0.01,0.015,0.02,0.025,0.03,0.035,0.04,0.045,0.05",
               show_default=True, help="Comma-separated uncertainty radii.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_sweep_delta(config_path, grid, seed, out, workers):
@@ -371,9 +376,10 @@ def cmd_sweep_delta(config_path, grid, seed, out, workers):
 @click.argument("config_path", type=str)
 @click.option("--method", type=click.Choice(montecarlo.METHODS), default="robust",
               show_default=True, help="Design to audit.")
-@click.option("--samples", type=int, default=None,
+@click.option("--samples", type=click.IntRange(min=1), default=None,
               help="Worst-case error samples per user (default: error_samples).")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
 def cmd_verify(config_path, method, samples, seed, out):
     """Design a precoder and audit its worst-case SINR by sphere sampling."""
@@ -382,11 +388,7 @@ def cmd_verify(config_path, method, samples, seed, out):
     config = _seed_override(config, seed)
     estimates = _get_channels(config, channels)
     qos = config.qos()
-    if method == "nominal":
-        result = design.design_nominal(estimates, qos)
-    else:
-        result = design.design_robust(estimates, qos, config.uncertainty(),
-                                      perturbation_sigma=config.perturbation_sigma)
+    result = montecarlo.run_design(method, config, estimates)
     outdir = _resolve_outdir(out)
     if result.status != SolveStatus.OPTIMAL:
         _write_csv(outdir / "verify.csv", ("method", "status"), [[method, result.status.value]])

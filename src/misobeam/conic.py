@@ -622,6 +622,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
     norm_fh = max(1.0, float(max(np.max(np.abs(f)) if p else 0.0,
                                  np.max(np.abs(h)) if m else 0.0)))
     plan = _KktPlan(E, G, layout)
+    E, G, Gt = plan.E, plan.G, plan.Gt
 
     e = layout.identity()
     x = np.zeros(n)
@@ -632,10 +633,169 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
     degree = layout.degree + 1
 
     best = Solution(SolveStatus.MAX_ITERATIONS, np.zeros(n), np.nan, np.inf, settings.max_iter)
+    best_merit = np.inf
+    stall = 0
+
+    def certificate(tol: float) -> SolveStatus | None:
+        """PrimalInfeasible if (y, z) is a Farkas certificate, DualInfeasible
+        if x is an improving ray, at relative tolerance ``tol``."""
+        by_hz = -(f @ y) - (h @ z)
+        if by_hz > 1e-12 and np.all(np.isfinite(y)) and np.all(np.isfinite(z)):
+            cert_res = float(np.max(np.abs(E.T @ y + Gt @ z)))
+            if cert_res <= tol * norm_c * by_hz:
+                return SolveStatus.PRIMAL_INFEASIBLE
+        cx = -(c @ x)
+        if cx > 1e-12 and np.all(np.isfinite(x)) and np.all(np.isfinite(s)):
+            ray_res = float(np.max(np.abs(E @ x))) if p else 0.0
+            if m:
+                ray_res = max(ray_res, float(np.max(np.abs(G @ x + s))))
+            if ray_res <= tol * norm_fh * cx:
+                return SolveStatus.DUAL_INFEASIBLE
+        return None
 
     with np.errstate(all="ignore"):
-        return _iterate(program, settings, c, n, plan, f, h, layout, m, p,
-                        norm_c, norm_fh, x, y, z, s, tau, kappa, degree, best)
+        for iteration in range(settings.max_iter):
+            # residuals of the homogeneous system
+            r_dual = E.T @ y + Gt @ z + c * tau           # -> 0
+            r_eq = E @ x - f * tau                        # -> 0
+            r_cone = G @ x + s - h * tau                  # -> 0
+            r_gap = float(c @ x + f @ y + h @ z + kappa)  # -> 0
+            mu = (s @ z + tau * kappa) / degree
+
+            if not np.all(np.isfinite(np.concatenate([r_dual, r_eq, r_cone, [r_gap, mu]]))):
+                break
+
+            # --- convergence tests on the de-homogenized point ---
+            xh, yh, zh = x / tau, y / tau, z / tau
+            pres = _primal_violation(plan, f, h, layout, xh)
+            dres = float(np.max(np.abs(E.T @ yh + Gt @ zh + c))) if (p or m) else 0.0
+            # dual feasibility is judged relative to the dual iterate magnitude
+            # (the primal bound stays absolute so external audits hold verbatim)
+            dual_scale = norm_c * (1.0 + max(
+                float(np.max(np.abs(yh))) if p else 0.0,
+                float(np.max(np.abs(zh))) if m else 0.0))
+            pobj = float(c @ xh)
+            dobj = float(-(f @ yh) - (h @ zh))
+            relgap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
+            if pres <= settings.feas_tol and dres <= settings.feas_tol * dual_scale \
+                    and relgap <= settings.gap_tol:
+                return Solution(SolveStatus.OPTIMAL, xh, pobj, relgap, iteration)
+
+            merit = max(pres, dres / dual_scale, relgap)
+            if merit < 0.9 * best_merit:
+                best_merit = merit
+                best = Solution(SolveStatus.MAX_ITERATIONS, xh, pobj, relgap, iteration)
+                stall = 0
+            else:
+                stall += 1
+
+            status = certificate(settings.feas_tol)
+            if status is not None:
+                return _infeasible(status, xh, iteration)
+
+            # degenerate instances stop making progress once mu bottoms out;
+            # bail out before the scaled KKT system turns to noise
+            if mu < 1e-18 or min(_margin(layout, s), _margin(layout, z)) < 1e-40 \
+                    or stall >= 15:
+                break
+
+            scaling = _Scaling(layout, s, z)
+            lam = scaling.apply(z)
+            try:
+                kkt = _KktSolver(plan, scaling)
+            except (scipy.linalg.LinAlgError, ValueError):
+                break
+
+            # column of the KKT solve responsible for d_tau
+            x1, y1, z1 = kkt.solve(-c, f, h)
+
+            def direction(ds_target: np.ndarray, dkappa_target: float):
+                # Newton step for the homogeneous system with complementarity
+                # targets lambda o (W dz + W^-1 ds) = ds_target,
+                # tau dkappa + kappa dtau = dkappa_target.
+                dst = _jordan_solve(layout, lam, ds_target)
+                rx, ry = -r_dual, -r_eq
+                rz = -r_cone - scaling.apply(dst)
+                x0, y0, z0 = kkt.solve(rx, ry, rz)
+                num = -r_gap - dkappa_target / tau - (c @ x0 + f @ y0 + h @ z0)
+                den = (c @ x1 + f @ y1 + h @ z1) - kappa / tau
+                dtau = num / den
+                dx = x0 + dtau * x1
+                dy = y0 + dtau * y1
+                dz = z0 + dtau * z1
+                ds = scaling.apply(dst - scaling.apply(dz))
+                dkappa = (dkappa_target - kappa * dtau) / tau
+                return dx, dy, dz, dtau, ds, dkappa
+
+            lam_sq = _jordan_product(layout, lam, lam)
+
+            # predictor
+            aff = direction(-lam_sq, -tau * kappa)
+            dxa, dya, dza, dtaua, dsa, dkappaa = aff
+            alpha_aff = min(
+                _max_step(layout, s, dsa),
+                _max_step(layout, z, dza),
+                -tau / dtaua if dtaua < 0 else np.inf,
+                -kappa / dkappaa if dkappaa < 0 else np.inf,
+                1.0,
+            )
+            mu_aff = ((s + alpha_aff * dsa) @ (z + alpha_aff * dza)
+                      + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / degree
+            sigma = min(max((mu_aff / mu) ** 3, 1e-8), 0.999)
+
+            # corrector
+            corr = _jordan_product(layout, scaling.apply(dsa, invert=True), scaling.apply(dza))
+            ds_target = -lam_sq - corr + sigma * mu * e
+            dkappa_target = -tau * kappa - dtaua * dkappaa + sigma * mu
+            dx, dy, dz, dtau, ds, dkappa = direction(ds_target, dkappa_target)
+
+            if not (np.isfinite(dtau) and np.isfinite(dkappa)
+                    and np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
+                break
+
+            alpha = 0.99 * min(
+                _max_step(layout, s, ds),
+                _max_step(layout, z, dz),
+                -tau / dtau if dtau < 0 else np.inf,
+                -kappa / dkappa if dkappa < 0 else np.inf,
+            )
+            alpha = min(alpha, 1.0)
+            if not np.isfinite(alpha):
+                break
+
+            # keep iterates strictly interior despite floating-point step rounding
+            ok = False
+            for _ in range(40):
+                s_new, z_new = s + alpha * ds, z + alpha * dz
+                tau_new, kappa_new = tau + alpha * dtau, kappa + alpha * dkappa
+                if (tau_new > 0 and kappa_new > 0
+                        and _margin(layout, s_new) > 0 and _margin(layout, z_new) > 0):
+                    ok = True
+                    break
+                alpha *= 0.5
+            if not ok or alpha <= 1e-13:
+                break
+
+            x += alpha * dx
+            y += alpha * dy
+            z, s = z_new, s_new
+            tau, kappa = tau_new, kappa_new
+
+        else:
+            return best
+
+        # progress has stalled: accept a modestly looser certificate if one
+        # is in hand, otherwise report numerical failure at the best iterate
+        status = certificate(max(1e3 * settings.feas_tol, 1e-6))
+        if status is not None:
+            return _infeasible(status, best.x, iteration)
+        return Solution(SolveStatus.NUMERICAL_FAILURE, best.x,
+                        best.objective_value, best.duality_gap, iteration)
+
+
+def _infeasible(status: SolveStatus, x: np.ndarray, iteration: int) -> Solution:
+    value = np.nan if status == SolveStatus.PRIMAL_INFEASIBLE else -np.inf
+    return Solution(status, x, value, np.inf, iteration)
 
 
 def _primal_violation(plan: _KktPlan, f, h, layout: _ConeLayout, xh: np.ndarray) -> float:
@@ -651,185 +811,3 @@ def _primal_violation(plan: _KktPlan, f, h, layout: _ConeLayout, xh: np.ndarray)
             viol = max(viol, float(np.max(
                 np.sqrt(np.einsum("nd,nd->n", blk[:, 1:], blk[:, 1:])) - blk[:, 0])))
     return max(viol, 0.0)
-
-
-def _iterate(program, settings, c, n, plan, f, h, layout, m, p,
-             norm_c, norm_fh, x, y, z, s, tau, kappa, degree, best) -> Solution:
-    E, G, Gt = plan.E, plan.G, plan.Gt
-    e = layout.identity()
-    best_merit = np.inf
-    stall = 0
-
-    for iteration in range(settings.max_iter):
-        # residuals of the homogeneous system
-        r_dual = E.T @ y + Gt @ z + c * tau           # -> 0
-        r_eq = E @ x - f * tau                        # -> 0
-        r_cone = G @ x + s - h * tau                  # -> 0
-        r_gap = float(c @ x + f @ y + h @ z + kappa)  # -> 0
-        mu = (s @ z + tau * kappa) / degree
-
-        if not np.all(np.isfinite(np.concatenate([r_dual, r_eq, r_cone, [r_gap, mu]]))):
-            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
-                              norm_c, norm_fh, best, iteration)
-
-        # --- convergence tests on the de-homogenized point ---
-        xh, yh, zh = x / tau, y / tau, z / tau
-        pres = _primal_violation(plan, f, h, layout, xh)
-        dres = float(np.max(np.abs(E.T @ yh + Gt @ zh + c))) if (p or m) else 0.0
-        # dual feasibility is judged relative to the dual iterate magnitude
-        # (the primal bound stays absolute so external audits hold verbatim)
-        dual_scale = norm_c * (1.0 + max(
-            float(np.max(np.abs(yh))) if p else 0.0,
-            float(np.max(np.abs(zh))) if m else 0.0))
-        pobj = float(c @ xh)
-        dobj = float(-(f @ yh) - (h @ zh))
-        relgap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
-        if pres <= settings.feas_tol and dres <= settings.feas_tol * dual_scale \
-                and relgap <= settings.gap_tol:
-            return Solution(SolveStatus.OPTIMAL, xh, pobj, relgap, iteration)
-
-        merit = max(pres, dres / dual_scale, relgap)
-        if merit < 0.9 * best_merit:
-            best_merit = merit
-            best = Solution(SolveStatus.MAX_ITERATIONS, xh, pobj, relgap, iteration)
-            stall = 0
-        else:
-            stall += 1
-
-        # --- infeasibility certificates ---
-        by_hz = -(f @ y) - (h @ z)
-        if by_hz > 1e-12:
-            cert_res = float(np.max(np.abs(E.T @ y + Gt @ z))) if (p or m) else np.inf
-            if cert_res <= settings.feas_tol * norm_c * by_hz:
-                return Solution(SolveStatus.PRIMAL_INFEASIBLE, xh, np.nan, np.inf, iteration)
-        cx = -(c @ x)
-        if cx > 1e-12:
-            ray_res = 0.0
-            if p:
-                ray_res = float(np.max(np.abs(E @ x)))
-            if m:
-                ray_res = max(ray_res, float(np.max(np.abs(G @ x + s))))
-            if ray_res <= settings.feas_tol * norm_fh * cx:
-                return Solution(SolveStatus.DUAL_INFEASIBLE, xh, -np.inf, np.inf, iteration)
-
-        # degenerate instances stop making progress once mu bottoms out;
-        # bail out before the scaled KKT system turns to noise
-        if mu < 1e-18 or min(_margin(layout, s), _margin(layout, z)) < 1e-40 \
-                or stall >= 15:
-            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
-                              norm_c, norm_fh, best, iteration)
-
-        scaling = _Scaling(layout, s, z)
-        lam = scaling.apply(z)
-        try:
-            kkt = _KktSolver(plan, scaling)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
-                              norm_c, norm_fh, best, iteration)
-
-        # column of the KKT solve responsible for d_tau
-        x1, y1, z1 = kkt.solve(-c, f, h)
-
-        def direction(ds_target: np.ndarray, dkappa_target: float):
-            # Newton step for the homogeneous system with complementarity
-            # targets lambda o (W dz + W^-1 ds) = ds_target,
-            # tau dkappa + kappa dtau = dkappa_target.
-            dst = _jordan_solve(layout, lam, ds_target)
-            rx, ry = -r_dual, -r_eq
-            rz = -r_cone - scaling.apply(dst)
-            x0, y0, z0 = kkt.solve(rx, ry, rz)
-            num = -r_gap - dkappa_target / tau - (c @ x0 + f @ y0 + h @ z0)
-            den = (c @ x1 + f @ y1 + h @ z1) - kappa / tau
-            dtau = num / den
-            dx = x0 + dtau * x1
-            dy = y0 + dtau * y1
-            dz = z0 + dtau * z1
-            ds = scaling.apply(dst - scaling.apply(dz))
-            dkappa = (dkappa_target - kappa * dtau) / tau
-            return dx, dy, dz, dtau, ds, dkappa
-
-        lam_sq = _jordan_product(layout, lam, lam)
-
-        # predictor
-        aff = direction(-lam_sq, -tau * kappa)
-        dxa, dya, dza, dtaua, dsa, dkappaa = aff
-        alpha_aff = min(
-            _max_step(layout, s, dsa),
-            _max_step(layout, z, dza),
-            -tau / dtaua if dtaua < 0 else np.inf,
-            -kappa / dkappaa if dkappaa < 0 else np.inf,
-            1.0,
-        )
-        mu_aff = ((s + alpha_aff * dsa) @ (z + alpha_aff * dza)
-                  + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / degree
-        sigma = min(max((mu_aff / mu) ** 3, 1e-8), 0.999)
-
-        # corrector
-        corr = _jordan_product(layout, scaling.apply(dsa, invert=True), scaling.apply(dza))
-        ds_target = -lam_sq - corr + sigma * mu * e
-        dkappa_target = -tau * kappa - dtaua * dkappaa + sigma * mu
-        dx, dy, dz, dtau, ds, dkappa = direction(ds_target, dkappa_target)
-
-        if not (np.isfinite(dtau) and np.isfinite(dkappa)
-                and np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
-            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
-                              norm_c, norm_fh, best, iteration)
-
-        alpha = 0.99 * min(
-            _max_step(layout, s, ds),
-            _max_step(layout, z, dz),
-            -tau / dtau if dtau < 0 else np.inf,
-            -kappa / dkappa if dkappa < 0 else np.inf,
-        )
-        alpha = min(alpha, 1.0)
-        if not np.isfinite(alpha):
-            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
-                              norm_c, norm_fh, best, iteration)
-
-        # keep iterates strictly interior despite floating-point step rounding
-        ok = False
-        for _ in range(40):
-            s_new, z_new = s + alpha * ds, z + alpha * dz
-            tau_new, kappa_new = tau + alpha * dtau, kappa + alpha * dkappa
-            if (tau_new > 0 and kappa_new > 0
-                    and _margin(layout, s_new) > 0 and _margin(layout, z_new) > 0):
-                ok = True
-                break
-            alpha *= 0.5
-        if not ok or alpha <= 1e-13:
-            return _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
-                              norm_c, norm_fh, best, iteration)
-
-        x += alpha * dx
-        y += alpha * dy
-        z, s = z_new, s_new
-        tau, kappa = tau_new, kappa_new
-
-    return best
-
-
-def _breakdown(program, settings, x, y, z, s, tau, plan, f, h,
-               norm_c, norm_fh, best: Solution, iteration: int) -> Solution:
-    """Progress has stalled; accept a modestly looser certificate if one is
-    in hand, otherwise report numerical failure at the best iterate seen."""
-    c = program.objective
-    E, G, Gt = plan.E, plan.G, plan.Gt
-    loose = max(1e3 * settings.feas_tol, 1e-6)
-    by_hz = -(f @ y) - (h @ z)
-    if by_hz > 1e-12 and np.all(np.isfinite(y)) and np.all(np.isfinite(z)):
-        cert_res = float(np.max(np.abs(E.T @ y + Gt @ z)))
-        if cert_res <= loose * norm_c * by_hz:
-            return Solution(SolveStatus.PRIMAL_INFEASIBLE, best.x,
-                            np.nan, np.inf, iteration)
-    cx = -(c @ x)
-    if cx > 1e-12 and np.all(np.isfinite(x)) and np.all(np.isfinite(s)):
-        ray_res = 0.0
-        if E.shape[0]:
-            ray_res = float(np.max(np.abs(E @ x)))
-        if G.shape[0]:
-            ray_res = max(ray_res, float(np.max(np.abs(G @ x + s))))
-        if ray_res <= loose * norm_fh * cx:
-            return Solution(SolveStatus.DUAL_INFEASIBLE, best.x,
-                            -np.inf, np.inf, iteration)
-    return Solution(SolveStatus.NUMERICAL_FAILURE, best.x,
-                    best.objective_value, best.duality_gap, iteration)

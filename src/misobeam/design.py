@@ -11,9 +11,11 @@ per-user SINR floors:
   t_{k,i}, one pair of cones per real channel coordinate, so the robust
   program is still a second-order cone program.
 
-Both builders work in real variables: the complex precoder B is represented
-by its stacked real and imaginary parts, and the rotation freedom of each
-column is used to make h_k b_k real at the optimum.
+One builder assembles both programs in real variables: the complex
+precoder B is represented by its stacked real and imaginary parts, and the
+rotation freedom of each column is used to make h_k b_k real at the
+optimum.  The robust program is the nominal one with y_k added to each SINR
+cone and the perturbation and aggregation cones appended per user.
 """
 
 from __future__ import annotations
@@ -144,16 +146,81 @@ def _check_dims(channels: ChannelSet, qos: QosSpec):
         )
 
 
-def _row_products_block(layout, h_re, h_im, A, row0):
-    """Fill rows row0.. of A with the 2 n_u entries of h_bar_k @ B_bar,
-    i.e. Re(h_k b_j) for j < n_u then Im(h_k b_j)."""
-    nt, nu = layout.n_tx, layout.n_users
-    for j in range(nu):
-        for i in range(nt):
-            A[row0 + j, layout.b_re(i, j)] = -h_re[i]
-            A[row0 + j, layout.b_im(i, j)] = h_im[i]
-            A[row0 + nu + j, layout.b_im(i, j)] = -h_re[i]
-            A[row0 + nu + j, layout.b_re(i, j)] = -h_im[i]
+def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = None,
+           perturbation_sigma: str = "paper") -> tuple[ConeProgram, ProgramLayout]:
+    """Assemble the nominal program (``unc`` None) or the robust one.
+
+    Rows: the power epigraph, then per user k the cones of ``user_cones``
+    as (dimension, tag, coordinate).  Entries are placed by index arithmetic
+    over users, channel coordinates and signs.
+    """
+    nt, nu = channels.n_tx, channels.n_users
+    user_dim, agg_dim = 2 * nu + 2, 1 + 2 * nt
+    if unc is None:
+        layout = ProgramLayout(nt, nu)
+        user_cones = [(user_dim, "sinr", None)]
+    else:
+        layout = RobustProgramLayout(nt, nu)
+        user_cones = ([(user_dim, "main-robust", None)]
+                      + [(user_dim, tag, i) for i in range(2 * nt)
+                         for tag in ("perturbation-plus", "perturbation-minus")]
+                      + [(agg_dim, "aggregation", None)])
+    a = _sinr_coefficients(qos)
+    h_re, h_im = channels.rows.real, channels.rows.imag
+    n_b = 2 * nt * nu
+    power_dim = 1 + n_b
+    per_user = sum(dim for dim, _, _ in user_cones)
+    A = np.zeros((power_dim + nu * per_user, layout.num_vars))
+    b = np.zeros(A.shape[0])
+
+    # total-power epigraph ||vec(B)|| <= tau
+    A[0, layout.tau] = -1.0
+    A[1:power_dim, :n_b] = -np.eye(n_b)
+
+    # SINR cone of user k, first row a_k Re(h_k b_k) (- kappa delta_k y_k),
+    # then Re(h_k b_j) and Im(h_k b_j) for every j, then sigma_k
+    re = np.arange(nt * nu).reshape(nu, nt)     # re[j, i]: column of Re B[i, j]
+    im = re + nt * nu
+    users = np.arange(nu)
+    sinr = power_dim + per_user * users         # first row of user k's cones
+    A[sinr[:, None], re] = -a[:, None] * h_re
+    A[sinr[:, None], im] = a[:, None] * h_im
+    row = sinr[:, None, None] + 1 + users[:, None]  # row[k, j]: Re(h_k b_j)
+    A[row, re] = -h_re[:, None]
+    A[row, im] = h_im[:, None]
+    A[row + nu, im] = -h_re[:, None]
+    A[row + nu, re] = -h_im[:, None]
+    b[sinr + 1 + 2 * nu] = qos.sigma
+
+    if unc is not None:
+        A[sinr, layout.y(users)] = unc.kappa * unc.delta
+        # perturbation cone (k, i, s), s = +1, -1, starting at row pert[k, i, s]:
+        # ||[row_i(B_bar), sigma_k or 0]|| <= t_{k,i} + s a_k B_bar[i, k], where
+        # B_bar = [[Re B, Im B], [-Im B, Re B]] has entry (i, j) sign[i, j] x[col[i, j]]
+        coord = np.arange(2 * nt)
+        col = np.block([[re.T, im.T], [im.T, re.T]])
+        sign = np.ones(col.shape)
+        sign[nt:, :nu] = -1.0
+        pert = sinr[:, None, None] + user_dim * (1 + 2 * coord[:, None] + np.arange(2))
+        t = layout.t(users[:, None], coord)
+        A[pert, t[:, :, None]] = -1.0
+        A[pert, col[:, :nu].T[:, :, None]] = (
+            -np.array([1.0, -1.0]) * a[:, None, None] * sign[:, :nu].T[:, :, None])
+        A[pert[..., None] + 1 + np.arange(2 * nu), col[:, None, :]] = -sign[:, None, :]
+        if perturbation_sigma == "paper":
+            b[pert + 1 + 2 * nu] = qos.sigma[:, None, None]
+        # aggregation ||t_k|| <= y_k
+        agg = sinr + per_user - agg_dim
+        A[agg, layout.y(users)] = -1.0
+        A[agg[:, None] + 1 + coord, t] = -1.0
+
+    cones = [SecondOrder(power_dim)] + [SecondOrder(dim) for _ in users
+                                        for dim, _, _ in user_cones]
+    layout.cone_tags.append(("objective-epigraph", None, None))
+    layout.cone_tags.extend((tag, k, i) for k in range(nu) for _, tag, i in user_cones)
+    objective = np.zeros(layout.num_vars)
+    objective[layout.tau] = 1.0
+    return ConeProgram(layout.num_vars, objective, A, b, tuple(cones)), layout
 
 
 def build_nominal(channels: ChannelSet, qos: QosSpec) -> tuple[ConeProgram, ProgramLayout]:
@@ -163,39 +230,7 @@ def build_nominal(channels: ChannelSet, qos: QosSpec) -> tuple[ConeProgram, Prog
     and, per user, ||[h_bar_k B_bar, sigma_k]|| <= a_k (h_bar_k . b_bar_k).
     """
     _check_dims(channels, qos)
-    nt, nu = channels.n_tx, channels.n_users
-    layout = ProgramLayout(nt, nu)
-    n = layout.num_vars
-    a = _sinr_coefficients(qos)
-    h_re, h_im = channels.rows.real, channels.rows.imag
-
-    power_dim = 1 + 2 * nt * nu
-    user_dim = 2 * nu + 2
-    rows = power_dim + nu * user_dim
-    A = np.zeros((rows, n))
-    b = np.zeros(rows)
-    cones: list[SecondOrder] = []
-
-    # total-power epigraph ||vec(B)|| <= tau
-    A[0, layout.tau] = -1.0
-    A[1 : power_dim, : 2 * nt * nu] = -np.eye(2 * nt * nu)
-    cones.append(SecondOrder(power_dim))
-    layout.cone_tags.append(("objective-epigraph", None, None))
-
-    row = power_dim
-    for k in range(nu):
-        for i in range(nt):
-            A[row, layout.b_re(i, k)] = -a[k] * h_re[k, i]
-            A[row, layout.b_im(i, k)] = a[k] * h_im[k, i]
-        _row_products_block(layout, h_re[k], h_im[k], A, row + 1)
-        b[row + 1 + 2 * nu] = qos.sigma[k]
-        cones.append(SecondOrder(user_dim))
-        layout.cone_tags.append(("sinr", k, None))
-        row += user_dim
-
-    objective = np.zeros(n)
-    objective[layout.tau] = 1.0
-    return ConeProgram(n, objective, A, b, tuple(cones)), layout
+    return _build(channels, qos)
 
 
 def build_robust(
@@ -226,77 +261,7 @@ def build_robust(
         )
     if perturbation_sigma not in PERTURBATION_SIGMA_MODES:
         raise ValueError(f"perturbation_sigma must be one of {PERTURBATION_SIGMA_MODES}")
-
-    nt, nu = channels.n_tx, channels.n_users
-    layout = RobustProgramLayout(nt, nu)
-    n = layout.num_vars
-    a = _sinr_coefficients(qos)
-    h_re, h_im = channels.rows.real, channels.rows.imag
-    radius = unc.kappa * unc.delta
-
-    power_dim = 1 + 2 * nt * nu
-    user_dim = 2 * nu + 2
-    agg_dim = 1 + 2 * nt
-    rows = power_dim + nu * (user_dim + 2 * 2 * nt * user_dim + agg_dim)
-    A = np.zeros((rows, n))
-    b = np.zeros(rows)
-    cones: list[SecondOrder] = []
-
-    A[0, layout.tau] = -1.0
-    A[1 : power_dim, : 2 * nt * nu] = -np.eye(2 * nt * nu)
-    cones.append(SecondOrder(power_dim))
-    layout.cone_tags.append(("objective-epigraph", None, None))
-
-    def fill_bbar_row(row: int, i: int):
-        # slack entries 1..2 nu of a perturbation cone: row i of B_bar
-        if i < nt:
-            for j in range(nu):
-                A[row + 1 + j, layout.b_re(i, j)] = -1.0
-                A[row + 1 + nu + j, layout.b_im(i, j)] = -1.0
-        else:
-            for j in range(nu):
-                A[row + 1 + j, layout.b_im(i - nt, j)] = 1.0
-                A[row + 1 + nu + j, layout.b_re(i - nt, j)] = -1.0
-
-    row = power_dim
-    for k in range(nu):
-        # main robust SINR cone
-        for i in range(nt):
-            A[row, layout.b_re(i, k)] = -a[k] * h_re[k, i]
-            A[row, layout.b_im(i, k)] = a[k] * h_im[k, i]
-        A[row, layout.y(k)] = radius[k]
-        _row_products_block(layout, h_re[k], h_im[k], A, row + 1)
-        b[row + 1 + 2 * nu] = qos.sigma[k]
-        cones.append(SecondOrder(user_dim))
-        layout.cone_tags.append(("main-robust", k, None))
-        row += user_dim
-
-        sigma_inside = qos.sigma[k] if perturbation_sigma == "paper" else 0.0
-        for i in range(2 * nt):
-            for sign, tag in ((1.0, "perturbation-plus"), (-1.0, "perturbation-minus")):
-                # slack[0] = t_{k,i} +/- a_k B_bar[i, k]
-                A[row, layout.t(k, i)] = -1.0
-                if i < nt:
-                    A[row, layout.b_re(i, k)] = -sign * a[k]
-                else:
-                    A[row, layout.b_im(i - nt, k)] = sign * a[k]
-                fill_bbar_row(row, i)
-                b[row + 1 + 2 * nu] = sigma_inside
-                cones.append(SecondOrder(user_dim))
-                layout.cone_tags.append((tag, k, i))
-                row += user_dim
-
-        # aggregation ||t_k|| <= y_k
-        A[row, layout.y(k)] = -1.0
-        for i in range(2 * nt):
-            A[row + 1 + i, layout.t(k, i)] = -1.0
-        cones.append(SecondOrder(agg_dim))
-        layout.cone_tags.append(("aggregation", k, None))
-        row += agg_dim
-
-    objective = np.zeros(n)
-    objective[layout.tau] = 1.0
-    return ConeProgram(n, objective, A, b, tuple(cones)), layout
+    return _build(channels, qos, unc, perturbation_sigma)
 
 
 def extract_precoder(solution: Solution, layout: ProgramLayout) -> Precoder:

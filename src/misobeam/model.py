@@ -50,16 +50,6 @@ class ChannelSet:
 
 
 @dataclass(frozen=True)
-class ErrorVector:
-    """A channel perturbation for a single user."""
-
-    e: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "e", _frozen_complex(np.atleast_1d(self.e), "error vector"))
-
-
-@dataclass(frozen=True)
 class Precoder:
     """Complex n_t x n_u beamforming matrix; column k serves user k."""
 
@@ -115,22 +105,6 @@ class QosSpec:
         return self.gamma.shape[0]
 
 
-@dataclass(frozen=True)
-class RealEmbedding:
-    """Real-variable view of channels and precoder.
-
-    h_bar stacks [Re h, Im h] per user; b_bar_matrix is the 2n_t x 2n_u
-    block matrix [[Re B, Im B], [-Im B, Re B]] and b_bar holds its first
-    n_u columns ([Re b_k, -Im b_k] for user k), so that
-    h_bar_k . b_bar_k = Re(h_k b_k) and ||h_bar_k @ b_bar_matrix|| equals
-    ||h_k B|| with real/imaginary parts unpacked.
-    """
-
-    h_bar: np.ndarray
-    b_bar_matrix: np.ndarray
-    b_bar: np.ndarray
-
-
 def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
 
@@ -156,72 +130,54 @@ def generate_channels(n_u: int, n_t: int, rng) -> ChannelSet:
     return ChannelSet(rows / np.sqrt(2.0))
 
 
-def sample_error(n_t: int, delta: float, mode: str, rng) -> ErrorVector:
-    """Sample a channel error in the radius-``delta`` complex sphere.
+def sample_error(n_t: int, delta, mode: str, rng, shape=()) -> np.ndarray:
+    """Sample channel errors in complex spheres of radius ``delta``.
 
+    Returns a complex array of shape ``shape + (n_t,)``; ``delta`` (a scalar,
+    or per-user radii) broadcasts against ``shape``.
     boundary: ||e|| = delta, direction uniform (normalized Gaussian draw).
     ball: uniform over the solid ball; the boundary direction is scaled by
     U**(1/(2 n_t)) to match the 2 n_t real dimensions of C^{n_t}.
+    A zero radius gives exact zeros.
     """
-    if delta < 0:
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(delta >= 0):
         raise ValueError("delta must be nonnegative")
     if mode not in ("boundary", "ball"):
         raise ValueError(f"unknown error mode {mode!r}")
+    shape = tuple(shape)
+    radius = np.broadcast_to(delta, shape)[..., None]
     rng = np.random.default_rng(rng)
-    direction = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
-    if delta == 0.0:
-        return ErrorVector(np.zeros(n_t, dtype=complex))
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:  # measure-zero guard
-        direction = np.zeros(n_t, dtype=complex)
-        direction[0] = 1.0
-        norm = 1.0
-    e = direction * (delta / norm)
+    direction = (rng.standard_normal(shape + (n_t,))
+                 + 1j * rng.standard_normal(shape + (n_t,)))
+    norm = np.linalg.norm(direction, axis=-1, keepdims=True)
+    degenerate = norm[..., 0] == 0.0  # measure-zero guard
+    direction[degenerate, 0] = 1.0
+    norm[degenerate] = 1.0
     if mode == "ball":
-        e *= rng.uniform() ** (1.0 / (2.0 * n_t))
-    return ErrorVector(e)
+        radius = radius * rng.uniform(size=shape + (1,)) ** (1.0 / (2.0 * n_t))
+    return direction * (radius / norm) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-def achieved_sinr(true_channels: ChannelSet, precoder: Precoder, sigma) -> np.ndarray:
-    """Per-user SINR |h_k b_k|^2 / (sum_{j != k} |h_k b_j|^2 + sigma_k^2)."""
+def achieved_sinr(true_channels, precoder: Precoder, sigma) -> np.ndarray:
+    """Per-user SINR |h_k b_k|^2 / (sum_{j != k} |h_k b_j|^2 + sigma_k^2).
+
+    ``true_channels`` is a ChannelSet or an array of channel rows of shape
+    (..., n_u, n_t); the result has shape (..., n_u).
+    """
+    if isinstance(true_channels, ChannelSet):
+        true_channels = true_channels.rows
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    H, B = true_channels.rows, precoder.matrix
-    n_u = H.shape[0]
-    if B.shape[0] != H.shape[1] or B.shape[1] != n_u or sigma.shape[0] != n_u:
+    H, B = np.asarray(true_channels), precoder.matrix
+    n_u = H.shape[-2]
+    if B.shape[0] != H.shape[-1] or B.shape[1] != n_u or sigma.shape[0] != n_u:
         raise ValueError("channel, precoder and sigma dimensions disagree")
-    gains = np.abs(H @ B) ** 2          # gains[k, j] = |h_k b_j|^2
-    signal = np.diagonal(gains)
-    interference = gains.sum(axis=1) - signal
+    gains = np.abs(H @ B) ** 2          # gains[..., k, j] = |h_k b_j|^2
+    signal = np.diagonal(gains, axis1=-2, axis2=-1)
+    interference = gains.sum(axis=-1) - signal
     return signal / (interference + sigma**2)
 
 
 def transmit_power(precoder: Precoder) -> float:
     """Total transmit power ||vec(B)||^2 = sum |B_ij|^2."""
     return float(np.sum(np.abs(precoder.matrix) ** 2))
-
-
-def embed_channel(rows: np.ndarray) -> np.ndarray:
-    """[Re h, Im h] per row."""
-    rows = np.atleast_2d(rows)
-    return np.hstack([rows.real, rows.imag])
-
-
-def embed_error(e: np.ndarray) -> np.ndarray:
-    """[Re e, Im e] for a single error vector."""
-    e = np.asarray(e).reshape(-1)
-    return np.concatenate([e.real, e.imag])
-
-
-def embed_precoder(B: np.ndarray) -> np.ndarray:
-    """The block matrix [[Re B, Im B], [-Im B, Re B]]."""
-    return np.block([[B.real, B.imag], [-B.imag, B.real]])
-
-
-def real_embedding(channels: ChannelSet, precoder: Precoder) -> RealEmbedding:
-    """Real-variable embedding of a channel set and precoder pair."""
-    b_bar_matrix = embed_precoder(precoder.matrix)
-    return RealEmbedding(
-        h_bar=embed_channel(channels.rows),
-        b_bar_matrix=b_bar_matrix,
-        b_bar=b_bar_matrix[:, : precoder.n_users],
-    )

@@ -9,9 +9,13 @@ Reproducibility contract: every experiment consumes a single integer seed.
 Trial i draws from a Generator seeded by the i-th spawn of
 numpy.random.SeedSequence(seed), so results are bit-identical across runs
 and across serial/parallel execution; aggregation is ordered by trial index.
-Within a trial the draw order is fixed (channels first, then error samples)
-and does not depend on which methods are enabled, so both methods are
-evaluated against identical errors.
+Within a trial the draw order is fixed (channels first, then all error
+samples in one batched ``model.sample_error`` call of shape
+(samples, n_u, n_t)) and does not depend on which methods are enabled, so
+both methods are evaluated against identical errors.
+
+Designs go through :func:`run_design`, the one place that maps a method
+name to its design function; SINR goes through ``model.achieved_sinr``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ class ExperimentConfig:
             raise ValueError("n_u and n_t must be at least 1")
         if self.n_channel_trials < 1 or self.n_error_samples < 1:
             raise ValueError("trial and sample counts must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}")
         if self.perturbation_sigma not in PERTURBATION_SIGMA_MODES:
@@ -110,45 +116,33 @@ def trial_rng(seed: int, trial: int, n_trials: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(n_trials)[trial])
 
 
-def _design_methods(config: ExperimentConfig, channels: ChannelSet,
-                    unc: UncertaintySpec | None = None):
-    qos = config.qos()
-    unc = unc if unc is not None else config.uncertainty()
-    out = {}
-    for method in config.methods:
-        if method == "nominal":
-            out[method] = design.design_nominal(channels, qos)
-        else:
-            out[method] = design.design_robust(
-                channels, qos, unc, perturbation_sigma=config.perturbation_sigma)
-    return out
+def run_design(method: str, config: ExperimentConfig,
+               channels: ChannelSet) -> design.DesignResult:
+    """The ``method`` design for ``channels`` under ``config``'s targets,
+    noise, radii and perturbation mode.  The design functions are looked up
+    on the design module at call time, so a caller that swaps them (for
+    tracing) sees every call."""
+    if method == "nominal":
+        return design.design_nominal(channels, config.qos())
+    return design.design_robust(channels, config.qos(), config.uncertainty(),
+                                perturbation_sigma=config.perturbation_sigma)
 
 
-def _sinr_under_errors(channels: ChannelSet, precoder: Precoder,
-                       sigma: np.ndarray, errors: np.ndarray) -> np.ndarray:
-    """Achieved SINR for each error sample; errors has shape
-    (samples, n_u, n_t) and perturbs each user's row."""
-    true_rows = channels.rows[None, :, :] + errors
-    gains = np.abs(np.einsum("sut,tj->suj", true_rows, precoder.matrix)) ** 2
-    signal = np.einsum("skk->sk", gains)
-    interference = gains.sum(axis=2) - signal
-    return signal / (interference + np.asarray(sigma) ** 2)
+def _design_methods(config: ExperimentConfig, channels: ChannelSet):
+    return {method: run_design(method, config, channels) for method in config.methods}
 
 
 def _cdf_trial(config: ExperimentConfig, trial: int):
     rng = trial_rng(config.seed, trial, config.n_channel_trials)
     channels = model.generate_channels(config.n_u, config.n_t, rng)
     results = _design_methods(config, channels)
-    errors = np.empty((config.n_error_samples, config.n_u, config.n_t), dtype=complex)
-    for s in range(config.n_error_samples):
-        for k in range(config.n_u):
-            errors[s, k] = model.sample_error(
-                config.n_t, config.delta[k], config.error_mode, rng).e
-    sigma = np.asarray(config.sigma)
+    true_rows = channels.rows + model.sample_error(
+        config.n_t, config.delta, config.error_mode, rng,
+        shape=(config.n_error_samples, config.n_u))
     out = {}
     for method, res in results.items():
         if res.status == SolveStatus.OPTIMAL:
-            sinr = _sinr_under_errors(channels, res.precoder, sigma, errors)
+            sinr = model.achieved_sinr(true_rows, res.precoder, config.sigma)
             out[method] = (res.status.value, res.power, sinr.reshape(-1))
         else:
             out[method] = (res.status.value, np.nan, np.zeros(0))
@@ -201,6 +195,13 @@ DELTA_SWEEP_COLUMNS = ("delta", "method", "mean_power", "mean_power_common",
                        "trials", "feasible_trials", "feasibility_rate")
 
 
+def sweep_point(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
+    """The config of one sweep grid point: ``value`` for every user on
+    ``axis`` ("gamma_db" or "delta").  Raises ValueError for a value the
+    config rejects."""
+    return replace(config, **{axis: _per_user(value, config.n_u, axis)})
+
+
 class _SweepTrial:
     """One trial of a parameter sweep: a single channel draw is reused for
     every grid point (common random numbers), so per-trial monotonicity in
@@ -217,11 +218,7 @@ class _SweepTrial:
         channels = model.generate_channels(config.n_u, config.n_t, rng)
         rows = []
         for value in self.grid:
-            if self.axis == "gamma_db":
-                point = replace(config, gamma_db=_per_user(value, config.n_u, "gamma_db"))
-            else:
-                point = replace(config, delta=_per_user(value, config.n_u, "delta"))
-            results = _design_methods(point, channels)
+            results = _design_methods(sweep_point(config, self.axis, value), channels)
             rows.append({m: (r.status.value, r.power) for m, r in results.items()})
         return rows
 
@@ -276,31 +273,20 @@ def worst_case_check(estimates: ChannelSet, precoder: Precoder, qos: QosSpec,
 
     Errors are drawn on the sphere boundary (where worst cases of a norm
     constraint concentrate) plus the zero error; returns the per-user
-    minimum achieved SINR and the minimizing errors.
+    minimum achieved SINR and the minimizing errors.  User k's SINR depends
+    only on row k of the true channels, so each draw perturbs every row at
+    once and the per-user minimum is taken over the draws.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if delta.shape == (1,):
-        delta = np.repeat(delta, estimates.n_users)
-    rng = np.random.default_rng(seed)
     n_u, n_t = estimates.n_users, estimates.n_tx
-    min_sinr = np.empty(n_u)
-    argmin: list[np.ndarray] = []
-    B = precoder.matrix
-    for k in range(n_u):
-        errors = np.zeros((n_samples + 1, n_t), dtype=complex)
-        for s in range(n_samples):
-            errors[s] = model.sample_error(n_t, delta[k], "boundary", rng).e
-        rows_k = estimates.rows[k][None, :] + errors
-        gains = np.abs(rows_k @ B) ** 2
-        signal = gains[:, k]
-        interference = gains.sum(axis=1) - signal
-        sinr = signal / (interference + qos.sigma[k] ** 2)
-        idx = int(np.argmin(sinr))
-        min_sinr[k] = sinr[idx]
-        argmin.append(errors[idx])
+    delta = _per_user(delta, n_u, "delta")
+    errors = np.zeros((n_samples + 1, n_u, n_t), dtype=complex)  # last: zero error
+    errors[:n_samples] = model.sample_error(n_t, delta, "boundary", seed,
+                                            shape=(n_samples, n_u))
+    sinr = model.achieved_sinr(estimates.rows + errors, precoder, qos.sigma)
+    idx, users = np.argmin(sinr, axis=0), np.arange(n_u)
     return WorstCaseReport(
-        min_sinr_db=model.linear_to_db(min_sinr),
-        argmin_errors=tuple(argmin),
+        min_sinr_db=model.linear_to_db(sinr[idx, users]),
+        argmin_errors=tuple(errors[idx, users]),
     )

@@ -137,6 +137,49 @@ class TestWorkersOption:
         assert not (tmp_path / "o").exists()
 
 
+class TestBadNumbers:
+    """Out-of-range numbers exit 1 with a message, before any work runs."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran despite a bad number")
+
+        for name in ("sinr_cdf_experiment", "power_vs_gamma_sweep",
+                     "power_vs_delta_sweep", "run_design"):
+            monkeypatch.setattr(cli.montecarlo, name, refuse)
+
+    def test_verify_zero_samples(self, runner, tmp_path, no_work):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        result = runner.invoke(main, ["verify", cfg, "--samples", "0"])
+        assert result.exit_code == 1, result.output
+        assert "--samples" in result.output
+
+    @pytest.mark.parametrize("command", ["design", "cdf", "sweep-gamma", "sweep-delta",
+                                         "verify"])
+    def test_negative_seed_option(self, runner, tmp_path, no_work, command):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        result = runner.invoke(main, [command, cfg, "--seed", "-1"])
+        assert result.exit_code == 1, result.output
+        assert "--seed" in result.output
+
+    def test_negative_seed_in_config(self, runner, tmp_path, no_work):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG.replace("seed = 11", "seed = -5"))
+        result = runner.invoke(main, ["design", cfg])
+        assert result.exit_code == 1, result.output
+        assert "seed must be nonnegative" in result.output
+
+    @pytest.mark.parametrize("command,grid", [("sweep-delta", "-0.1,0.01"),
+                                              ("sweep-gamma", "nan")])
+    def test_bad_grid_point(self, runner, tmp_path, no_work, command, grid):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        result = runner.invoke(main, [command, cfg, "--grid", grid,
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "bad --grid value" in result.output
+        assert not (tmp_path / "o").exists()
+
+
 class TestDesignCommand:
     def test_scalar_power_one(self, runner, tmp_path):
         cfg = write(tmp_path, "s.cfg", SCALAR_CONFIG)

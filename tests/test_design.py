@@ -193,9 +193,51 @@ class TestBuildRobust:
             for _ in range(500):
                 e = model.sample_error(3, delta, "boundary", rng)
                 rows = ch.rows.copy()
-                rows[k] = rows[k] + e.e
+                rows[k] = rows[k] + e
                 sinr = model.achieved_sinr(ChannelSet(rows), res.precoder, qos.sigma)
                 assert model.linear_to_db(sinr[k]) >= 5.0 - 0.02
+
+
+@pytest.mark.parametrize("method", ["nominal", "paper", "zero"])
+@pytest.mark.parametrize("n_u,n_t", [(1, 1), (2, 3), (3, 2)])
+def test_slack_matches_complex_arithmetic(method, n_u, n_t):
+    # every cone's slack b - A x at a random x, against the constraint
+    # written out in complex arithmetic
+    rng = np.random.default_rng(n_u * 10 + n_t)
+    ch = model.generate_channels(n_u, n_t, rng)
+    qos = QosSpec.from_db(rng.uniform(0, 10, n_u), rng.uniform(0.5, 2, n_u))
+    unc = UncertaintySpec(delta=rng.uniform(0, 0.1, n_u), kappa=0.5)
+    if method == "nominal":
+        prog, layout = build_nominal(ch, qos)
+    else:
+        prog, layout = build_robust(ch, qos, unc, perturbation_sigma=method)
+    x = rng.standard_normal(prog.num_vars)
+    B = extract_precoder(Solution(SolveStatus.OPTIMAL, x, 0.0, 0.0, 0), layout).matrix
+    Bbar = np.block([[B.real, B.imag], [-B.imag, B.real]])
+    a = np.sqrt(1.0 + 1.0 / qos.gamma)
+    hB = ch.rows @ B
+    slack = prog.offset - prog.constraint_matrix @ x
+    expected = []
+    for tag, k, i in layout.cone_tags:
+        if tag == "objective-epigraph":
+            expected.append(np.concatenate([[x[layout.tau]], B.real.T.ravel(),
+                                            B.imag.T.ravel()]))
+        elif tag in ("sinr", "main-robust"):
+            head = a[k] * hB[k, k].real
+            if tag == "main-robust":
+                head -= unc.kappa * unc.delta[k] * x[layout.y(k)]
+            expected.append(np.concatenate([[head], hB[k].real, hB[k].imag,
+                                            [qos.sigma[k]]]))
+        elif tag.startswith("perturbation"):
+            s = 1.0 if tag == "perturbation-plus" else -1.0
+            noise = qos.sigma[k] if method == "paper" else 0.0
+            expected.append(np.concatenate([[x[layout.t(k, i)] + s * a[k] * Bbar[i, k]],
+                                            Bbar[i], [noise]]))
+        else:
+            expected.append(np.concatenate([[x[layout.y(k)]],
+                                            x[[layout.t(k, i) for i in range(2 * n_t)]]]))
+    assert [len(e) for e in expected] == [c.dim for c in prog.cones]
+    np.testing.assert_allclose(slack, np.concatenate(expected), rtol=1e-12, atol=1e-12)
 
 
 class TestExtractPrecoder:

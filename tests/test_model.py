@@ -1,4 +1,4 @@
-"""Channel model, SINR/power evaluation, and the real embedding."""
+"""Channel model, SINR/power evaluation, and error sampling."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from misobeam.model import (
     QosSpec,
     achieved_sinr,
     generate_channels,
-    real_embedding,
     sample_error,
     transmit_power,
 )
@@ -47,18 +46,17 @@ class TestGenerateChannels:
 
 class TestSampleError:
     def test_boundary_norm_exact(self):
-        e = sample_error(3, 0.015, "boundary", 5)
-        assert np.linalg.norm(e.e) == pytest.approx(0.015, rel=1e-12)
+        e = sample_error(3, 0.015, "boundary", 5, shape=(100,))
+        assert e.shape == (100, 3)
+        np.testing.assert_allclose(np.linalg.norm(e, axis=-1), 0.015, rtol=1e-12)
 
     def test_ball_contained(self):
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            e = sample_error(3, 0.015, "ball", rng)
-            assert np.linalg.norm(e.e) <= 0.015 + 1e-15
+        e = sample_error(3, 0.015, "ball", np.random.default_rng(6), shape=(200,))
+        assert np.all(np.linalg.norm(e, axis=-1) <= 0.015 + 1e-15)
 
     def test_zero_radius(self):
-        np.testing.assert_array_equal(sample_error(4, 0.0, "boundary", 1).e,
-                                      np.zeros(4))
+        np.testing.assert_array_equal(sample_error(4, 0.0, "boundary", 1, shape=(5,)),
+                                      np.zeros((5, 4)))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -68,18 +66,32 @@ class TestSampleError:
         # uniformity smoke test: coordinate means vanish like 1/sqrt(n)
         rng = np.random.default_rng(99)
         delta = 0.5
-        draws = np.array([sample_error(3, delta, "boundary", rng).e
-                          for _ in range(10_000)])
+        draws = sample_error(3, delta, "boundary", rng, shape=(10_000,))
         assert np.max(np.abs(draws.mean(axis=0))) <= 3.0 / np.sqrt(10_000) * delta
 
     def test_ball_radius_law(self):
         # P(||e|| <= r) = (r/delta)^(2 n_t): check the median
         rng = np.random.default_rng(31)
         n_t, delta = 3, 1.0
-        norms = np.array([np.linalg.norm(sample_error(n_t, delta, "ball", rng).e)
-                          for _ in range(20_000)])
+        norms = np.linalg.norm(sample_error(n_t, delta, "ball", rng, shape=(20_000,)),
+                               axis=-1)
         expected_median = delta * 0.5 ** (1.0 / (2 * n_t))
         assert np.median(norms) == pytest.approx(expected_median, rel=0.01)
+
+    def test_per_user_radii_broadcast(self):
+        delta = np.array([0.1, 0.0, 0.2])
+        rng = np.random.default_rng(8)
+        boundary = sample_error(2, delta, "boundary", rng, shape=(50, 3))
+        assert boundary.shape == (50, 3, 2)
+        np.testing.assert_allclose(np.linalg.norm(boundary, axis=-1),
+                                   np.broadcast_to(delta, (50, 3)), rtol=1e-12)
+        ball = sample_error(2, delta, "ball", rng, shape=(50, 3))
+        assert np.all(np.linalg.norm(ball, axis=-1) <= delta + 1e-15)
+        np.testing.assert_array_equal(ball[:, 1], 0.0)
+        with pytest.raises(ValueError):
+            sample_error(2, [0.1, 0.2], "ball", rng, shape=(50, 3))
+        with pytest.raises(ValueError):
+            sample_error(2, [0.1, -0.2, 0.1], "ball", rng, shape=(50, 3))
 
 
 class TestAchievedSinr:
@@ -119,46 +131,6 @@ class TestTransmitPower:
     def test_accessor_matches(self):
         p = Precoder(np.array([[1.0 + 2.0j], [0.5]]))
         assert p.total_power == transmit_power(p)
-
-
-class TestRealEmbedding:
-    def test_real_inputs_have_zero_imag_blocks(self):
-        rng = np.random.default_rng(0)
-        B = rng.standard_normal((3, 2)).astype(complex)
-        ch = ChannelSet(rng.standard_normal((2, 3)).astype(complex))
-        emb = real_embedding(ch, Precoder(B))
-        nt = 3
-        np.testing.assert_array_equal(emb.h_bar[:, nt:], 0.0)
-        np.testing.assert_array_equal(emb.b_bar_matrix[:nt, 2:], 0.0)
-        np.testing.assert_array_equal(emb.b_bar_matrix[nt:, :2], 0.0)
-        np.testing.assert_array_equal(emb.b_bar_matrix[:nt, :2], B.real)
-        np.testing.assert_array_equal(emb.b_bar_matrix[nt:, 2:], B.real)
-
-    def test_single_complex_entry(self):
-        ch = ChannelSet(np.array([[1.0 + 1.0j]]))
-        emb = real_embedding(ch, Precoder(np.array([[1.0 + 0.0j]])))
-        np.testing.assert_array_equal(emb.h_bar, [[1.0, 1.0]])
-        assert np.linalg.norm(emb.h_bar[0]) == pytest.approx(np.sqrt(2.0))
-
-    def test_inner_product_matches_complex_arithmetic(self):
-        rng = np.random.default_rng(42)
-        ch, pre = random_instance(rng, 2, 2)
-        emb = real_embedding(ch, pre)
-        for k in range(2):
-            expected = np.real(ch.rows[k] @ pre.matrix[:, k])
-            assert emb.h_bar[k] @ emb.b_bar[:, k] == pytest.approx(expected, abs=1e-12)
-
-    def test_norm_preservation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n_u, n_t = rng.integers(1, 5), rng.integers(1, 5)
-            ch, pre = random_instance(rng, int(n_u), int(n_t))
-            emb = real_embedding(ch, pre)
-            for k in range(int(n_u)):
-                assert np.linalg.norm(emb.h_bar[k]) == pytest.approx(
-                    np.linalg.norm(ch.rows[k]), rel=1e-12)
-                assert np.linalg.norm(emb.h_bar[k] @ emb.b_bar_matrix) == pytest.approx(
-                    np.linalg.norm(ch.rows[k] @ pre.matrix), rel=1e-12)
 
 
 @settings(deadline=None, max_examples=30)

@@ -49,6 +49,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(n_channel_trials=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            small_config(seed=-1)
+
 
 class TestCdfExperiment:
     def test_deterministic(self):
@@ -118,13 +122,10 @@ class TestCdfExperiment:
             rng = trial_rng(cfg.seed, trial, cfg.n_channel_trials)
             channels = model.generate_channels(cfg.n_u, cfg.n_t, rng)
             res = design.design_nominal(channels, cfg.qos())
-            errors = np.empty((cfg.n_error_samples, cfg.n_u, cfg.n_t), dtype=complex)
-            for s in range(cfg.n_error_samples):
-                for k in range(cfg.n_u):
-                    errors[s, k] = model.sample_error(cfg.n_t, cfg.delta[k],
-                                                      cfg.error_mode, rng).e
-            recomputed.append(montecarlo._sinr_under_errors(
-                channels, res.precoder, np.asarray(cfg.sigma), errors).reshape(-1))
+            errors = model.sample_error(cfg.n_t, cfg.delta, cfg.error_mode, rng,
+                                        shape=(cfg.n_error_samples, cfg.n_u))
+            recomputed.append(model.achieved_sinr(
+                channels.rows + errors, res.precoder, cfg.sigma).reshape(-1))
         expected = model.linear_to_db(np.sort(np.concatenate(recomputed)))
         np.testing.assert_array_equal(report.methods["nominal"].sinr_db, expected)
 
@@ -201,3 +202,11 @@ class TestWorstCaseCheck:
         with pytest.raises(ValueError):
             worst_case_check(ch, Precoder(np.eye(2, dtype=complex)), qos,
                              [0.1, 0.1], 0, seed=0)
+
+    def test_radius_count_must_match_users(self):
+        ch = model.generate_channels(3, 3, 3)
+        qos = QosSpec(gamma=[1.0] * 3, sigma=[1.0] * 3)
+        precoder = Precoder(np.eye(3, dtype=complex))
+        for delta in ([0.1, 0.1], [0.1] * 4):
+            with pytest.raises(ValueError):
+                worst_case_check(ch, precoder, qos, delta, 10, seed=0)
