@@ -10,8 +10,8 @@ failure.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -173,16 +173,18 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         # non-finite means "no data" (e.g. no feasible trial at a grid
         # point); an empty cell keeps every numeric field finite
-        return format(value, ".12g") if np.isfinite(value) else ""
+        return format(value, ".12g") if math.isfinite(value) else ""
     return str(value)
 
 
 def _write_csv(path: Path, header, rows):
+    """Write ``header`` and ``rows`` as the bytes ``csv.writer`` writes for
+    the cells formatted by ``_fmt``: comma-separated, CRLF line ends.  The
+    cells are numbers and plain identifiers, none of which needs quoting,
+    so each row is one join and the file is one write."""
+    lines = [",".join(map(_fmt, row)) for row in (header, *rows)]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _write_manifest(outdir: Path, command: str, config, channels, outputs,
@@ -310,7 +312,7 @@ def cmd_cdf(config_path, seed, out, workers):
     for method in config.methods:
         samples = report.methods[method].sinr_db
         n = samples.size
-        rows += [[method, samples[i], (i + 1) / n] for i in range(n)]
+        rows += [[method, v, (i + 1) / n] for i, v in enumerate(samples.tolist())]
     path = outdir / "cdf.csv"
     _write_csv(path, ("method", "sinr_db", "cdf"), rows)
     rate_rows = [[m, report.methods[m].feasibility_rate] for m in config.methods]

@@ -111,9 +111,11 @@ class WorstCaseReport:
     argmin_errors: tuple[np.ndarray, ...]
 
 
-def trial_rng(seed: int, trial: int, n_trials: int) -> np.random.Generator:
-    """The Generator used by trial ``trial`` of an n_trials-run experiment."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(n_trials)[trial])
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The Generator used by trial ``trial`` of an experiment: the
+    ``trial``-th child of ``SeedSequence(seed)``, the one
+    ``SeedSequence(seed).spawn(n)[trial]`` returns for any n > trial."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
 def run_design(method: str, config: ExperimentConfig,
@@ -133,7 +135,7 @@ def _design_methods(config: ExperimentConfig, channels: ChannelSet):
 
 
 def _cdf_trial(config: ExperimentConfig, trial: int):
-    rng = trial_rng(config.seed, trial, config.n_channel_trials)
+    rng = trial_rng(config.seed, trial)
     channels = model.generate_channels(config.n_u, config.n_t, rng)
     results = _design_methods(config, channels)
     true_rows = channels.rows + model.sample_error(
@@ -214,7 +216,7 @@ class _SweepTrial:
 
     def __call__(self, trial):
         config = self.config
-        rng = trial_rng(config.seed, trial, config.n_channel_trials)
+        rng = trial_rng(config.seed, trial)
         channels = model.generate_channels(config.n_u, config.n_t, rng)
         rows = []
         for value in self.grid:

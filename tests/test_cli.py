@@ -301,3 +301,21 @@ class TestExperimentCommands:
         assert by_delta[0.8]["feasibility_rate"] == "0"
         assert by_delta[0.8]["mean_power"] == ""
         assert float(by_delta[0.01]["mean_power"]) > 0
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    # the one-join-per-row writer against csv.writer on the same _fmt cells
+    header = ("method", "sinr_db", "cdf")
+    rows = [["nominal", float("nan"), 0.5], ["robust", float("inf"), -0.0],
+            ["robust", float("-inf"), 1 / 3], ["nominal", np.float64(-0.0), 1e-300],
+            [3, np.float64(np.nan), np.float64(12.345678901234567)],
+            ["robust", 2**60, -1.5e300]]
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, header, rows)
+    with (tmp_path / "ref.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert path.read_bytes().count(b"\r\n") == len(rows) + 1

@@ -15,7 +15,16 @@ from misobeam.conic import (
     solve,
     validate,
 )
-from misobeam.conic import _KktPlan, _Scaling, _split_rows
+from misobeam.conic import (
+    _jordan_product,
+    _jordan_solve,
+    _KktPlan,
+    _KktSolver,
+    _margin,
+    _max_step,
+    _Scaling,
+    _split_rows,
+)
 
 
 def soc_min_norm_program():
@@ -108,6 +117,16 @@ class TestSolveAnalytic:
     def test_max_iterations_status_not_exception(self):
         sol = solve(soc_min_norm_program(), SolverSettings(max_iter=1))
         assert sol.status == SolveStatus.MAX_ITERATIONS
+
+    def test_equality_rows_only(self):
+        # x1 + x2 = 1 and no cone rows: any feasible x is optimal for c = 0,
+        # and c = (1, 0) is unbounded below along (-1, 1)
+        A, b = [[1.0, 1.0]], [1.0]
+        sol = solve(ConeProgram(2, [0.0, 0.0], A, b, [Zero(1)]))
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.x.sum() == pytest.approx(1.0, abs=1e-8)
+        unbounded = solve(ConeProgram(2, [1.0, 0.0], A, b, [Zero(1)]))
+        assert unbounded.status == SolveStatus.DUAL_INFEASIBLE
 
     def test_zero_dim_cones_skipped(self):
         prog = ConeProgram(
@@ -218,17 +237,20 @@ class TestSolverInvariants:
 
 
 def mixed_structure_program(rng):
-    """Every cone kind, out of order: second-order blocks of dimensions 3
-    and 4 whose equal-dimension blocks touch different numbers of columns,
-    a block with an all-zero row, nonnegative rows and a SecondOrder(1)."""
+    """Every cone kind, out of order: second-order blocks of dimensions 2,
+    3, 4 and 19, equal-dimension blocks touching different numbers of
+    columns, a block with an all-zero row, nonnegative rows and a
+    SecondOrder(1)."""
     n = 7
     # (cone, columns each row of the block may touch, all-zero row or None)
     spec = [
         (SecondOrder(4), [0, 1, 2], None),
         (Nonnegative(2), [3, 4], None),
         (SecondOrder(3), [0, 2, 5, 6], None),
+        (SecondOrder(19), [0, 3, 6], None),
         (SecondOrder(1), [1, 4, 6], None),
         (SecondOrder(4), [1, 2, 3, 4, 5], 2),
+        (SecondOrder(2), [2, 5], None),
         (SecondOrder(3), [5, 6], None),
         (SecondOrder(4), [4, 5, 6], None),
     ]
@@ -244,12 +266,37 @@ def mixed_structure_program(rng):
                        [cone for cone, _, _ in spec])
 
 
+def projection_program(a, x0, beta):
+    """min ||x - x0|| s.t. a'x = beta and x >= -10 (inactive), with the
+    Zero row between the cone rows."""
+    n = a.size
+    A = np.zeros((2 * n + 2, n + 1))
+    A[:n, :n] = -np.eye(n)
+    A[n, :n] = a
+    A[n + 1, n] = -1.0
+    A[n + 2 :, :n] = -np.eye(n)
+    b = np.concatenate([10.0 * np.ones(n), [beta, 0.0], -x0])
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    return ConeProgram(n + 1, c, A, b, [Nonnegative(n), Zero(1), SecondOrder(n + 1)])
+
+
+def unit_spans(layout):
+    """(first row, dimension) of each cone unit, one unit at a time."""
+    spans, start = [], 0
+    for dim in layout.dims.tolist():
+        spans.append((start, dim))
+        start += dim
+    assert start == layout.m
+    return spans
+
+
 def interior_point(layout, rng):
     u = np.empty(layout.m)
-    u[: layout.m_lp] = rng.uniform(0.1, 2.0, size=layout.m_lp)
-    for block in layout.blocks(u):
-        block[:, 1:] = rng.normal(size=(block.shape[0], block.shape[1] - 1))
-        block[:, 0] = np.linalg.norm(block[:, 1:], axis=1) + rng.uniform(0.01, 1.0)
+    for start, dim in unit_spans(layout):
+        tail = rng.normal(size=dim - 1)
+        u[start + 1 : start + dim] = tail
+        u[start] = np.linalg.norm(tail) + rng.uniform(0.01, 1.0)
     return u
 
 
@@ -268,6 +315,94 @@ def nt_scaling_inverse(s, z):
     return V / np.sqrt(a / b)
 
 
+def block_diagonal(layout, block_of):
+    """The m x m block-diagonal matrix with block_of(rows) on each unit."""
+    M = np.zeros((layout.m, layout.m))
+    for start, dim in unit_spans(layout):
+        rows = slice(start, start + dim)
+        M[rows, rows] = block_of(rows)
+    return M
+
+
+def arrow(u):
+    """Arw(u), the matrix with Arw(u) v = u o v on one cone block."""
+    A = u[0] * np.eye(u.size)
+    A[0, :], A[:, 0] = u, u
+    return A
+
+
+def block_step(u, du):
+    """Largest alpha with u + alpha du in one cone block: the first positive
+    root of (u0 + alpha du0)^2 = ||u1 + alpha du1||^2 by the quadratic
+    formula."""
+    if u.size == 1:
+        return -u[0] / du[0] if du[0] < 0 else np.inf
+    J = np.diag(np.r_[1.0, -np.ones(u.size - 1)])
+    a, b, c = du @ J @ du, 2.0 * (u @ J @ du), u @ J @ u
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return np.inf
+    roots = [r for r in ((-b - np.sqrt(disc)) / (2 * a), (-b + np.sqrt(disc)) / (2 * a))
+             if r > 0]
+    return min(roots, default=np.inf)
+
+
+def assert_close(actual, reference, rtol=1e-12):
+    assert np.abs(actual - reference).max() <= rtol * np.abs(reference).max()
+
+
+class TestFlatConeKernels:
+    """The segmented kernels against per-block textbook formulas."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(31)
+        E, f, G, h, self.layout = _split_rows(mixed_structure_program(self.rng))
+        assert sorted(set(self.layout.dims.tolist())) == [1, 2, 3, 4, 19]
+        assert self.layout.m_lp == 3
+
+    def points(self):
+        for _ in range(5):
+            yield (interior_point(self.layout, self.rng),
+                   interior_point(self.layout, self.rng))
+
+    def test_scaling_and_squares(self):
+        layout = self.layout
+        for s, z in self.points():
+            scaling = _Scaling(layout, s, z)
+            W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
+            W = np.linalg.inv(W_inv)
+            assert_close(scaling.apply(z), W_inv @ s)  # lambda = W z = W^-1 s
+            for u in (self.rng.normal(size=layout.m),
+                      self.rng.normal(size=(layout.m, 2))):
+                for invert, M in ((False, W), (True, W_inv)):
+                    assert_close(scaling.apply(u, invert), M @ u)
+                    assert_close(scaling.apply_sq(u, invert), M @ M @ u)
+
+    def test_jordan_product_and_division(self):
+        layout = self.layout
+        for u, v in self.points():
+            arw = block_diagonal(layout, lambda r: arrow(u[r]))
+            assert_close(_jordan_product(layout, u, v), arw @ v)
+            assert_close(_jordan_solve(layout, u, v), np.linalg.solve(arw, v))
+
+    def test_stacked_step_length_and_margin(self):
+        layout = self.layout
+        spans = unit_spans(layout)
+        for s, z in self.points():
+            ds, dz = self.rng.normal(size=(2, layout.m))
+            reference = min(block_step(u[a : a + d], du[a : a + d])
+                            for u, du in ((s, ds), (z, dz)) for a, d in spans)
+            step = _max_step(layout, np.column_stack([s, z]), np.column_stack([ds, dz]))
+            assert np.isfinite(reference)
+            assert abs(step - reference) <= 1e-12 * reference
+            margin = min(u[a] - np.linalg.norm(u[a + 1 : a + d])
+                         for u in (s, z) for a, d in spans)
+            assert abs(_margin(layout, np.column_stack([s, z])) - margin) <= 1e-12
+            # a direction into the cone never leaves it
+            assert _max_step(layout, np.column_stack([s, z]),
+                             np.column_stack([s, z])) == np.inf
+
+
 class TestStructuredKkt:
     def test_gram_matches_dense_reference(self):
         rng = np.random.default_rng(2024)
@@ -277,17 +412,10 @@ class TestStructuredKkt:
             s, z = interior_point(layout, rng), interior_point(layout, rng)
             gram = _KktPlan(E, G, layout).gram(_Scaling(layout, s, z))
 
-            spans = [(r, 1) for r in range(layout.m_lp)]
-            spans += [(start + i * dim, dim) for start, count, dim in layout.groups
-                      for i in range(count)]
-            W_inv = np.zeros((layout.m, layout.m))
-            for start, dim in spans:
-                blk = slice(start, start + dim)
-                W_inv[blk, blk] = nt_scaling_inverse(s[blk], z[blk])
-                # the reference is the NT scaling: W z = W^-1 s
-                np.testing.assert_allclose(
-                    np.linalg.solve(W_inv[blk, blk], z[blk]), W_inv[blk, blk] @ s[blk],
-                    rtol=1e-10, atol=1e-12)
+            W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
+            # the reference is the NT scaling: W z = W^-1 s
+            np.testing.assert_allclose(np.linalg.solve(W_inv, z), W_inv @ s,
+                                       rtol=1e-10, atol=1e-12)
             scaled = W_inv @ G
             reference = scaled.T @ scaled
             assert np.abs(gram - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -303,22 +431,12 @@ class TestStructuredKkt:
                                        rtol=1e-12, atol=1e-12 * np.abs(twice).max())
 
     def test_equality_rows_closed_form(self):
-        # min ||x - x0|| s.t. a'x = beta and x >= -10 (inactive), with the
-        # Zero row between the cone rows: x* = x0 - (a'x0 - beta) a / ||a||^2
+        # min ||x - x0|| s.t. a'x = beta: x* = x0 - (a'x0 - beta) a / ||a||^2
         rng = np.random.default_rng(99)
         n = 5
         for _ in range(5):
             a, x0, beta = rng.normal(size=n), rng.normal(size=n), float(rng.normal())
-            A = np.zeros((2 * n + 2, n + 1))
-            A[:n, :n] = -np.eye(n)
-            A[n, :n] = a
-            A[n + 1, n] = -1.0
-            A[n + 2 :, :n] = -np.eye(n)
-            b = np.concatenate([10.0 * np.ones(n), [beta, 0.0], -x0])
-            c = np.zeros(n + 1)
-            c[n] = 1.0
-            prog = ConeProgram(n + 1, c, A, b,
-                               [Nonnegative(n), Zero(1), SecondOrder(n + 1)])
+            prog = projection_program(a, x0, beta)
             sol = solve(prog)
             gap = a @ x0 - beta
             assert sol.status == SolveStatus.OPTIMAL
@@ -328,3 +446,40 @@ class TestStructuredKkt:
             # gap eps leaves the minimizer off by up to sqrt(2 t* eps)
             np.testing.assert_allclose(sol.x[:n], x0 - gap * a / (a @ a), atol=1e-4)
             assert residuals(prog, sol.x).cone_violation <= 1e-8
+
+
+def kkt_programs(rng):
+    """A program with an equality row (bordered LU) and one without
+    (Cholesky)."""
+    n = 5
+    return [projection_program(rng.normal(size=n), rng.normal(size=n), 0.3),
+            mixed_structure_program(rng)]
+
+
+class TestKktSolve:
+    def systems(self, rng):
+        for prog in kkt_programs(rng):
+            E, f, G, h, layout = _split_rows(prog)
+            scaling = _Scaling(layout, interior_point(layout, rng),
+                               interior_point(layout, rng))
+            kkt = _KktSolver(_KktPlan(E, G, layout), scaling)
+            rhs = (rng.normal(size=(prog.num_vars, 2)), rng.normal(size=(E.shape[0], 2)),
+                   rng.normal(size=(layout.m, 2)))
+            yield E, G, scaling, kkt, rhs
+
+    def test_two_columns_equal_two_solves(self):
+        rng = np.random.default_rng(11)
+        for E, G, scaling, kkt, rhs in self.systems(rng):
+            together = np.concatenate(kkt.solve(*rhs))
+            for k in range(2):
+                alone = np.concatenate(kkt.solve(*(r[:, k] for r in rhs)))
+                assert_close(together[:, k], alone)
+
+    def test_refined_solve_meets_residual_bound(self):
+        rng = np.random.default_rng(12)
+        for E, G, scaling, kkt, (rx, ry, rz) in self.systems(rng):
+            dx, dy, dz = kkt.solve(rx, ry, rz)
+            residual = np.concatenate([rx - (E.T @ dy + G.T @ dz), ry - E @ dx,
+                                       rz - (G @ dx - scaling.apply_sq(dz))])
+            scale = np.abs(np.concatenate([rx, ry, rz])).max(axis=0)
+            assert np.all(np.abs(residual).max(axis=0) <= _KktSolver._REFINE_TOL * scale)

@@ -284,3 +284,31 @@ class TestRobustLayout:
         index = layout.var_index()
         assert len(index) == layout.num_vars
         assert sorted(index.values()) == list(range(layout.num_vars))
+
+
+# Statuses and iteration counts of a few designs, pinned so that a solver
+# change which moves convergence has to say so.  The last row is the known
+# defect of ROADMAP item 3: at sigma = 1e-6 the robust design should be
+# PrimalInfeasible, as it is at sigma = 1.
+CONVERGENCE_PINS = [
+    # method, n_t = n_u, channel seed, gamma (dB), sigma, delta, status, iterations
+    ("nominal", 1, 1000, 5.0, 1.0, 0.0, SolveStatus.OPTIMAL, 8),
+    ("robust", 1, 1000, 5.0, 1.0, 0.015, SolveStatus.OPTIMAL, 16),
+    ("nominal", 3, 3000, 5.0, 1.0, 0.0, SolveStatus.OPTIMAL, 8),
+    ("robust", 3, 3000, 5.0, 1.0, 0.015, SolveStatus.OPTIMAL, 15),
+    ("robust", 3, 3000, 15.0, 1.0, 0.015, SolveStatus.PRIMAL_INFEASIBLE, 8),
+    ("robust", 3, 7, 30.0, 1e-6, 0.015, SolveStatus.NUMERICAL_FAILURE, 22),
+]
+
+
+@pytest.mark.parametrize("method,n,seed,gamma_db,sigma,delta,status,iterations",
+                         CONVERGENCE_PINS)
+def test_convergence_pinned(method, n, seed, gamma_db, sigma, delta, status, iterations):
+    channels = model.generate_channels(n, n, seed)
+    qos = QosSpec.from_db([gamma_db] * n, [sigma] * n)
+    if method == "nominal":
+        result = design_nominal(channels, qos)
+    else:
+        result = design_robust(channels, qos, UncertaintySpec(delta=[delta] * n))
+    assert result.status == status
+    assert abs(result.solution.iterations - iterations) <= 1

@@ -54,6 +54,15 @@ class TestExperimentConfig:
             small_config(seed=-1)
 
 
+def test_trial_rng_is_the_spawned_child():
+    for seed in (0, 1, 12345, 2**40):
+        for n in (1, 3, 17):
+            for trial in range(n):
+                child = np.random.SeedSequence(seed).spawn(n)[trial]
+                np.testing.assert_array_equal(trial_rng(seed, trial).random(4),
+                                              np.random.default_rng(child).random(4))
+
+
 class TestCdfExperiment:
     def test_deterministic(self):
         cfg = small_config()
@@ -99,7 +108,7 @@ class TestCdfExperiment:
         cfg = small_config()
         report = sinr_cdf_experiment(cfg)
         for trial in range(cfg.n_channel_trials):
-            rng = trial_rng(cfg.seed, trial, cfg.n_channel_trials)
+            rng = trial_rng(cfg.seed, trial)
             channels = model.generate_channels(cfg.n_u, cfg.n_t, rng)
             nom = design.design_nominal(channels, cfg.qos())
             assert abs(report.methods["nominal"].trial_power[trial]
@@ -119,7 +128,7 @@ class TestCdfExperiment:
         report = sinr_cdf_experiment(cfg)
         recomputed = []
         for trial in range(cfg.n_channel_trials):
-            rng = trial_rng(cfg.seed, trial, cfg.n_channel_trials)
+            rng = trial_rng(cfg.seed, trial)
             channels = model.generate_channels(cfg.n_u, cfg.n_t, rng)
             res = design.design_nominal(channels, cfg.qos())
             errors = model.sample_error(cfg.n_t, cfg.delta, cfg.error_mode, rng,
