@@ -113,11 +113,9 @@ def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
     else:
         values = parse_config_text(text)
 
-    channels = None
     rows = values.pop("channels", None)
-    if rows is not None:
-        channels = ChannelSet(rows)
     try:
+        channels = None if rows is None else ChannelSet(rows)
         config = ExperimentConfig(
             n_u=values.get("n_u", channels.n_users if channels is not None else 3),
             n_t=values.get("n_t", channels.n_tx if channels is not None else 3),

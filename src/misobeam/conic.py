@@ -15,16 +15,18 @@ scaling for the nonnegative and second-order blocks.  Infeasible and
 unbounded problems are reported through approximate Farkas certificates,
 never through exceptions.
 
-Each iteration's Newton system is reduced to G' W^-2 G (bordered by the
-equality rows, if any).  The cone rows are kept in CSR form for
-matrix-vector products, and the Gram matrix is assembled cone by cone from
-dense blocks restricted to the columns each cone touches, so the work
-follows the constraint matrix's nonzeros rather than its full size.  The
-reduced matrix is factored densely: Cholesky without equality rows, LU of
-the bordered system with them.  Each iteration runs two solves with the
-factorization: the predictor's right-hand side together with the column
-that carries the step in tau, then the corrector.  Iterative refinement
-runs only while a solve's residual is large against its right-hand side.
+Zero rows are removed before the interior point starts: one SVD of their
+matrix E writes every x with E x = f as x0 + N w, and the loop runs on the
+cone-only program in w.  Each iteration's Newton system is reduced to
+G' W^-2 G.  The cone rows are kept in CSR form for matrix-vector products,
+and the Gram matrix is assembled cone by cone from dense blocks restricted
+to the columns each cone touches, so the work follows the constraint
+matrix's nonzeros rather than its full size.  The reduced matrix is
+positive definite and is factored densely by Cholesky.  Each iteration
+runs two solves with the factorization: the predictor's right-hand side
+together with the column that carries the step in tau, then the
+corrector.  Iterative refinement runs only while a solve's residual is
+large against its right-hand side.
 
 The cone algebra (scaling, Jordan products, step lengths) is one segmented
 pass over all cone rows, with per-cone sums taken by ``np.add.reduceat``,
@@ -36,8 +38,7 @@ variables, a few thousand cone rows).
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -237,18 +238,17 @@ def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
 # ---------------------------------------------------------------------------
 # Interior-point solver internals.
 #
-# The cone rows are permuted into [nonnegative | second-order], with
-# second-order blocks sorted by dimension, and the Zero rows are split off as
-# equality constraints:
+# solve() removes the Zero rows first (see there).  The cone rows are
+# permuted into [nonnegative | second-order], with second-order blocks
+# sorted by dimension:
 #
-#     minimize c'x  s.t.  E x = f,   G x + s = h,   s in K.
+#     minimize c'x  s.t.  G x + s = h,   s in K.
 #
-# Homogeneous self-dual embedding in (x, y, z, tau, s, kappa):
+# Homogeneous self-dual embedding in (x, z, tau, s, kappa):
 #
-#     E'y + G'z + c tau = 0
-#     E x - f tau       = 0
+#     G'z + c tau       = 0
 #     G x + s - h tau   = 0
-#     c'x + f'y + h'z + kappa = 0
+#     c'x + h'z + kappa = 0
 #     s in K, z in K, tau >= 0, kappa >= 0,  s'z + tau kappa -> 0.
 #
 # tau > 0 at the limit recovers an optimal point; kappa > 0 yields a Farkas
@@ -429,8 +429,9 @@ def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> float:
     with np.errstate(all="ignore"):
         lin_root = np.where(linear & (c1 < 0), -c0 / (2.0 * c1), np.inf)
         disc = c1 * c1 - c2 * c0
-        root = np.sqrt(disc)
-        roots = np.stack([-c1 - root, -c1 + root]) / c2
+        # the roots as the cancellation-free pair q / c2, c0 / q
+        q = -(c1 + np.copysign(np.sqrt(disc), c1))
+        roots = np.stack([q / c2, c0 / q])
         roots = np.where(~linear & (disc >= 0) & (roots > 0), roots, np.inf)
     return float(min(np.min(roots, initial=np.inf), np.min(lin_root, initial=np.inf)))
 
@@ -438,10 +439,10 @@ def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> float:
 class _KktPlan:
     """Structure of the reduced KKT system, fixed for one solve.
 
-    E stays dense; G is held in CSR form, with its transpose, for the
-    matrix-vector products.  For the Gram matrix G' W^-2 G: W is block
-    diagonal over cone units, so W_k^-1 G_k is zero outside the column
-    support of the unit's rows G_k, and
+    G is held in CSR form, with its transpose, for the matrix-vector
+    products.  For the Gram matrix G' W^-2 G: W is block diagonal over cone
+    units, so W_k^-1 G_k is zero outside the column support of the unit's
+    rows G_k, and
 
         G' W^-2 G = sum_k T_k' T_k,   T_k = W_k^-1 G_k[:, support_k].
 
@@ -454,10 +455,8 @@ class _KktPlan:
     summation order, without forming W^-1 G.
     """
 
-    def __init__(self, E: np.ndarray, G: np.ndarray, layout: _ConeLayout):
-        self.E = E
-        self.p, self.n = E.shape
-        n = self.n
+    def __init__(self, G: np.ndarray, layout: _ConeLayout):
+        self.n = n = G.shape[1]
         self.G = scipy.sparse.csr_array(G)
         self.Gt = self.G.T.tocsr()
         self.stacks: list[tuple[tuple[int, int, int, int], np.ndarray]] = []
@@ -487,75 +486,55 @@ def _column_max(*parts: np.ndarray) -> np.ndarray:
 
 
 class _KktSolver:
-    """Factorization of the scaled reduced KKT system
+    """Cholesky factorization of the scaled reduced KKT matrix G' W^-2 G,
+    used to solve the 2x2 block system
 
-        [ G' W^-2 G   E' ] [dx]   [rx + G' W^-2 rz]
-        [ E           0  ] [dy] = [ry]
+        G'dz = rx,  G dx - W^2 dz = rz
 
-    used to solve the 3x3 block system
-        E'dy + G'dz = rx,  E dx = ry,  G dx - W^2 dz = rz
-    (dz = W^-2 (G dx - rz)) with static regularization, for one right-hand
-    side or a stack of columns at once.  Without equality rows the
-    regularized G' W^-2 G is symmetric positive definite and is factored by
-    Cholesky; with them the bordered matrix is indefinite and is factored by
-    LU.
+    as (G' W^-2 G) dx = rx + G' W^-2 rz, dz = W^-2 (G dx - rz), with static
+    regularization, for one right-hand side or a stack of columns at once.
+    The regularized matrix is symmetric positive definite.
     """
 
     _REG = 1e-12
     # Iterative refinement takes the regularization back out.  It runs, at
     # most _REFINE_PASSES times, while some column's residual exceeds
-    # _REFINE_TOL times that column's right-hand side (max-norms).  1e-10
-    # left every status and iteration count unchanged on a grid of 174
-    # designs; 1e-9 moved four of them and 1e-11 one, a stress solve whose
-    # status rounding decides.
+    # _REFINE_TOL times that column's right-hand side (max-norms).  When it
+    # was chosen, 1e-10 left every status and iteration count unchanged on
+    # a grid of 174 designs; 1e-9 moved four of them and 1e-11 one.
     _REFINE_TOL = 1e-10
     _REFINE_PASSES = 2
 
     def __init__(self, plan: _KktPlan, scaling: _Scaling):
         self.plan, self.scaling = plan, scaling
-        n, p = plan.n, plan.p
         H = plan.gram(scaling)
         # regularization proportional to the matrix scale so it survives the
         # addition even when the scaled system is huge
         reg = self._REG * max(1.0, float(np.abs(np.diagonal(H)).max()))
-        H[np.diag_indices(n)] += reg
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # singular pivots surface as NaN steps
-            if p:
-                M = np.zeros((n + p, n + p))
-                M[:n, :n] = H
-                M[:n, n:] = plan.E.T
-                M[n:, :n] = plan.E
-                M[n:, n:] = -reg * np.eye(p)
-                lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-                self.back_solve = lambda b: scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
-            else:
-                c, lower = scipy.linalg.cho_factor(H, check_finite=False)
-                self.back_solve = lambda b: scipy.linalg.lapack.dpotrs(c, b, lower=lower)[0]
+        H[np.diag_indices(plan.n)] += reg
+        self.factor, self.lower = scipy.linalg.cho_factor(H, check_finite=False)
 
-    def _base_solve(self, rx, ry, rz):
-        plan, n = self.plan, self.plan.n
-        top = rx + plan.Gt @ self.scaling.apply_sq(rz, invert=True)
-        sol = self.back_solve(np.concatenate([top, ry]))
-        dx, dy = sol[:n], sol[n:]
-        dz = self.scaling.apply_sq(plan.G @ dx - rz, invert=True)
-        return dx, dy, dz
-
-    def solve(self, rx, ry, rz):
-        """(dx, dy, dz) for right-hand sides given as vectors, or as column
-        stacks of shapes (n, k), (p, k), (m, k)."""
+    def _base_solve(self, rx, rz):
         plan = self.plan
-        dx, dy, dz = self._base_solve(rx, ry, rz)
-        bound = self._REFINE_TOL * _column_max(rx, ry, rz)
+        top = rx + plan.Gt @ self.scaling.apply_sq(rz, invert=True)
+        dx = scipy.linalg.lapack.dpotrs(self.factor, top, lower=self.lower)[0]
+        dz = self.scaling.apply_sq(plan.G @ dx - rz, invert=True)
+        return dx, dz
+
+    def solve(self, rx, rz):
+        """(dx, dz) for right-hand sides given as vectors, or as column
+        stacks of shapes (n, k) and (m, k)."""
+        plan = self.plan
+        dx, dz = self._base_solve(rx, rz)
+        bound = self._REFINE_TOL * _column_max(rx, rz)
         for _ in range(self._REFINE_PASSES):
-            res_x = rx - (plan.E.T @ dy + plan.Gt @ dz)
-            res_y = ry - plan.E @ dx
+            res_x = rx - plan.Gt @ dz
             res_z = rz - (plan.G @ dx - self.scaling.apply_sq(dz))
-            if np.all(_column_max(res_x, res_y, res_z) <= bound):
+            if np.all(_column_max(res_x, res_z) <= bound):
                 break
-            cx, cy, cz = self._base_solve(res_x, res_y, res_z)
-            dx, dy, dz = dx + cx, dy + cy, dz + cz
-        return dx, dy, dz
+            cx, cz = self._base_solve(res_x, res_z)
+            dx, dz = dx + cx, dz + cz
+        return dx, dz
 
 
 def _row_ranges(starts: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -565,29 +544,26 @@ def _row_ranges(starts: np.ndarray, dims: np.ndarray) -> np.ndarray:
 
 
 def _split_rows(program: ConeProgram):
-    """Permute rows into equality block (E, f) and cone block (G, h).
+    """Permute the cone rows into (G, h) and lay them out.
 
     The cone block holds one unit per nonnegative row (SecondOrder(1)
     included) and one per second-order block, stably sorted by dimension
     and then by the number of columns the unit's rows touch; see
-    :class:`_ConeLayout`.  Zero-dimension cones are skipped.
+    :class:`_ConeLayout`.  Zero blocks are skipped: :func:`solve` removes
+    their rows first, so only zero-dimension ones get here.
     """
-    zero_rows: list[int] = []
     unit_starts: list[int] = []
     unit_dims: list[int] = []
     start = 0
     for cone in program.cones:
-        if isinstance(cone, Zero):
-            zero_rows.extend(range(start, start + cone.dim))
-        elif isinstance(cone, Nonnegative) or cone.dim == 1:
-            unit_starts.extend(range(start, start + cone.dim))
-            unit_dims.extend([1] * cone.dim)
-        else:
+        if isinstance(cone, SecondOrder) and cone.dim > 1:
             unit_starts.append(start)
             unit_dims.append(cone.dim)
+        elif not isinstance(cone, Zero):
+            unit_starts.extend(range(start, start + cone.dim))
+            unit_dims.extend([1] * cone.dim)
         start += cone.dim
     A, b = program.constraint_matrix, program.offset
-    E, f = A[zero_rows], b[zero_rows]
     starts = np.asarray(unit_starts, dtype=np.intp)
     dims = np.asarray(unit_dims, dtype=np.intp)
     support = np.zeros(len(dims), dtype=np.intp)
@@ -597,8 +573,7 @@ def _split_rows(program: ConeProgram):
         support = np.logical_or.reduceat(touched, unit_rows, axis=0).sum(axis=1)
     order = np.lexsort((support, dims))
     cone_rows = _row_ranges(starts[order], dims[order])
-    G, h = A[cone_rows], b[cone_rows]
-    return E, f, G, h, _ConeLayout(dims[order], support[order])
+    return A[cone_rows], b[cone_rows], _ConeLayout(dims[order], support[order])
 
 
 def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solution:
@@ -608,28 +583,63 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
     (auditable through :func:`residuals`) and a relative duality gap bound of
     gap_tol.  Non-convergence is reported as MaxIterations or
     NumericalFailure.
+
+    Zero rows E x = f are removed first.  One SVD of E gives a point x0
+    and a basis N of E's null space, so the feasible x are x0 + N w: the
+    rows are inconsistent if E x0 misses f by more than feas_tol (the test
+    :func:`residuals` applies to Zero blocks), x0 is the only candidate if
+    N has no columns, and otherwise the interior point runs on the
+    cone-only program in w.
     """
     validate(program)
     settings = settings or SolverSettings()
+    zero = np.repeat([isinstance(cone, Zero) for cone in program.cones],
+                     [cone.dim for cone in program.cones])
+    if not zero.any():
+        return _interior_point(program, settings)
+
+    A, b, c = program.constraint_matrix, program.offset, program.objective
+    E, f = A[zero], b[zero]
+    U, S, Vt = np.linalg.svd(E)
+    rank = int(np.count_nonzero(S > max(E.shape) * np.finfo(float).eps * S[0]))
+    x0 = Vt[:rank].T @ ((U[:, :rank].T @ f) / S[:rank])
+    N = Vt[rank:].T
+    if np.max(np.abs(E @ x0 - f)) > settings.feas_tol:
+        return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
+    if N.shape[1] == 0:
+        if residuals(program, x0).cone_violation <= settings.feas_tol:
+            return Solution(SolveStatus.OPTIMAL, x0, float(c @ x0), 0.0, 0)
+        return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
+    G, h = A[~zero], b[~zero]
+    cones = [cone for cone in program.cones if not isinstance(cone, Zero)]
+    reduced = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
+    sol = _interior_point(reduced, settings, float(c @ x0))
+    return replace(sol, x=x0 + N @ sol.x)
+
+
+def _interior_point(program: ConeProgram, settings: SolverSettings,
+                    offset: float = 0.0) -> Solution:
+    """The interior-point loop on a program without Zero rows.
+
+    ``offset`` is added to the objective values the gap test compares and
+    the Solution reports: c'x0 when the program is the reduction of one
+    with Zero rows, so the gap is that of the original objective.
+    """
     c = program.objective
     n = program.num_vars
-    E, f, G, h, layout = _split_rows(program)
-    m, p = layout.m, E.shape[0]
-
-    if m == 0 and p == 0:
+    G, h, layout = _split_rows(program)
+    if layout.m == 0:
         if np.linalg.norm(c) == 0.0:
-            return Solution(SolveStatus.OPTIMAL, np.zeros(n), 0.0, 0.0, 0)
+            return Solution(SolveStatus.OPTIMAL, np.zeros(n), offset, 0.0, 0)
         return Solution(SolveStatus.DUAL_INFEASIBLE, np.zeros(n), -np.inf, np.inf, 0)
 
     norm_c = max(1.0, float(np.max(np.abs(c))))
-    norm_fh = max(1.0, float(max(np.max(np.abs(f)) if p else 0.0,
-                                 np.max(np.abs(h)) if m else 0.0)))
-    plan = _KktPlan(E, G, layout)
-    E, G, Gt = plan.E, plan.G, plan.Gt
+    norm_h = max(1.0, float(np.max(np.abs(h))))
+    plan = _KktPlan(G, layout)
+    G, Gt = plan.G, plan.Gt
 
     e = layout.identity()
     x = np.zeros(n)
-    y = np.zeros(p)
     z = e.copy()
     s = e.copy()
     tau, kappa = 1.0, 1.0
@@ -640,45 +650,43 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
     stall = 0
 
     def certificate(tol: float) -> SolveStatus | None:
-        """PrimalInfeasible if (y, z) is a Farkas certificate, DualInfeasible
-        if x is an improving ray, at relative tolerance ``tol``."""
-        by_hz = -(f @ y) - (h @ z)
-        if by_hz > 1e-12 and np.all(np.isfinite(y)) and np.all(np.isfinite(z)):
-            cert_res = float(np.max(np.abs(E.T @ y + Gt @ z)))
-            if cert_res <= tol * norm_c * by_hz:
+        """PrimalInfeasible if z is a Farkas certificate, DualInfeasible if
+        x is an improving ray, at relative tolerance ``tol``.  Reads the
+        products Gx and Gtz of the current iterate."""
+        hz = -(h @ z)
+        if hz > 1e-12 and np.all(np.isfinite(z)):
+            if float(np.max(np.abs(Gtz))) <= tol * norm_c * hz:
                 return SolveStatus.PRIMAL_INFEASIBLE
         cx = -(c @ x)
         if cx > 1e-12 and np.all(np.isfinite(x)) and np.all(np.isfinite(s)):
-            ray_res = float(np.max(np.abs(E @ x))) if p else 0.0
-            if m:
-                ray_res = max(ray_res, float(np.max(np.abs(G @ x + s))))
-            if ray_res <= tol * norm_fh * cx:
+            if float(np.max(np.abs(Gx + s))) <= tol * norm_h * cx:
                 return SolveStatus.DUAL_INFEASIBLE
         return None
 
     with np.errstate(all="ignore"):
         for iteration in range(settings.max_iter):
-            # residuals of the homogeneous system
-            r_dual = E.T @ y + Gt @ z + c * tau           # -> 0
-            r_eq = E @ x - f * tau                        # -> 0
-            r_cone = G @ x + s - h * tau                  # -> 0
-            r_gap = float(c @ x + f @ y + h @ z + kappa)  # -> 0
+            # residuals of the homogeneous system; the two products also
+            # feed the convergence tests and the certificates
+            Gx, Gtz = G @ x, Gt @ z
+            r_dual = Gtz + c * tau                # -> 0
+            r_cone = Gx + s - h * tau             # -> 0
+            r_gap = float(c @ x + h @ z + kappa)  # -> 0
             mu = (s @ z + tau * kappa) / degree
 
-            if not np.all(np.isfinite(np.concatenate([r_dual, r_eq, r_cone, [r_gap, mu]]))):
+            if not np.all(np.isfinite(np.concatenate([r_dual, r_cone, [r_gap, mu]]))):
                 break
 
             # --- convergence tests on the de-homogenized point ---
-            xh, yh, zh = x / tau, y / tau, z / tau
-            pres = _primal_violation(plan, f, h, layout, xh)
-            dres = float(np.max(np.abs(E.T @ yh + Gt @ zh + c))) if (p or m) else 0.0
-            # dual feasibility is judged relative to the dual iterate magnitude
-            # (the primal bound stays absolute so external audits hold verbatim)
-            dual_scale = norm_c * (1.0 + max(
-                float(np.max(np.abs(yh))) if p else 0.0,
-                float(np.max(np.abs(zh))) if m else 0.0))
-            pobj = float(c @ xh)
-            dobj = float(-(f @ yh) - (h @ zh))
+            # the primal bound is the cone shortfall of the implied slack
+            # h - G xh, absolute so that the residuals() audit holds
+            # verbatim; dual feasibility is judged relative to the dual
+            # iterate's magnitude
+            xh, zh = x / tau, z / tau
+            pres = max(-_margin(layout, h - Gx / tau), 0.0)
+            dres = float(np.max(np.abs(Gtz / tau + c)))
+            dual_scale = norm_c * (1.0 + float(np.max(np.abs(zh))))
+            pobj = float(c @ xh) + offset
+            dobj = float(-(h @ zh)) + offset
             relgap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
             if pres <= settings.feas_tol and dres <= settings.feas_tol * dual_scale \
                     and relgap <= settings.gap_tol:
@@ -714,31 +722,28 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
             # targets lambda o (W dz + W^-1 ds) = ds_target and
             # tau dkappa + kappa dtau = dkappa_target.  With dst the Jordan
             # quotient of ds_target by lambda, the KKT right-hand side is
-            # (-r_dual, -r_eq, -r_cone - W dst) and ds = W dst - W^2 dz; the
-            # column solved for (-c, f, h) carries d_tau.
+            # (-r_dual, -r_cone - W dst) and ds = W dst - W^2 dz; the column
+            # solved for (-c, h) carries d_tau.
             def cone_rhs(ds_target: np.ndarray):
                 w_dst = scaling.apply(_jordan_solve(layout, lam, ds_target))
                 return w_dst, -r_cone - w_dst
 
-            def direction(w_dst, dkappa_target: float, x0, y0, z0):
-                num = -r_gap - dkappa_target / tau - (c @ x0 + f @ y0 + h @ z0)
+            def direction(w_dst, dkappa_target: float, x0, z0):
+                num = -r_gap - dkappa_target / tau - (c @ x0 + h @ z0)
                 dtau = num / den
                 dx = x0 + dtau * x1
-                dy = y0 + dtau * y1
                 dz = z0 + dtau * z1
                 ds = w_dst - scaling.apply_sq(dz)
                 dkappa = (dkappa_target - kappa * dtau) / tau
-                return dx, dy, dz, dtau, ds, dkappa
+                return dx, dz, dtau, ds, dkappa
 
             # predictor, solved together with the d_tau column
             w_dst_aff, rz_aff = cone_rhs(-lam_sq)
-            X, Y, Z = kkt.solve(np.column_stack([-c, -r_dual]),
-                                np.column_stack([f, -r_eq]),
-                                np.column_stack([h, rz_aff]))
-            x1, y1, z1 = X[:, 0], Y[:, 0], Z[:, 0]
-            den = (c @ x1 + f @ y1 + h @ z1) - kappa / tau
-            _, _, dza, dtaua, dsa, dkappaa = direction(
-                w_dst_aff, -tau * kappa, X[:, 1], Y[:, 1], Z[:, 1])
+            X, Z = kkt.solve(np.column_stack([-c, -r_dual]), np.column_stack([h, rz_aff]))
+            x1, z1 = X[:, 0], Z[:, 0]
+            den = (c @ x1 + h @ z1) - kappa / tau
+            _, dza, dtaua, dsa, dkappaa = direction(
+                w_dst_aff, -tau * kappa, X[:, 1], Z[:, 1])
             alpha_aff = min(
                 _max_step(layout, sz, np.column_stack([dsa, dza])),
                 -tau / dtaua if dtaua < 0 else np.inf,
@@ -753,8 +758,8 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
             corr = _jordan_product(layout, scaling.apply(dsa, invert=True), scaling.apply(dza))
             dkappa_target = -tau * kappa - dtaua * dkappaa + sigma * mu
             w_dst, rz = cone_rhs(-lam_sq - corr + sigma * mu * e)
-            dx, dy, dz, dtau, ds, dkappa = direction(
-                w_dst, dkappa_target, *kkt.solve(-r_dual, -r_eq, rz))
+            dx, dz, dtau, ds, dkappa = direction(
+                w_dst, dkappa_target, *kkt.solve(-r_dual, rz))
 
             if not (np.isfinite(dtau) and np.isfinite(dkappa)
                     and np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
@@ -783,7 +788,6 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
                 break
 
             x += alpha * dx
-            y += alpha * dy
             s, z = sz_new[:, 0].copy(), sz_new[:, 1].copy()
             tau, kappa = tau_new, kappa_new
 
@@ -802,11 +806,3 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solut
 def _infeasible(status: SolveStatus, x: np.ndarray, iteration: int) -> Solution:
     value = np.nan if status == SolveStatus.PRIMAL_INFEASIBLE else -np.inf
     return Solution(status, x, value, np.inf, iteration)
-
-
-def _primal_violation(plan: _KktPlan, f, h, layout: _ConeLayout, xh: np.ndarray) -> float:
-    """True feasibility error of the de-homogenized point: equality residual
-    plus cone shortfall of the implied slack h - G xh (matches the public
-    :func:`residuals` audit)."""
-    viol = float(np.max(np.abs(plan.E @ xh - f))) if plan.p else 0.0
-    return max(viol, -_margin(layout, h - plan.G @ xh), 0.0)

@@ -108,6 +108,20 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="unknown key 'nt'"):
             load_config(path)
 
+    @pytest.mark.parametrize("name,text,message", [
+        ("c.cfg", "channels = nan,1;1,1\n", "non-finite entry in channel rows"),
+        ("c.cfg", "channels = ;\n", "nonempty 2-D"),
+        ("manifest.json", '{"channels": []}', "nonempty 2-D"),
+    ])
+    def test_bad_channels_exit_one(self, runner, tmp_path, name, text, message):
+        path = write(tmp_path, name, text)
+        with pytest.raises(cli.ConfigError, match=message):
+            load_config(path)
+        result = runner.invoke(main, ["design", path])
+        assert result.exit_code == 1
+        assert message in result.output
+        assert "Traceback" not in result.output
+
     def test_written_manifest_reloads_with_channels(self, tmp_path):
         path = write(tmp_path, "c.cfg",
                      "n_t = 2\nn_u = 2\nseed = 4\nchannels = 1+0j, 0+1j ; 2-1j, 0.5+0j\n")

@@ -1,7 +1,13 @@
 """Cone program validation, solving, and the independent residual audit."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misobeam.conic import (
     ConeProgram,
@@ -16,6 +22,7 @@ from misobeam.conic import (
     validate,
 )
 from misobeam.conic import (
+    _ConeLayout,
     _jordan_product,
     _jordan_solve,
     _KktPlan,
@@ -140,6 +147,78 @@ class TestSolveAnalytic:
         assert abs(sol.objective_value - 5.0) <= 1e-6
 
 
+class TestEqualityRows:
+    """Programs with Zero rows, through the public solve."""
+
+    def test_inconsistent_rows_infeasible(self):
+        # x1 + x2 = 1 and x1 + x2 = 2
+        prog = least_norm_program(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        assert solve(prog).status == SolveStatus.PRIMAL_INFEASIBLE
+
+    def test_duplicate_rows(self):
+        prog = least_norm_program(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+        sol = solve(prog)
+        assert sol.status == SolveStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x[:2], [0.5, 0.5], atol=1e-6)
+        assert sol.objective_value == pytest.approx(np.sqrt(0.5), abs=1e-6)
+        assert residuals(prog, sol.x).cone_violation <= 1e-8
+
+    @pytest.mark.parametrize("floor,status", [(0.5, SolveStatus.OPTIMAL),
+                                              (1.5, SolveStatus.PRIMAL_INFEASIBLE)])
+    def test_fully_determined_x(self, floor, status):
+        # x = (1, 2) by the Zero rows; x1 >= floor decides feasibility
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        b = np.array([1.0, 2.0, -floor, 0.0])
+        prog = ConeProgram(2, [3.0, -1.0], A, b, [Zero(2), Nonnegative(2)])
+        sol = solve(prog)
+        assert sol.status == status
+        if status == SolveStatus.OPTIMAL:
+            np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-6)
+            assert sol.objective_value == pytest.approx(1.0, abs=1e-6)
+            assert residuals(prog, sol.x).cone_violation <= 1e-8
+
+    def test_zero_dim_block_beside_equality_rows(self):
+        # min ||x|| s.t. (1, 2, 2).x = 1, with empty Zero blocks around the row
+        prog = least_norm_program(np.array([[1.0, 2.0, 2.0]]), np.array([1.0]))
+        prog = ConeProgram(prog.num_vars, prog.objective, prog.constraint_matrix,
+                           prog.offset, [Zero(0), *prog.cones, Zero(0)])
+        sol = solve(prog)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(1.0 / 3.0, abs=1e-6)
+        np.testing.assert_allclose(sol.x[:3], np.array([1.0, 2.0, 2.0]) / 9.0, atol=1e-6)
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 7), p=st.integers(2, 5),
+       rank=st.integers(1, 4))
+def test_equality_rows_match_hand_substitution(seed, n, p, rank):
+    """A rank-deficient E x = f with f in E's range gives the objective of
+    the same program with x = x0 + N w substituted by hand."""
+    rank = min(rank, p - 1, n - 1)
+    rng = np.random.default_rng(seed)
+    E = rng.normal(size=(p, rank)) @ rng.normal(size=(rank, n))
+    dims, nneg = [3, int(rng.integers(2, 5))], 2
+    G = rng.normal(size=(sum(dims) + nneg, n))
+    cones = [SecondOrder(d) for d in dims] + [Nonnegative(nneg)]
+    # x_in strictly inside the cones puts f in E's range, and the objective
+    # -G'w + E'v with w inside the dual cone is bounded on the affine set
+    x_in = rng.normal(size=n)
+    h = G @ x_in + cone_interior(rng, dims, nneg)
+    f = E @ x_in
+    c = -G.T @ cone_interior(rng, dims, nneg) + E.T @ rng.normal(size=p)
+    prog = ConeProgram(n, c, np.vstack([E, G]), np.concatenate([f, h]), [Zero(p), *cones])
+
+    x0 = np.linalg.lstsq(E, f, rcond=None)[0]
+    N = scipy.linalg.null_space(E)
+    by_hand = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
+
+    sol, ref = solve(prog), solve(by_hand)
+    assert ref.status == SolveStatus.OPTIMAL
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(ref.objective_value + c @ x0, abs=1e-6)
+    assert residuals(prog, sol.x).cone_violation <= 1e-8
+
+
 class TestRandomizedLeastNorm:
     def test_closed_form_agreement(self):
         rng = np.random.default_rng(1234)
@@ -179,6 +258,18 @@ class TestResiduals:
         assert res.worst_row == 0
 
 
+def cone_interior(rng, dims, nneg):
+    """A point strictly inside SecondOrder(d) for each d in dims, followed
+    by Nonnegative(nneg)."""
+    blocks = []
+    for d in dims:
+        v = rng.normal(size=d)
+        v[0] = np.linalg.norm(v[1:]) + abs(v[0]) + 0.1
+        blocks.append(v)
+    blocks.append(rng.uniform(0.1, 1.0, size=nneg))
+    return np.concatenate(blocks)
+
+
 def random_feasible_socp(rng):
     n = int(rng.integers(2, 8))
     dims = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 3)))]
@@ -186,22 +277,10 @@ def random_feasible_socp(rng):
     m = sum(dims) + nneg
     A = rng.normal(size=(m, n))
     x0 = rng.normal(size=n)
-    blocks = []
-    for d in dims:
-        v = rng.normal(size=d)
-        v[0] = np.linalg.norm(v[1:]) + abs(v[0]) + 0.1
-        blocks.append(v)
-    blocks.append(rng.uniform(0.1, 1.0, size=nneg))
-    b = A @ x0 + np.concatenate(blocks)
+    b = A @ x0 + cone_interior(rng, dims, nneg)
     # bounded objective: c = -A' w with w interior to the dual cone, so the
     # objective is nondecreasing along every recession direction
-    w = []
-    for d in dims:
-        v = rng.normal(size=d)
-        v[0] = np.linalg.norm(v[1:]) + abs(v[0]) + 0.1
-        w.append(v)
-    w.append(rng.uniform(0.1, 1.0, size=nneg))
-    c = -A.T @ np.concatenate(w)
+    c = -A.T @ cone_interior(rng, dims, nneg)
     cones = [SecondOrder(d) for d in dims] + [Nonnegative(nneg)]
     return ConeProgram(n, c, A, b, cones)
 
@@ -333,8 +412,8 @@ def arrow(u):
 
 def block_step(u, du):
     """Largest alpha with u + alpha du in one cone block: the first positive
-    root of (u0 + alpha du0)^2 = ||u1 + alpha du1||^2 by the quadratic
-    formula."""
+    root of (u0 + alpha du0)^2 = ||u1 + alpha du1||^2, taken from the
+    cancellation-free pair q / a, c / q of a alpha^2 + b alpha + c = 0."""
     if u.size == 1:
         return -u[0] / du[0] if du[0] < 0 else np.inf
     J = np.diag(np.r_[1.0, -np.ones(u.size - 1)])
@@ -342,9 +421,30 @@ def block_step(u, du):
     disc = b * b - 4.0 * a * c
     if disc < 0:
         return np.inf
-    roots = [r for r in ((-b - np.sqrt(disc)) / (2 * a), (-b + np.sqrt(disc)) / (2 * a))
-             if r > 0]
-    return min(roots, default=np.inf)
+    q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
+    return min((r for r in (q / a, c / q) if r > 0), default=np.inf)
+
+
+def exact_block_step(u, du):
+    """block_step in exact rational arithmetic with a 60-digit square root."""
+    U, D = [Fraction(v) for v in u], [Fraction(v) for v in du]
+
+    def jdot(p, q):
+        return p[0] * q[0] - sum(pi * qi for pi, qi in zip(p[1:], q[1:]))
+
+    a, half_b, c = jdot(D, D), jdot(U, D), jdot(U, U)
+    disc = half_b * half_b - a * c
+    if disc < 0:
+        return np.inf
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(r):
+            return Decimal(r.numerator) / Decimal(r.denominator)
+
+        root = dec(disc).sqrt()
+        roots = [(-dec(half_b) + sign * root) / dec(a) for sign in (-1, 1)]
+        return float(min((r for r in roots if r > 0), default=Decimal("Infinity")))
 
 
 def assert_close(actual, reference, rtol=1e-12):
@@ -356,7 +456,7 @@ class TestFlatConeKernels:
 
     def setup_method(self):
         self.rng = np.random.default_rng(31)
-        E, f, G, h, self.layout = _split_rows(mixed_structure_program(self.rng))
+        G, h, self.layout = _split_rows(mixed_structure_program(self.rng))
         assert sorted(set(self.layout.dims.tolist())) == [1, 2, 3, 4, 19]
         assert self.layout.m_lp == 3
 
@@ -403,14 +503,31 @@ class TestFlatConeKernels:
                              np.column_stack([s, z])) == np.inf
 
 
+    def test_near_tangent_step_length(self):
+        # u sits 6e-7 inside the boundary and du leaves almost along the
+        # surface, so the textbook root (-c1 - sqrt(c1^2 - c2 c0)) / c2
+        # subtracts nearly equal numbers.  Every entry is chosen so that the
+        # coefficients c2, c1, c0 are exact in floating point: the only
+        # rounding left is the formula's own
+        layout = _ConeLayout(np.array([4]), np.array([1]))
+        u = np.array([5.0 + 2.0**-24, 3.0, 4.0, 0.0])
+        du = np.array([0.0, 3.0, 4.0, 1.0])
+        exact = exact_block_step(u, du)
+        assert abs(_max_step(layout, u, du) - exact) <= 1e-14 * exact
+        assert abs(block_step(u, du) - exact) <= 1e-14 * exact
+        J = np.diag([1.0, -1.0, -1.0, -1.0])
+        c2, c1, c0 = du @ J @ du, u @ J @ du, u @ J @ u
+        textbook = (-c1 - np.sqrt(c1 * c1 - c2 * c0)) / c2
+        assert abs(textbook - exact) > 1e-10 * exact
+
+
 class TestStructuredKkt:
     def test_gram_matches_dense_reference(self):
         rng = np.random.default_rng(2024)
-        E, f, G, h, layout = _split_rows(mixed_structure_program(rng))
-        assert E.shape[0] == 0
+        G, h, layout = _split_rows(mixed_structure_program(rng))
         for _ in range(5):
             s, z = interior_point(layout, rng), interior_point(layout, rng)
-            gram = _KktPlan(E, G, layout).gram(_Scaling(layout, s, z))
+            gram = _KktPlan(G, layout).gram(_Scaling(layout, s, z))
 
             W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
             # the reference is the NT scaling: W z = W^-1 s
@@ -422,7 +539,7 @@ class TestStructuredKkt:
 
     def test_one_pass_square_scaling_matches_two_applies(self):
         rng = np.random.default_rng(7)
-        E, f, G, h, layout = _split_rows(mixed_structure_program(rng))
+        G, h, layout = _split_rows(mixed_structure_program(rng))
         scaling = _Scaling(layout, interior_point(layout, rng), interior_point(layout, rng))
         u = rng.normal(size=layout.m)
         for invert in (False, True):
@@ -449,27 +566,24 @@ class TestStructuredKkt:
 
 
 def kkt_programs(rng):
-    """A program with an equality row (bordered LU) and one without
-    (Cholesky)."""
-    n = 5
-    return [projection_program(rng.normal(size=n), rng.normal(size=n), 0.3),
-            mixed_structure_program(rng)]
+    """Two programs with different cone mixes: dense rows, and sparse rows
+    with every cone kind."""
+    return [random_feasible_socp(rng), mixed_structure_program(rng)]
 
 
 class TestKktSolve:
     def systems(self, rng):
         for prog in kkt_programs(rng):
-            E, f, G, h, layout = _split_rows(prog)
+            G, h, layout = _split_rows(prog)
             scaling = _Scaling(layout, interior_point(layout, rng),
                                interior_point(layout, rng))
-            kkt = _KktSolver(_KktPlan(E, G, layout), scaling)
-            rhs = (rng.normal(size=(prog.num_vars, 2)), rng.normal(size=(E.shape[0], 2)),
-                   rng.normal(size=(layout.m, 2)))
-            yield E, G, scaling, kkt, rhs
+            kkt = _KktSolver(_KktPlan(G, layout), scaling)
+            rhs = (rng.normal(size=(prog.num_vars, 2)), rng.normal(size=(layout.m, 2)))
+            yield G, scaling, kkt, rhs
 
     def test_two_columns_equal_two_solves(self):
         rng = np.random.default_rng(11)
-        for E, G, scaling, kkt, rhs in self.systems(rng):
+        for G, scaling, kkt, rhs in self.systems(rng):
             together = np.concatenate(kkt.solve(*rhs))
             for k in range(2):
                 alone = np.concatenate(kkt.solve(*(r[:, k] for r in rhs)))
@@ -477,9 +591,8 @@ class TestKktSolve:
 
     def test_refined_solve_meets_residual_bound(self):
         rng = np.random.default_rng(12)
-        for E, G, scaling, kkt, (rx, ry, rz) in self.systems(rng):
-            dx, dy, dz = kkt.solve(rx, ry, rz)
-            residual = np.concatenate([rx - (E.T @ dy + G.T @ dz), ry - E @ dx,
-                                       rz - (G @ dx - scaling.apply_sq(dz))])
-            scale = np.abs(np.concatenate([rx, ry, rz])).max(axis=0)
+        for G, scaling, kkt, (rx, rz) in self.systems(rng):
+            dx, dz = kkt.solve(rx, rz)
+            residual = np.concatenate([rx - G.T @ dz, rz - (G @ dx - scaling.apply_sq(dz))])
+            scale = np.abs(np.concatenate([rx, rz])).max(axis=0)
             assert np.all(np.abs(residual).max(axis=0) <= _KktSolver._REFINE_TOL * scale)

@@ -312,3 +312,18 @@ def test_convergence_pinned(method, n, seed, gamma_db, sigma, delta, status, ite
         result = design_robust(channels, qos, UncertaintySpec(delta=[delta] * n))
     assert result.status == status
     assert abs(result.solution.iterations - iterations) <= 1
+
+
+def test_large_sigma_nominal_is_scaled_unit_design():
+    """At sigma = 1e6 the nominal 5 dB design on generate_channels(3, 3, 7)
+    is the sigma = 1 design scaled by 1e6.  The textbook step-length roots
+    lost digits on this solve and ended it in a false PrimalInfeasible
+    after 19 iterations."""
+    channels = model.generate_channels(3, 3, 7)
+    unit = design_nominal(channels, QosSpec.from_db([5.0] * 3, [1.0] * 3))
+    large = design_nominal(channels, QosSpec.from_db([5.0] * 3, [1e6] * 3))
+    assert large.status == SolveStatus.OPTIMAL
+    assert abs(large.solution.iterations - 16) <= 1
+    assert large.power / 1e12 == pytest.approx(unit.power, rel=1e-8)
+    sinr_db = 10.0 * np.log10(model.achieved_sinr(channels, large.precoder, [1e6] * 3))
+    assert np.all(sinr_db >= 5.0 - 1e-6)
