@@ -16,6 +16,16 @@ precoder B is represented by its stacked real and imaginary parts, and the
 rotation freedom of each column is used to make h_k b_k real at the
 optimum.  The robust program is the nominal one with y_k added to each SINR
 cone and the perturbation and aggregation cones appended per user.
+
+The robust counterpart is compiled in an exact compact form.  The paper's
+perturbation pair ||[row_i(B_bar), sigma_k]|| <= t_{k,i} +- a_k B_bar[i, k]
+repeats the precoder row row_i(B_bar) for every user and both signs, and
+rows j and j + n_t of B_bar both have the norm of antenna row B[j, :].
+So each antenna j gets one variable rho_j with ||B[j, :]|| <= rho_j, and
+each perturbation cone becomes the 3-dim ||[rho_{i mod n_t}, sigma_k]|| <=
+t_{k,i} +- a_k B_bar[i, k].  That norm grows with rho, so the two forms
+admit the same (B, t, y) (Lobo, Vandenberghe, Boyd & Lebret 1998); at
+n_t = n_u = 8 the program shrinks from 5017 x 265 to 1313 x 273.
 """
 
 from __future__ import annotations
@@ -68,7 +78,9 @@ class ProgramLayout:
 
     Real decision variables are ordered [vec(Re B), vec(Im B), tau]
     (column-major vec).  ``cone_tags`` records, per cone in program order,
-    a (tag, user, coordinate) provenance triple.
+    a (tag, user, coordinate) provenance triple; a cone that belongs to no
+    user, such as a robust program's ("row-norm", None, j), has user None
+    and its antenna j as coordinate.
     """
 
     def __init__(self, n_tx: int, n_users: int):
@@ -101,13 +113,14 @@ class ProgramLayout:
 class RobustProgramLayout(ProgramLayout):
     """Variable index map for the robust design program.
 
-    Adds the per-user protection level y_k and the per-user,
-    per-real-coordinate perturbation bounds t_{k,i}, i in 0..2 n_tx - 1.
+    Adds the per-user protection level y_k, the per-user,
+    per-real-coordinate perturbation bounds t_{k,i}, i in 0..2 n_tx - 1,
+    and the per-antenna row-norm bounds rho_j >= ||B[j, :]||.
     """
 
     def __init__(self, n_tx: int, n_users: int):
         super().__init__(n_tx, n_users)
-        self.num_vars = 4 * n_tx * n_users + n_users + 1
+        self.num_vars = 4 * n_tx * n_users + n_users + n_tx + 1
 
     def y(self, k: int) -> int:
         return 2 * self.n_tx * self.n_users + 1 + k
@@ -115,12 +128,17 @@ class RobustProgramLayout(ProgramLayout):
     def t(self, k: int, i: int) -> int:
         return 2 * self.n_tx * self.n_users + 1 + self.n_users + k * 2 * self.n_tx + i
 
+    def rho(self, j: int) -> int:
+        return 4 * self.n_tx * self.n_users + 1 + self.n_users + j
+
     def var_index(self) -> dict:
         index = super().var_index()
         for k in range(self.n_users):
             index[("y", k)] = self.y(k)
             for i in range(2 * self.n_tx):
                 index[("t", k, i)] = self.t(k, i)
+        for j in range(self.n_tx):
+            index[("rho", j)] = self.rho(j)
         return index
 
 
@@ -151,26 +169,30 @@ def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = Non
     """Assemble the nominal program (``unc`` None) or the robust one.
 
     Rows: the power epigraph, then per user k the cones of ``user_cones``
-    as (dimension, tag, coordinate).  Entries are placed by index arithmetic
-    over users, channel coordinates and signs.
+    as (dimension, tag, coordinate), then per antenna j the cones of
+    ``antenna_cones``.  Entries are placed by index arithmetic over users,
+    antennas, channel coordinates and signs.
     """
     nt, nu = channels.n_tx, channels.n_users
-    user_dim, agg_dim = 2 * nu + 2, 1 + 2 * nt
+    user_dim, agg_dim, norm_dim = 2 * nu + 2, 1 + 2 * nt, 1 + 2 * nu
     if unc is None:
         layout = ProgramLayout(nt, nu)
         user_cones = [(user_dim, "sinr", None)]
+        antenna_cones = []
     else:
         layout = RobustProgramLayout(nt, nu)
         user_cones = ([(user_dim, "main-robust", None)]
-                      + [(user_dim, tag, i) for i in range(2 * nt)
+                      + [(3, tag, i) for i in range(2 * nt)
                          for tag in ("perturbation-plus", "perturbation-minus")]
                       + [(agg_dim, "aggregation", None)])
+        antenna_cones = [(norm_dim, "row-norm", None)]
     a = _sinr_coefficients(qos)
     h_re, h_im = channels.rows.real, channels.rows.imag
     n_b = 2 * nt * nu
     power_dim = 1 + n_b
     per_user = sum(dim for dim, _, _ in user_cones)
-    A = np.zeros((power_dim + nu * per_user, layout.num_vars))
+    per_antenna = sum(dim for dim, _, _ in antenna_cones)
+    A = np.zeros((power_dim + nu * per_user + nt * per_antenna, layout.num_vars))
     b = np.zeros(A.shape[0])
 
     # total-power epigraph ||vec(B)|| <= tau
@@ -195,29 +217,37 @@ def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = Non
     if unc is not None:
         A[sinr, layout.y(users)] = unc.kappa * unc.delta
         # perturbation cone (k, i, s), s = +1, -1, starting at row pert[k, i, s]:
-        # ||[row_i(B_bar), sigma_k or 0]|| <= t_{k,i} + s a_k B_bar[i, k], where
-        # B_bar = [[Re B, Im B], [-Im B, Re B]] has entry (i, j) sign[i, j] x[col[i, j]]
+        # ||[rho_{i mod n_t}, sigma_k or 0]|| <= t_{k,i} + s a_k B_bar[i, k], where
+        # B_bar = [[Re B, Im B], [-Im B, Re B]] has entry (i, k) sign[i] x[col[i, k]]
         coord = np.arange(2 * nt)
-        col = np.block([[re.T, im.T], [im.T, re.T]])
-        sign = np.ones(col.shape)
-        sign[nt:, :nu] = -1.0
-        pert = sinr[:, None, None] + user_dim * (1 + 2 * coord[:, None] + np.arange(2))
+        col = np.concatenate([re.T, im.T])
+        sign = np.repeat([1.0, -1.0], nt)
+        pert = sinr[:, None, None] + user_dim + 3 * (2 * coord[:, None] + np.arange(2))
         t = layout.t(users[:, None], coord)
         A[pert, t[:, :, None]] = -1.0
-        A[pert, col[:, :nu].T[:, :, None]] = (
-            -np.array([1.0, -1.0]) * a[:, None, None] * sign[:, :nu].T[:, :, None])
-        A[pert[..., None] + 1 + np.arange(2 * nu), col[:, None, :]] = -sign[:, None, :]
+        A[pert, col.T[:, :, None]] = (
+            -np.array([1.0, -1.0]) * a[:, None, None] * sign[:, None])
+        A[pert + 1, layout.rho(coord % nt)[:, None]] = -1.0
         if perturbation_sigma == "paper":
-            b[pert + 1 + 2 * nu] = qos.sigma[:, None, None]
+            b[pert + 2] = qos.sigma[:, None, None]
         # aggregation ||t_k|| <= y_k
         agg = sinr + per_user - agg_dim
         A[agg, layout.y(users)] = -1.0
         A[agg[:, None] + 1 + coord, t] = -1.0
+        # row norm ||B[j, :]|| <= rho_j: rows j and j + n_t of B_bar both
+        # have this norm, so rho_j stands in for them in the perturbation cones
+        antennas = np.arange(nt)
+        norm = power_dim + nu * per_user + norm_dim * antennas
+        A[norm, layout.rho(antennas)] = -1.0
+        A[norm[:, None] + 1 + users, re.T] = -1.0
+        A[norm[:, None] + 1 + nu + users, im.T] = -1.0
 
-    cones = [SecondOrder(power_dim)] + [SecondOrder(dim) for _ in users
-                                        for dim, _, _ in user_cones]
+    cones = ([SecondOrder(power_dim)]
+             + [SecondOrder(dim) for _ in users for dim, _, _ in user_cones]
+             + [SecondOrder(dim) for _ in range(nt) for dim, _, _ in antenna_cones])
     layout.cone_tags.append(("objective-epigraph", None, None))
     layout.cone_tags.extend((tag, k, i) for k in range(nu) for _, tag, i in user_cones)
+    layout.cone_tags.extend((tag, None, j) for j in range(nt) for _, tag, _ in antenna_cones)
     objective = np.zeros(layout.num_vars)
     objective[layout.tau] = 1.0
     return ConeProgram(layout.num_vars, objective, A, b, tuple(cones)), layout
@@ -246,13 +276,19 @@ def build_robust(
       * main-robust:       ||[h_bar_k B_bar, sigma_k]|| <= a_k h_bar_k.b_bar_k
                            - (kappa delta_k) y_k
       * perturbation-plus/minus, per real coordinate i of the channel:
-                           ||[row_i(B_bar), sigma_k]|| -/+ a_k B_bar[i, k] <= t_{k,i}
+                           ||[rho_{i mod n_t}, sigma_k]|| -/+ a_k B_bar[i, k] <= t_{k,i}
       * aggregation:       ||t_k|| <= y_k
+    and per antenna j:
+      * row-norm:          ||B[j, :]|| <= rho_j
+
+    Rows i and i + n_t of B_bar have the norm ||B[i mod n_t, :]||, so the
+    3-dim perturbation cones describe the same (B, t, y) as the paper's
+    ||[row_i(B_bar), sigma_k]|| -/+ a_k B_bar[i, k] <= t_{k,i}.
 
     ``perturbation_sigma`` selects what stands in for the noise term inside
     the perturbation cones: mode "paper" keeps sigma_k there (conservative
     default), mode "zero" puts 0, bounding only the genuinely perturbed
-    data (the strict linearization).
+    data (the strict linearization).  Both modes share one layout.
     """
     _check_dims(channels, qos)
     if unc.n_users != channels.n_users:

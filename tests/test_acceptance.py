@@ -246,8 +246,8 @@ def test_10_scale_check():
     program, layout = build_robust(ch, qos, unc)
     solution = solve(program, SolverSettings())
     elapsed = time.perf_counter() - start
-    census_ok = (program.num_vars == 2 * n * n + 1 + n + 2 * n * n
-                 and len(program.cones) == 1 + n + 4 * n * n + n
+    census_ok = (program.num_vars == 4 * n * n + 2 * n + 1
+                 and len(program.cones) == 4 * n * n + 3 * n + 1
                  and sorted(layout.var_index().values()) == list(range(program.num_vars)))
     status_ok = solution.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE)
     ok = elapsed < 10.0 and census_ok and status_ok

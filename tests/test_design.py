@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from misobeam import model
+from misobeam import conic, model
 from misobeam.conic import SecondOrder, Solution, SolveStatus
 from misobeam.design import (
     ProgramLayout,
@@ -129,8 +129,8 @@ class TestBuildRobust:
             ch = model.generate_channels(n_u, n_t, 1)
             qos = QosSpec.from_db([5.0] * n_u, [1.0] * n_u)
             prog, layout = build_robust(ch, qos, UncertaintySpec(delta=[0.01] * n_u))
-            assert prog.num_vars == 2 * n_t * n_u + 1 + n_u + 2 * n_t * n_u
-            assert len(prog.cones) == 1 + n_u + 4 * n_u * n_t + n_u
+            assert prog.num_vars == 2 * n_t * n_u + 1 + n_u + 2 * n_t * n_u + n_t
+            assert len(prog.cones) == 1 + n_u + 4 * n_u * n_t + n_u + n_t
             assert all(isinstance(c, SecondOrder) for c in prog.cones)
             index = layout.var_index()
             assert sorted(index.values()) == list(range(prog.num_vars))
@@ -139,6 +139,11 @@ class TestBuildRobust:
             assert tags.count("perturbation-plus") == 2 * n_t * n_u
             assert tags.count("perturbation-minus") == 2 * n_t * n_u
             assert tags.count("aggregation") == n_u
+            assert tags.count("row-norm") == n_t
+            dims = {tag: {c.dim for c, (t, _, _) in zip(prog.cones, layout.cone_tags)
+                          if t == tag} for tag in set(tags)}
+            assert dims["perturbation-plus"] == dims["perturbation-minus"] == {3}
+            assert dims["row-norm"] == {2 * n_u + 1}
 
     def test_dominance_in_delta_and_kappa(self):
         rng = np.random.default_rng(100)  # draw verified feasible through delta = 0.02
@@ -231,13 +236,58 @@ def test_slack_matches_complex_arithmetic(method, n_u, n_t):
         elif tag.startswith("perturbation"):
             s = 1.0 if tag == "perturbation-plus" else -1.0
             noise = qos.sigma[k] if method == "paper" else 0.0
-            expected.append(np.concatenate([[x[layout.t(k, i)] + s * a[k] * Bbar[i, k]],
-                                            Bbar[i], [noise]]))
+            expected.append([x[layout.t(k, i)] + s * a[k] * Bbar[i, k],
+                             x[layout.rho(i % n_t)], noise])
+        elif tag == "row-norm":
+            expected.append(np.concatenate([[x[layout.rho(i)]], B[i].real, B[i].imag]))
         else:
             expected.append(np.concatenate([[x[layout.y(k)]],
                                             x[[layout.t(k, i) for i in range(2 * n_t)]]]))
     assert [len(e) for e in expected] == [c.dim for c in prog.cones]
     np.testing.assert_allclose(slack, np.concatenate(expected), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["paper", "zero"])
+@pytest.mark.parametrize("n_u,n_t", [(1, 1), (2, 3), (3, 3)])
+def test_compact_perturbation_bounds_are_exact(mode, n_u, n_t):
+    # with rho_j = ||B[j, :]||, the smallest t_{k,i} the 3-dim perturbation
+    # cones allow is the pair bound ||[row_i(B_bar), sigma_k]|| + a_k |B_bar[i, k]|
+    # of the paper's form; at that point every cone holds and no t or rho
+    # can drop
+    rng = np.random.default_rng(100 * n_u + n_t)
+    B = rng.standard_normal((n_t, n_u)) + 1j * rng.standard_normal((n_t, n_u))
+    Bbar = np.block([[B.real, B.imag], [-B.imag, B.real]])
+    # channels with h_k B = e_k, so user k's main-robust cone reads
+    # sqrt(1 + sigma_k^2) <= a_k - kappa delta_k y_k
+    ch = ChannelSet(np.linalg.pinv(B))
+    qos = QosSpec.from_db(rng.uniform(0, 5, n_u), rng.uniform(0.1, 0.5, n_u))
+    a = np.sqrt(1.0 + 1.0 / qos.gamma)
+    noise = qos.sigma if mode == "paper" else np.zeros(n_u)
+    rho = np.linalg.norm(B, axis=1)
+    t = (np.sqrt(np.tile(rho, 2)[None, :] ** 2 + noise[:, None] ** 2)
+         + a[:, None] * np.abs(Bbar[:, :n_u].T))
+    pair = np.array([[np.linalg.norm(np.append(Bbar[i], noise[k])) + a[k] * abs(Bbar[i, k])
+                      for i in range(2 * n_t)] for k in range(n_u)])
+    np.testing.assert_allclose(t, pair, rtol=0, atol=1e-12)
+    y = np.linalg.norm(t, axis=1)
+    kappa = 0.5
+    delta = (a - np.sqrt(1.0 + qos.sigma**2)) / (2.0 * kappa * y)
+    prog, layout = build_robust(ch, qos, UncertaintySpec(delta=delta, kappa=kappa),
+                                perturbation_sigma=mode)
+    users, coords, antennas = np.arange(n_u), np.arange(2 * n_t), np.arange(n_t)
+    x = np.zeros(prog.num_vars)
+    x[layout.b_re(antennas[:, None], users)] = B.real
+    x[layout.b_im(antennas[:, None], users)] = B.imag
+    x[layout.tau] = np.linalg.norm(B)
+    x[layout.y(users)] = y
+    x[layout.t(users[:, None], coords)] = t
+    x[layout.rho(antennas)] = rho
+    assert conic.residuals(prog, x).cone_violation <= 1e-12
+    for col in [layout.t(k, i) for k in range(n_u) for i in range(2 * n_t)] + [
+            layout.rho(j) for j in range(n_t)]:
+        lowered = x.copy()
+        lowered[col] -= 1e-9
+        assert conic.residuals(prog, lowered).cone_violation > 5e-10
 
 
 class TestExtractPrecoder:
@@ -295,7 +345,7 @@ CONVERGENCE_PINS = [
     ("nominal", 1, 1000, 5.0, 1.0, 0.0, SolveStatus.OPTIMAL, 8),
     ("robust", 1, 1000, 5.0, 1.0, 0.015, SolveStatus.OPTIMAL, 16),
     ("nominal", 3, 3000, 5.0, 1.0, 0.0, SolveStatus.OPTIMAL, 8),
-    ("robust", 3, 3000, 5.0, 1.0, 0.015, SolveStatus.OPTIMAL, 15),
+    ("robust", 3, 3000, 5.0, 1.0, 0.015, SolveStatus.OPTIMAL, 13),
     ("robust", 3, 3000, 15.0, 1.0, 0.015, SolveStatus.PRIMAL_INFEASIBLE, 8),
     ("robust", 3, 7, 30.0, 1e-6, 0.015, SolveStatus.NUMERICAL_FAILURE, 22),
 ]
