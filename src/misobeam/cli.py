@@ -104,8 +104,8 @@ def _parse_manifest(text: str) -> dict:
 def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
     """Load a flat config file or a manifest.json written by an earlier run."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -162,8 +162,13 @@ def _config_as_dict(config: ExperimentConfig, channels: ChannelSet | None) -> di
 
 
 def _resolve_outdir(out: str | None) -> Path:
+    """Create the output directory; commands call this before any work, so
+    an unusable ``--out`` exits 1 at once instead of after the run."""
     outdir = Path(out or os.environ.get(OUTDIR_ENV, "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {str(outdir)!r}: {exc}")
     return outdir
 
 
@@ -257,11 +262,11 @@ def cmd_design(config_path, method, seed, out):
     started = _now()
     config, channels = load_config(config_path)
     config = _seed_override(config, seed)
+    outdir = _resolve_outdir(out)
     estimates = _get_channels(config, channels)
     qos = config.qos()
     result = montecarlo.run_design(method, config, estimates)
 
-    outdir = _resolve_outdir(out)
     summary_path = outdir / "summary.csv"
     outputs = [summary_path]
     sinr_db = [float("nan")] * config.n_u
@@ -304,8 +309,8 @@ def cmd_cdf(config_path, seed, out, workers):
     started = _now()
     config, channels = load_config(config_path)
     config = _seed_override(config, seed)
-    report = montecarlo.sinr_cdf_experiment(config, workers=workers)
     outdir = _resolve_outdir(out)
+    report = montecarlo.sinr_cdf_experiment(config, workers=workers)
     rows = []
     for method in config.methods:
         samples = report.methods[method].sinr_db
@@ -335,8 +340,8 @@ def _run_sweep(command, config_path, seed, out, workers, grid_text, axis, column
             montecarlo.sweep_point(config, axis, value)
         except ValueError as exc:
             raise ConfigError(f"bad --grid value {value}: {exc}")
-    table = runner(config, grid, workers=workers)
     outdir = _resolve_outdir(out)
+    table = runner(config, grid, workers=workers)
     path = outdir / f"{command.replace('-', '_')}.csv"
     _write_csv(path, columns, [[row[c] for c in columns] for row in table])
     _write_manifest(outdir, command, config, channels, [path], started,
@@ -386,10 +391,10 @@ def cmd_verify(config_path, method, samples, seed, out):
     started = _now()
     config, channels = load_config(config_path)
     config = _seed_override(config, seed)
+    outdir = _resolve_outdir(out)
     estimates = _get_channels(config, channels)
     qos = config.qos()
     result = montecarlo.run_design(method, config, estimates)
-    outdir = _resolve_outdir(out)
     if result.status != SolveStatus.OPTIMAL:
         _write_csv(outdir / "verify.csv", ("method", "status"), [[method, result.status.value]])
         _write_manifest(outdir, "verify", config, channels, [outdir / "verify.csv"],

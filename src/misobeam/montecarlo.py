@@ -16,6 +16,12 @@ both methods are evaluated against identical errors.
 
 Designs go through :func:`run_design`, the one place that maps a method
 name to its design function; SINR goes through ``model.achieved_sinr``.
+
+A sweep requests every enabled design at every grid point, so each point
+has its own design call and table entries.  In a delta sweep the nominal
+request is the same at every point of a trial (it does not read delta);
+the design functions answer such an exact repeat from memory (see
+``misobeam.design``), so the nominal program is solved once per trial.
 """
 
 from __future__ import annotations

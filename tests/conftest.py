@@ -1,0 +1,28 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from misobeam import conic, design
+from misobeam.design import UncertaintySpec
+from misobeam.model import ChannelSet, QosSpec
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """The programs ``conic.solve`` receives during the test, in order.
+
+    Each design function remembers its last request, so both first get a
+    1 x 1 request that no test repeats: the test's first design request is
+    then never answered from an earlier test's request.
+    """
+    one, qos = ChannelSet([[0.5 + 0.25j]]), QosSpec(gamma=[0.5], sigma=[0.75])
+    design.design_nominal(one, qos)
+    design.design_robust(one, qos, UncertaintySpec(delta=[0.0625]))
+    solved, solve = [], conic.solve
+
+    def counted(program, settings=None):
+        solved.append(program)
+        return solve(program, settings)
+
+    monkeypatch.setattr(conic, "solve", counted)
+    return solved

@@ -1,5 +1,7 @@
 """The benchmark's tracer (bench/spans.py) wraps misobeam attributes by name
-and reads design calls by parameter name; these names must keep resolving."""
+and reads design calls by parameter name; these names must keep resolving.
+Its sweep check (bench/checks.py) reads one design call per grid point and
+method, so repeated designs must be answered inside the design functions."""
 
 import importlib
 import importlib.util
@@ -10,17 +12,21 @@ import numpy as np
 
 from misobeam import cli, conic, design, model, montecarlo
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = {"cli": cli, "conic": conic, "design": design, "model": model,
            "montecarlo": montecarlo}
 
 
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve names through it
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    spans = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = spans  # its dataclasses resolve names through it
-    spec.loader.exec_module(spans)
-    return spans
+    return load_bench("spans")
 
 
 def test_every_traced_attribute_resolves():
@@ -49,3 +55,23 @@ def test_tracer_captures_design_calls_by_parameter_name():
         call.key()
         assert call.result.status == conic.SolveStatus.OPTIMAL
         np.testing.assert_array_equal(call.inputs["channels"].rows, channels.rows)
+
+
+def test_delta_sweep_reports_every_design_call(solves):
+    # the nominal design repeats at every grid point; the tracer must still
+    # see one design_* call per point and method, in order, while conic.solve
+    # runs once for the nominal design
+    spans, checks = load_spans(), load_bench("checks")
+    grid = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16]
+    config = montecarlo.ExperimentConfig(n_u=3, n_t=3, gamma_db=5.0, sigma=1.0,
+                                         delta=0.015, n_channel_trials=1,
+                                         n_error_samples=1, seed=31)
+    tracer = spans.Tracer(MODULES)
+    _, table, recorded = tracer.run(0, True, lambda: montecarlo.power_vs_delta_sweep(
+        config, grid))
+    calls = spans.design_calls(recorded, design)
+    assert [c.method for c in calls] == ["nominal", "robust"] * len(grid)
+    assert [float(c.inputs["unc"].delta[0]) for c in calls[1::2]] == grid
+    assert sum(s.name == "conic.solve" for s in recorded) == len(solves) == len(grid) + 1
+    assert len({id(c.result) for c in calls[::2]}) == 1
+    assert checks.check_sweep(table, config, grid, calls) == []

@@ -151,17 +151,21 @@ class TestWorkersOption:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran despite a bad input")
+
+    for name in ("sinr_cdf_experiment", "power_vs_gamma_sweep",
+                 "power_vs_delta_sweep", "run_design"):
+        monkeypatch.setattr(cli.montecarlo, name, refuse)
+
+
+COMMANDS = ["design", "cdf", "sweep-gamma", "sweep-delta", "verify"]
+
+
 class TestBadNumbers:
     """Out-of-range numbers exit 1 with a message, before any work runs."""
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work ran despite a bad number")
-
-        for name in ("sinr_cdf_experiment", "power_vs_gamma_sweep",
-                     "power_vs_delta_sweep", "run_design"):
-            monkeypatch.setattr(cli.montecarlo, name, refuse)
 
     def test_verify_zero_samples(self, runner, tmp_path, no_work):
         cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
@@ -169,8 +173,7 @@ class TestBadNumbers:
         assert result.exit_code == 1, result.output
         assert "--samples" in result.output
 
-    @pytest.mark.parametrize("command", ["design", "cdf", "sweep-gamma", "sweep-delta",
-                                         "verify"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_seed_option(self, runner, tmp_path, no_work, command):
         cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
         result = runner.invoke(main, [command, cfg, "--seed", "-1"])
@@ -192,6 +195,34 @@ class TestBadNumbers:
         assert result.exit_code == 1, result.output
         assert "bad --grid value" in result.output
         assert not (tmp_path / "o").exists()
+
+
+class TestUnusableFiles:
+    """An unreadable config or an unusable --out exits 1 with a message,
+    before any work runs."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_out_is_a_file(self, runner, tmp_path, no_work, command, below_file):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        if below_file:
+            out = out / "sub"
+        result = runner.invoke(main, [command, cfg, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "cannot use output directory" in result.output
+        assert "Traceback" not in result.output
+
+    def test_config_not_utf8(self, runner, tmp_path, no_work):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(cli.ConfigError, match="cannot read config"):
+            load_config(str(path))
+        result = runner.invoke(main, ["design", str(path)])
+        assert result.exit_code == 1, result.output
+        assert "cannot read config" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestDesignCommand:

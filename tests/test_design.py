@@ -1,5 +1,8 @@
 """Nominal and robust precoder design: builders, pipelines, layouts."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,98 @@ class TestBuildNominal:
             assert res.status == SolveStatus.OPTIMAL
             sinr_db = model.linear_to_db(model.achieved_sinr(ch, res.precoder, qos.sigma))
             np.testing.assert_allclose(sinr_db, 5.0, atol=1e-3)
+
+
+MEMO_BASE = dict(channels=model.generate_channels(3, 3, 4242),
+                 qos=QosSpec.from_db([5.0] * 3, [1.0] * 3),
+                 unc=UncertaintySpec(delta=[0.015] * 3),
+                 settings=None, perturbation_sigma="paper")
+
+
+def memo_request(method, **changes):
+    a = dict(MEMO_BASE, **changes)
+    if method == "nominal":
+        return design_nominal(a["channels"], a["qos"], a["settings"])
+    return design_robust(a["channels"], a["qos"], a["unc"], a["settings"],
+                         a["perturbation_sigma"])
+
+
+class TestDesignMemo:
+    @pytest.mark.parametrize("method", ["nominal", "robust"])
+    def test_repeat_solves_once_and_returns_the_same_result(self, solves, method):
+        first = memo_request(method)
+        again = memo_request(method)
+        assert len(solves) == 1
+        assert again is first
+        # the remembered result is what a direct solve of the built program gives
+        if method == "nominal":
+            program, _ = build_nominal(MEMO_BASE["channels"], MEMO_BASE["qos"])
+        else:
+            program, _ = build_robust(MEMO_BASE["channels"], MEMO_BASE["qos"],
+                                      MEMO_BASE["unc"])
+        direct = conic.solve(program)
+        assert direct.status == first.status == SolveStatus.OPTIMAL
+        np.testing.assert_array_equal(first.solution.x, direct.x)
+        assert first.solution.iterations == direct.iterations
+
+    CHANGES = {
+        "channels": model.generate_channels(3, 3, 4243),
+        "settings": conic.SolverSettings(gap_tol=1e-9),
+        "qos-sigma": QosSpec.from_db([5.0] * 3, [1.0, 1.0, 1.25]),
+        "qos-gamma": QosSpec.from_db([5.0, 5.0, 6.0], [1.0] * 3),
+        "unc-delta": UncertaintySpec(delta=[0.015, 0.015, 0.02]),
+        "unc-kappa": UncertaintySpec(delta=[0.015] * 3, kappa=0.5),
+        "perturbation_sigma": "zero",
+    }
+
+    @pytest.mark.parametrize("method,change", [
+        ("nominal", "channels"), ("nominal", "settings"), ("nominal", "qos-sigma"),
+        ("nominal", "qos-gamma"), ("robust", "channels"), ("robust", "settings"),
+        ("robust", "qos-sigma"), ("robust", "qos-gamma"), ("robust", "unc-delta"),
+        ("robust", "unc-kappa"), ("robust", "perturbation_sigma"),
+    ])
+    def test_any_changed_input_solves_afresh(self, solves, method, change):
+        name = change.split("-")[0]
+        base = memo_request(method)
+        changed = memo_request(method, **{name: self.CHANGES[change]})
+        assert len(solves) == 2
+        assert changed is not base
+        assert memo_request(method) is not base  # one entry: the base is forgotten
+        assert len(solves) == 3
+
+    def test_threads_get_the_result_of_their_own_request(self):
+        # the entry is replaced whole, so a racing caller can miss but
+        # never read another request's result
+        qos = {1.0: QosSpec(gamma=[1.0], sigma=[1.0]), 3.0: QosSpec(gamma=[3.0], sigma=[1.0])}
+        wrong = []
+
+        def worker(first):
+            for i in range(40):
+                gamma = (1.0, 3.0)[(first + i) % 2]
+                power = design_nominal(scalar_channel(), qos[gamma]).power
+                if abs(power - gamma) > 1e-6 * gamma:
+                    wrong.append((gamma, power))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_kappa_keys_by_value_not_by_type(self, solves):
+        # kappa enters the program only as kappa * delta, so 1 and 1.0 are
+        # one request
+        base = memo_request("robust")
+        assert memo_request("robust", unc=UncertaintySpec(delta=[0.015] * 3, kappa=1)) \
+            is base
+        assert len(solves) == 1
 
 
 class TestUncertaintySpec:

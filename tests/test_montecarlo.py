@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from misobeam import design, model, montecarlo
+from misobeam import conic, design, model, montecarlo
 from misobeam.design import UncertaintySpec
 from misobeam.model import Precoder, QosSpec
 from misobeam.montecarlo import (
@@ -176,6 +176,52 @@ class TestSweeps:
         table = power_vs_delta_sweep(cfg, [0.005, 0.01, 0.015])
         powers = [r["mean_power_common"] for r in table]
         assert all(np.diff(powers) >= -1e-6)
+
+
+class TestDeltaSweepDesigns:
+    """A delta sweep asks for the nominal design at every grid point; the
+    design functions answer the repeats from memory."""
+
+    GRID = [0.005, 0.01, 0.02, 0.04]
+
+    def test_nominal_solved_once_per_trial(self, solves):
+        cfg = small_config(n_channel_trials=3, seed=77)
+        power_vs_delta_sweep(cfg, self.GRID)
+        assert len(solves) == cfg.n_channel_trials * (len(self.GRID) + 1)
+
+    def test_table_matches_direct_solves(self):
+        cfg = small_config(n_channel_trials=3, seed=78)
+        table = power_vs_delta_sweep(cfg, self.GRID)
+        power = {m: np.full((cfg.n_channel_trials, len(self.GRID)), np.nan)
+                 for m in cfg.methods}
+        for trial in range(cfg.n_channel_trials):
+            channels = model.generate_channels(cfg.n_u, cfg.n_t, trial_rng(cfg.seed, trial))
+            for g, delta in enumerate(self.GRID):
+                unc = UncertaintySpec(delta=[delta] * cfg.n_u, kappa=cfg.kappa)
+                for method in cfg.methods:
+                    if method == "nominal":
+                        program, layout = design.build_nominal(channels, cfg.qos())
+                    else:
+                        program, layout = design.build_robust(channels, cfg.qos(), unc)
+                    sol = conic.solve(program)
+                    if sol.status == conic.SolveStatus.OPTIMAL:
+                        power[method][trial, g] = model.transmit_power(
+                            design.extract_precoder(sol, layout))
+        common = np.logical_and.reduce(
+            [~np.isnan(p).any(axis=1) for p in power.values()])
+        assert common.any() and not common.all()  # both columns are exercised
+        expected = []
+        for g, delta in enumerate(self.GRID):
+            for method in sorted(cfg.methods):
+                column = power[method][:, g]
+                ok = ~np.isnan(column)
+                expected.append({
+                    "delta": delta, "method": method,
+                    "mean_power": float(np.mean(column[ok])) if ok.any() else float("nan"),
+                    "mean_power_common": float(np.mean(column[common])),
+                    "trials": cfg.n_channel_trials, "feasible_trials": int(ok.sum()),
+                    "feasibility_rate": ok.sum() / cfg.n_channel_trials})
+        np.testing.assert_equal(table, expected)
 
 
 class TestWorstCaseCheck:
