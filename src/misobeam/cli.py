@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,28 +28,36 @@ from .montecarlo import ExperimentConfig
 
 OUTDIR_ENV = "MISOBEAM_OUTDIR"
 
+# config key -> (ExperimentConfig field, value kind), in manifest order;
+# the explicit channel rows are no config field
 CONFIG_KEYS = {
-    "n_t": int,
-    "n_u": int,
-    "gamma_db": "floats",
-    "sigma": "floats",
-    "delta": "floats",
-    "kappa": float,
-    "trials": int,
-    "error_samples": int,
-    "error_mode": str,
-    "methods": "strings",
-    "seed": int,
-    "perturbation_sigma": str,
-    "channels": "channels",
+    "n_u": ("n_u", int),
+    "n_t": ("n_t", int),
+    "gamma_db": ("gamma_db", "floats"),
+    "sigma": ("sigma", "floats"),
+    "delta": ("delta", "floats"),
+    "kappa": ("kappa", float),
+    "trials": ("n_channel_trials", int),
+    "error_samples": ("n_error_samples", int),
+    "error_mode": ("error_mode", str),
+    "methods": ("methods", "strings"),
+    "seed": ("seed", int),
+    "perturbation_sigma": ("perturbation_sigma", str),
+    "channels": (None, "channels"),
 }
+# values of the fields ExperimentConfig requires, when a config omits them;
+# n_u and n_t default to the explicit channels' shape, else to 3
+REQUIRED_DEFAULTS = {"gamma_db": [5.0], "sigma": [1.0], "delta": [0.0]}
+# the commands that design for one channel instance, and so read `channels`
+CHANNEL_COMMANDS = ("design", "verify")
 
 
 class ConfigError(click.ClickException):
     exit_code = 1
 
 
-def _parse_value(key: str, raw, kind):
+def _parse_value(key: str, raw):
+    kind = CONFIG_KEYS[key][1]
     try:
         if kind == "floats":
             if isinstance(raw, (list, tuple)):
@@ -81,7 +90,7 @@ def parse_config_text(text: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw, CONFIG_KEYS[key])
+        values[key] = _parse_value(key, raw)
     return values
 
 
@@ -98,7 +107,7 @@ def _parse_manifest(text: str) -> dict:
     for key in raw:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"manifest config: unknown key {key!r}")
-    return {k: _parse_value(k, v, CONFIG_KEYS[k]) for k, v in raw.items()}
+    return {k: _parse_value(k, v) for k, v in raw.items()}
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
@@ -107,8 +116,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         values = _parse_manifest(text)
     else:
         values = parse_config_text(text)
@@ -116,20 +124,11 @@ def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
     rows = values.pop("channels", None)
     try:
         channels = None if rows is None else ChannelSet(rows)
-        config = ExperimentConfig(
-            n_u=values.get("n_u", channels.n_users if channels is not None else 3),
-            n_t=values.get("n_t", channels.n_tx if channels is not None else 3),
-            gamma_db=values.get("gamma_db", [5.0]),
-            sigma=values.get("sigma", [1.0]),
-            delta=values.get("delta", [0.0]),
-            kappa=values.get("kappa", 1.0),
-            n_channel_trials=values.get("trials", 100),
-            n_error_samples=values.get("error_samples", 100),
-            error_mode=values.get("error_mode", "ball"),
-            methods=tuple(values.get("methods", list(montecarlo.METHODS))),
-            seed=values.get("seed", 0),
-            perturbation_sigma=values.get("perturbation_sigma", "paper"),
-        )
+        fields = dict(REQUIRED_DEFAULTS, n_u=3, n_t=3)
+        if channels is not None:
+            fields.update(n_u=channels.n_users, n_t=channels.n_tx)
+        fields.update((CONFIG_KEYS[k][0], v) for k, v in values.items())
+        config = ExperimentConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc))
     if channels is not None and (channels.n_users != config.n_u
@@ -141,35 +140,15 @@ def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
 
 
 def _config_as_dict(config: ExperimentConfig, channels: ChannelSet | None) -> dict:
-    out = {
-        "n_u": config.n_u,
-        "n_t": config.n_t,
-        "gamma_db": list(config.gamma_db),
-        "sigma": list(config.sigma),
-        "delta": list(config.delta),
-        "kappa": config.kappa,
-        "trials": config.n_channel_trials,
-        "error_samples": config.n_error_samples,
-        "error_mode": config.error_mode,
-        "methods": list(config.methods),
-        "seed": config.seed,
-        "perturbation_sigma": config.perturbation_sigma,
-    }
+    out = {}
+    for key, (name, kind) in CONFIG_KEYS.items():
+        if name is not None:
+            value = getattr(config, name)
+            out[key] = list(value) if kind in ("floats", "strings") else value
     if channels is not None:
         out["channels"] = [[[float(v.real), float(v.imag)] for v in row]
                            for row in channels.rows]
     return out
-
-
-def _resolve_outdir(out: str | None) -> Path:
-    """Create the output directory; commands call this before any work, so
-    an unusable ``--out`` exits 1 at once instead of after the run."""
-    outdir = Path(out or os.environ.get(OUTDIR_ENV, "."))
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use output directory {str(outdir)!r}: {exc}")
-    return outdir
 
 
 def _fmt(value) -> str:
@@ -190,33 +169,90 @@ def _write_csv(path: Path, header, rows):
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _write_manifest(outdir: Path, command: str, config, channels, outputs,
-                    started_at: str, extra: dict | None = None) -> Path:
-    manifest = {
-        "tool": "misobeam",
-        "version": __version__,
-        "command": command,
-        "config": _config_as_dict(config, channels),
-        "seed": config.seed,
-        "outputs": [str(p) for p in outputs],
-        "started_at": started_at,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-    }
-    if extra:
-        manifest.update(extra)
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _get_channels(config: ExperimentConfig, channels: ChannelSet | None) -> ChannelSet:
-    if channels is not None:
-        return channels
-    return model.generate_channels(config.n_u, config.n_t, config.seed)
+@dataclass(frozen=True)
+class _Run:
+    """One command's resolved inputs, from ``_start``."""
+
+    command: str
+    started_at: str
+    config: ExperimentConfig
+    channels: ChannelSet | None
+    outdir: Path
+    grid: list[float] | None
+
+    def finish(self, outputs, **extra) -> Path:
+        """Write manifest.json: feeding it back in place of the config
+        reruns the command; ``extra`` holds the command's options."""
+        manifest = {
+            "tool": "misobeam",
+            "version": __version__,
+            "command": self.command,
+            "config": _config_as_dict(self.config, self.channels),
+            "seed": self.config.seed,
+            "outputs": [str(p) for p in outputs],
+            "started_at": self.started_at,
+            "finished_at": _now(),
+            **extra,
+        }
+        path = self.outdir / "manifest.json"
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+        return path
+
+
+def _start(command: str, config_path: str, seed: int | None, out: str | None,
+           axis: str | None = None, grid_text: str | None = None) -> _Run:
+    """The first step of every command: load the config, apply ``--seed``,
+    check a sweep's ``--grid`` on ``axis``, and create the output
+    directory.  Every check runs before any work, so bad input exits 1 at
+    once instead of after the run."""
+    started_at = _now()
+    config, channels = load_config(config_path)
+    if seed is not None:
+        config = replace(config, seed=seed)
+    if channels is not None and command not in CHANNEL_COMMANDS:
+        raise ConfigError(f"config key 'channels' applies to {' and '.join(CHANNEL_COMMANDS)}"
+                          f" only; {command} draws its channels from the seed")
+    grid = None
+    if axis is not None:
+        try:
+            grid = [float(v) for v in grid_text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid: {exc}")
+        if not grid:
+            raise ConfigError("--grid must contain at least one value")
+        for value in grid:
+            try:
+                montecarlo.sweep_point(config, axis, value)
+            except ValueError as exc:
+                raise ConfigError(f"bad --grid value {value}: {exc}")
+    outdir = Path(out or os.environ.get(OUTDIR_ENV, "."))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {str(outdir)!r}: {exc}")
+    return _Run(command, started_at, config, channels, outdir, grid)
+
+
+def _design_or_exit(run: _Run, method: str, path: Path, header):
+    """Design ``method`` for the run's explicit channels, else for channels
+    drawn from the seed; return (channels, result).  A design that does not
+    solve leaves its status in ``path`` (the other cells of ``header``
+    empty) and the manifest, and exits 2."""
+    config, estimates = run.config, run.channels
+    if estimates is None:
+        estimates = model.generate_channels(config.n_u, config.n_t, config.seed)
+    result = montecarlo.run_design(method, config, estimates)
+    if result.status != SolveStatus.OPTIMAL:
+        _write_csv(path, header,
+                   [[method, result.status.value] + [math.nan] * (len(header) - 2)])
+        run.finish([path], method=method)
+        click.echo(f"design did not solve: {result.status.value}", err=True)
+        sys.exit(2)
+    return estimates, result
 
 
 class _Commands(click.Group):
@@ -237,13 +273,6 @@ def main():
     """Minimum-power SINR-constrained precoder design and experiments."""
 
 
-def _seed_override(config: ExperimentConfig, seed: int | None) -> ExperimentConfig:
-    if seed is None:
-        return config
-    from dataclasses import replace
-    return replace(config, seed=seed)
-
-
 @main.command("design")
 @click.argument("config_path", type=str)
 @click.option("--method", type=click.Choice(montecarlo.METHODS), default="robust",
@@ -259,41 +288,19 @@ def cmd_design(config_path, method, seed, out):
     estimate from the seed.  Writes precoder.csv, summary.csv and
     manifest.json; exits 2 if the design is infeasible or the solve fails.
     """
-    started = _now()
-    config, channels = load_config(config_path)
-    config = _seed_override(config, seed)
-    outdir = _resolve_outdir(out)
-    estimates = _get_channels(config, channels)
-    qos = config.qos()
-    result = montecarlo.run_design(method, config, estimates)
-
-    summary_path = outdir / "summary.csv"
-    outputs = [summary_path]
-    sinr_db = [float("nan")] * config.n_u
-    if result.status == SolveStatus.OPTIMAL:
-        sinr_db = model.linear_to_db(
-            model.achieved_sinr(estimates, result.precoder, qos.sigma)).tolist()
-        precoder_path = outdir / "precoder.csv"
-        header = []
-        for k in range(config.n_u):
-            header += [f"re_{k + 1}", f"im_{k + 1}"]
-        rows = []
-        for i in range(config.n_t):
-            row = []
-            for k in range(config.n_u):
-                row += [result.precoder.matrix[i, k].real, result.precoder.matrix[i, k].imag]
-            rows.append(row)
-        _write_csv(precoder_path, header, rows)
-        outputs.insert(0, precoder_path)
-
-    header = ["method", "status", "power"] + [f"sinr_db_{k + 1}" for k in range(config.n_u)]
+    run = _start("design", config_path, seed, out)
+    n_u = run.config.n_u
+    summary_path = run.outdir / "summary.csv"
+    header = ["method", "status", "power"] + [f"sinr_db_{k + 1}" for k in range(n_u)]
+    estimates, result = _design_or_exit(run, method, summary_path, header)
+    B = result.precoder.matrix
+    sinr_db = model.linear_to_db(model.achieved_sinr(estimates, result.precoder,
+                                                     run.config.sigma)).tolist()
     _write_csv(summary_path, header, [[method, result.status.value, result.power] + sinr_db])
-    _write_manifest(outdir, "design", config, channels, outputs, started,
-                    extra={"method": method})
-
-    if result.status != SolveStatus.OPTIMAL:
-        click.echo(f"design did not solve: {result.status.value}", err=True)
-        sys.exit(2)
+    precoder_path = run.outdir / "precoder.csv"
+    _write_csv(precoder_path, [f"{part}_{k + 1}" for k in range(n_u) for part in ("re", "im")],
+               np.stack([B.real, B.imag], axis=-1).reshape(B.shape[0], -1).tolist())
+    run.finish([precoder_path, summary_path], method=method)
     click.echo(f"power={_fmt(result.power)} status={result.status.value}")
 
 
@@ -306,46 +313,29 @@ def cmd_design(config_path, method, seed, out):
               help="Parallel trial workers.")
 def cmd_cdf(config_path, seed, out, workers):
     """Empirical CDF of achieved SINR under channel errors (cdf.csv)."""
-    started = _now()
-    config, channels = load_config(config_path)
-    config = _seed_override(config, seed)
-    outdir = _resolve_outdir(out)
-    report = montecarlo.sinr_cdf_experiment(config, workers=workers)
+    run = _start("cdf", config_path, seed, out)
+    methods = run.config.methods
+    report = montecarlo.sinr_cdf_experiment(run.config, workers=workers)
     rows = []
-    for method in config.methods:
+    for method in methods:
         samples = report.methods[method].sinr_db
         n = samples.size
         rows += [[method, v, (i + 1) / n] for i, v in enumerate(samples.tolist())]
-    path = outdir / "cdf.csv"
+    path = run.outdir / "cdf.csv"
     _write_csv(path, ("method", "sinr_db", "cdf"), rows)
-    rate_rows = [[m, report.methods[m].feasibility_rate] for m in config.methods]
-    rates_path = outdir / "feasibility.csv"
-    _write_csv(rates_path, ("method", "feasibility_rate"), rate_rows)
-    _write_manifest(outdir, "cdf", config, channels, [path, rates_path], started)
+    rates_path = run.outdir / "feasibility.csv"
+    _write_csv(rates_path, ("method", "feasibility_rate"),
+               [[m, report.methods[m].feasibility_rate] for m in methods])
+    run.finish([path, rates_path])
     click.echo(f"wrote {path}")
 
 
 def _run_sweep(command, config_path, seed, out, workers, grid_text, axis, columns, runner):
-    started = _now()
-    config, channels = load_config(config_path)
-    config = _seed_override(config, seed)
-    try:
-        grid = [float(v) for v in grid_text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --grid: {exc}")
-    if not grid:
-        raise ConfigError("--grid must contain at least one value")
-    for value in grid:  # reject a bad point before any trial runs
-        try:
-            montecarlo.sweep_point(config, axis, value)
-        except ValueError as exc:
-            raise ConfigError(f"bad --grid value {value}: {exc}")
-    outdir = _resolve_outdir(out)
-    table = runner(config, grid, workers=workers)
-    path = outdir / f"{command.replace('-', '_')}.csv"
+    run = _start(command, config_path, seed, out, axis, grid_text)
+    table = runner(run.config, run.grid, workers=workers)
+    path = run.outdir / f"{command.replace('-', '_')}.csv"
     _write_csv(path, columns, [[row[c] for c in columns] for row in table])
-    _write_manifest(outdir, command, config, channels, [path], started,
-                    extra={"grid": grid})
+    run.finish([path], grid=run.grid)
     click.echo(f"wrote {path}")
 
 
@@ -388,23 +378,13 @@ def cmd_sweep_delta(config_path, grid, seed, out, workers):
 @click.option("--out", type=str, default=None, help="Output directory.")
 def cmd_verify(config_path, method, samples, seed, out):
     """Design a precoder and audit its worst-case SINR by sphere sampling."""
-    started = _now()
-    config, channels = load_config(config_path)
-    config = _seed_override(config, seed)
-    outdir = _resolve_outdir(out)
-    estimates = _get_channels(config, channels)
-    qos = config.qos()
-    result = montecarlo.run_design(method, config, estimates)
-    if result.status != SolveStatus.OPTIMAL:
-        _write_csv(outdir / "verify.csv", ("method", "status"), [[method, result.status.value]])
-        _write_manifest(outdir, "verify", config, channels, [outdir / "verify.csv"],
-                        started, extra={"method": method})
-        click.echo(f"design did not solve: {result.status.value}", err=True)
-        sys.exit(2)
-
+    run = _start("verify", config_path, seed, out)
+    config = run.config
+    path = run.outdir / "verify.csv"
+    estimates, result = _design_or_exit(run, method, path, ("method", "status"))
     n_samples = samples if samples is not None else config.n_error_samples
     report = montecarlo.worst_case_check(
-        estimates, result.precoder, qos, config.delta, n_samples, config.seed)
+        estimates, result.precoder, config.qos(), config.delta, n_samples, config.seed)
     header = ["user", "target_sinr_db", "min_sinr_db", "margin_db"]
     header += [f"err_re_{i + 1}" for i in range(config.n_t)]
     header += [f"err_im_{i + 1}" for i in range(config.n_t)]
@@ -414,10 +394,8 @@ def cmd_verify(config_path, method, samples, seed, out):
         rows.append([k + 1, config.gamma_db[k], report.min_sinr_db[k],
                      report.min_sinr_db[k] - config.gamma_db[k]]
                     + [v.real for v in err] + [v.imag for v in err])
-    path = outdir / "verify.csv"
     _write_csv(path, header, rows)
-    _write_manifest(outdir, "verify", config, channels, [path], started,
-                    extra={"method": method, "samples": n_samples})
+    run.finish([path], method=method, samples=n_samples)
     click.echo(f"min margin {_fmt(float(np.min(report.min_sinr_db - np.asarray(config.gamma_db))))} dB")
 
 

@@ -27,12 +27,21 @@ t_{k,i} +- a_k B_bar[i, k].  That norm grows with rho, so the two forms
 admit the same (B, t, y) (Lobo, Vandenberghe, Boyd & Lebret 1998); at
 n_t = n_u = 8 the program shrinks from 5017 x 265 to 1313 x 273.
 
-``design_nominal`` and ``design_robust`` each remember their last request
-and its result, and answer an exact repeat from memory.  The key holds
-every input the result depends on: the channel rows (shape and bytes), the
-bytes of gamma and sigma, the solver settings and, for the robust design,
-the bytes of delta, kappa as a float64 (the program reads only kappa *
-delta) and the perturbation mode.  Build and solve are deterministic
+``design_nominal`` and ``design_robust`` solve in the unit noise scale:
+they build the program for sigma / s with s = max_k sigma_k and scale the
+solution back by s.  Both programs, in both perturbation modes, are
+homogeneous of degree 1 in (B, tau, y, t, rho, sigma), so this is exact,
+and it keeps the solver's data near 1 whatever unit the caller measures
+noise in; at s = 1 nothing is scaled.  A design reports Optimal only if
+its precoder meets every SINR target at the estimates within the relative
+tolerance SINR_TOL; otherwise it reports NumericalFailure.
+
+Both functions also remember their last request and its result, and
+answer an exact repeat from memory.  The key holds every input the result
+depends on, as the caller gave it: the channel rows (shape and bytes), the
+bytes of gamma and sigma and, for the robust design, the bytes of delta,
+kappa as a float64 (the program reads only kappa * delta) and the
+perturbation mode.  Build and solve are deterministic
 functions of these, so a hit returns what a fresh solve would return, bit
 for bit; inputs and results are frozen dataclasses over read-only arrays,
 so the shared result cannot change under a caller.  A delta sweep asks for
@@ -42,15 +51,18 @@ all differ, so one entry per function removes every repeated solve there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import conic, model
-from .conic import ConeProgram, SecondOrder, Solution, SolverSettings, SolveStatus
+from .conic import ConeProgram, SecondOrder, Solution, SolveStatus
 from .model import ChannelSet, Precoder, QosSpec
 
 PERTURBATION_SIGMA_MODES = ("paper", "zero")
+# a design reports Optimal only if its precoder meets every SINR target at
+# the estimates within this relative tolerance; otherwise NumericalFailure
+SINR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,11 @@ class RobustProgramLayout(ProgramLayout):
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Outcome of a design pipeline; precoder is None unless Optimal."""
+    """Outcome of a design pipeline; precoder is None unless Optimal.
+
+    ``solution`` is the solver's outcome in the caller's noise unit.  It
+    reads Optimal where the design reads NumericalFailure because the
+    precoder misses a target at the estimates."""
 
     precoder: Precoder | None
     power: float
@@ -301,6 +317,12 @@ def build_robust(
     the perturbation cones: mode "paper" keeps sigma_k there (conservative
     default), mode "zero" puts 0, bounding only the genuinely perturbed
     data (the strict linearization).  Both modes share one layout.
+
+    In "paper" mode the perturbation cones add the received-amplitude
+    sigma_k to the precoder-unit rho_j, so the design's power depends on
+    the absolute noise unit: scaling channels, radii and noise together,
+    which leaves every SINR and every uncertainty set unchanged, changes
+    the power.  The "zero" mode does not have this dependence.
     """
     _check_dims(channels, qos)
     if unc.n_users != channels.n_users:
@@ -323,31 +345,26 @@ def extract_precoder(solution: Solution, layout: ProgramLayout) -> Precoder:
     return Precoder(re + 1j * im)
 
 
-def design_nominal(
-    channels: ChannelSet,
-    qos: QosSpec,
-    settings: SolverSettings | None = None,
-) -> DesignResult:
+def design_nominal(channels: ChannelSet, qos: QosSpec) -> DesignResult:
     """Build, solve and extract the nominal design; non-Optimal solver
     statuses propagate in the result instead of raising.  An exact repeat
     of the previous request returns the previous result."""
-    key = _request_key(channels, qos, settings)
-    return _recall("nominal", key, lambda: _solve(*build_nominal(channels, qos), settings))
+    return _recall("nominal", _request_key(channels, qos),
+                   lambda: _design(channels, qos, lambda unit: build_nominal(channels, unit)))
 
 
 def design_robust(
     channels: ChannelSet,
     qos: QosSpec,
     unc: UncertaintySpec,
-    settings: SolverSettings | None = None,
     perturbation_sigma: str = "paper",
 ) -> DesignResult:
     """Build, solve and extract the robust design.  An exact repeat of the
     previous request returns the previous result."""
-    key = _request_key(channels, qos, settings) + (
+    key = _request_key(channels, qos) + (
         unc.delta.tobytes(), np.float64(unc.kappa).tobytes(), perturbation_sigma)
-    return _recall("robust", key, lambda: _solve(
-        *build_robust(channels, qos, unc, perturbation_sigma), settings))
+    return _recall("robust", key, lambda: _design(
+        channels, qos, lambda unit: build_robust(channels, unit, unc, perturbation_sigma)))
 
 
 # method -> (key, result) of that design function's last request; an entry
@@ -356,10 +373,9 @@ def design_robust(
 _last: dict[str, tuple[tuple, DesignResult]] = {}
 
 
-def _request_key(channels: ChannelSet, qos: QosSpec,
-                 settings: SolverSettings | None) -> tuple:
+def _request_key(channels: ChannelSet, qos: QosSpec) -> tuple:
     return (channels.rows.shape, channels.rows.tobytes(), qos.gamma.tobytes(),
-            qos.sigma.tobytes(), settings)
+            qos.sigma.tobytes())
 
 
 def _recall(method: str, key: tuple, compute) -> DesignResult:
@@ -371,12 +387,22 @@ def _recall(method: str, key: tuple, compute) -> DesignResult:
     return result
 
 
-def _solve(program: ConeProgram, layout: ProgramLayout,
-           settings: SolverSettings | None) -> DesignResult:
-    solution = conic.solve(program, settings)
+def _design(channels: ChannelSet, qos: QosSpec, build) -> DesignResult:
+    """Solve ``build(unit_qos)`` at the noise divided by s = max_k sigma_k,
+    scale the solution back by s, and check it at the estimates."""
+    scale = float(np.max(qos.sigma))
+    program, layout = build(QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale))
+    solution = conic.solve(program)
+    if scale != 1.0:  # at s = 1 the design hands back the solver's own Solution
+        solution = replace(solution, x=scale * solution.x,
+                           objective_value=scale * solution.objective_value)
     if solution.status != SolveStatus.OPTIMAL:
         return DesignResult(precoder=None, power=float("nan"),
                             status=solution.status, solution=solution)
     precoder = extract_precoder(solution, layout)
+    sinr = model.achieved_sinr(channels, precoder, qos.sigma)
+    if np.any(sinr < qos.gamma * (1.0 - SINR_TOL)):
+        return DesignResult(precoder=None, power=float("nan"),
+                            status=SolveStatus.NUMERICAL_FAILURE, solution=solution)
     return DesignResult(precoder=precoder, power=model.transmit_power(precoder),
                         status=solution.status, solution=solution)

@@ -69,10 +69,6 @@ class Precoder:
     def n_users(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def total_power(self) -> float:
-        return transmit_power(self)
-
 
 @dataclass(frozen=True)
 class QosSpec:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -80,6 +81,8 @@ class ExperimentConfig:
         methods = tuple(self.methods)
         if not methods or any(m not in METHODS for m in methods):
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        if len(set(methods)) != len(methods):
+            raise ValueError(f"methods must not repeat, got {','.join(methods)}")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "gamma_db", _per_user(self.gamma_db, self.n_u, "gamma_db"))
         object.__setattr__(self, "sigma", _per_user(self.sigma, self.n_u, "sigma"))
@@ -158,19 +161,11 @@ def _cdf_trial(config: ExperimentConfig, trial: int):
 
 
 def _run_trials(worker, n_trials: int, workers: int):
+    # ``worker`` is a partial over a module-level function, so it pickles
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, range(n_trials)))
     return [worker(t) for t in range(n_trials)]
-
-
-class _CdfTrial:
-    # picklable trial callable for ProcessPoolExecutor
-    def __init__(self, config):
-        self.config = config
-
-    def __call__(self, trial):
-        return _cdf_trial(self.config, trial)
 
 
 def sinr_cdf_experiment(config: ExperimentConfig, workers: int = 1) -> SimulationReport:
@@ -180,7 +175,7 @@ def sinr_cdf_experiment(config: ExperimentConfig, workers: int = 1) -> Simulatio
     enabled method on the same error draws; infeasible trials are counted
     in the feasibility rate and contribute no SINR samples.
     """
-    raw = _run_trials(_CdfTrial(config), config.n_channel_trials, workers)
+    raw = _run_trials(partial(_cdf_trial, config), config.n_channel_trials, workers)
     methods = {}
     for method in config.methods:
         statuses = tuple(r[method][0] for r in raw)
@@ -210,30 +205,23 @@ def sweep_point(config: ExperimentConfig, axis: str, value: float) -> Experiment
     return replace(config, **{axis: _per_user(value, config.n_u, axis)})
 
 
-class _SweepTrial:
+def _sweep_trial(config: ExperimentConfig, axis: str, grid, trial: int):
     """One trial of a parameter sweep: a single channel draw is reused for
     every grid point (common random numbers), so per-trial monotonicity in
     the swept parameter is exact rather than statistical."""
-
-    def __init__(self, config, axis: str, grid):
-        self.config = config
-        self.axis = axis
-        self.grid = tuple(grid)
-
-    def __call__(self, trial):
-        config = self.config
-        rng = trial_rng(config.seed, trial)
-        channels = model.generate_channels(config.n_u, config.n_t, rng)
-        rows = []
-        for value in self.grid:
-            results = _design_methods(sweep_point(config, self.axis, value), channels)
-            rows.append({m: (r.status.value, r.power) for m, r in results.items()})
-        return rows
+    rng = trial_rng(config.seed, trial)
+    channels = model.generate_channels(config.n_u, config.n_t, rng)
+    rows = []
+    for value in grid:
+        results = _design_methods(sweep_point(config, axis, value), channels)
+        rows.append({m: (r.status.value, r.power) for m, r in results.items()})
+    return rows
 
 
 def _sweep(config: ExperimentConfig, axis: str, grid, workers: int = 1):
     grid = [float(g) for g in grid]
-    raw = _run_trials(_SweepTrial(config, axis, grid), config.n_channel_trials, workers)
+    raw = _run_trials(partial(_sweep_trial, config, axis, grid), config.n_channel_trials,
+                      workers)
     # mean_power averages the trials feasible at each point, so the curve
     # mixes different trial subsets near the feasibility boundary; the
     # mean_power_common column restricts to trials feasible for every method

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,7 @@ class TestConfigParsing:
         path = write(tmp_path, "c.cfg",
                      "n_t = 2\nn_u = 2\nseed = 4\nchannels = 1+0j, 0+1j ; 2-1j, 0.5+0j\n")
         config, channels = load_config(path)
-        manifest = cli._write_manifest(tmp_path, "design", config, channels, [], cli._now())
+        manifest = cli._start("design", path, None, str(tmp_path)).finish([])
         reloaded, reloaded_channels = load_config(str(manifest))
         np.testing.assert_array_equal(reloaded_channels.rows, channels.rows)
         assert cli._config_as_dict(reloaded, reloaded_channels) == \
@@ -194,6 +195,32 @@ class TestBadNumbers:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1, result.output
         assert "bad --grid value" in result.output
+        assert not (tmp_path / "o").exists()
+
+
+class TestConfigScope:
+    """Config values a command would silently misuse exit 1 with a message,
+    before any work runs."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_repeated_method(self, runner, tmp_path, no_work, command):
+        # a repeated method used to write each of its rows twice
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG.replace(
+            "methods = nominal,robust", "methods = robust,robust"))
+        result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "methods must not repeat" in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["cdf", "sweep-gamma", "sweep-delta"])
+    def test_channels_outside_design_and_verify(self, runner, tmp_path, no_work, command):
+        # these commands draw fresh channels per trial; they used to ignore
+        # explicit ones while the manifest still recorded them
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG.replace(
+            "n_t = 3\nn_u = 3\n", "n_t = 1\nn_u = 1\nchannels = 1+0j\n"))
+        result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "'channels' applies to design and verify only" in result.output
         assert not (tmp_path / "o").exists()
 
 
@@ -293,13 +320,37 @@ class TestExperimentCommands:
         rows = read_csv(out / "sweep_gamma.csv")
         assert len(rows) == 1 + 6 * 2  # header + 6 grid points x 2 methods
 
+    RERUNS = [
+        ("design", EXPERIMENT_CONFIG, ["--method", "nominal"]),
+        ("design", SCALAR_CONFIG, ["--method", "robust"]),
+        ("cdf", EXPERIMENT_CONFIG, []),
+        ("sweep-gamma", EXPERIMENT_CONFIG, ["--grid", "0,6"]),
+        ("sweep-delta", EXPERIMENT_CONFIG, ["--grid", "0.005,0.3"]),
+        ("verify", EXPERIMENT_CONFIG, ["--samples", "50"]),
+        ("verify", SCALAR_CONFIG, ["--method", "nominal"]),
+    ]
+
     def test_manifest_rerun_is_byte_identical(self, runner, tmp_path):
-        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert runner.invoke(main, ["cdf", cfg, "--out", str(out1)]).exit_code == 0
-        manifest = out1 / "manifest.json"
-        assert runner.invoke(main, ["cdf", str(manifest), "--out", str(out2)]).exit_code == 0
-        assert (out1 / "cdf.csv").read_bytes() == (out2 / "cdf.csv").read_bytes()
+        # every command, with the options given again: the manifest
+        # replaces the config, explicit channels included
+        for i, (command, config, options) in enumerate(self.RERUNS):
+            cfg = write(tmp_path, f"{i}.cfg", config.replace("trials = 3", "trials = 2"))
+            out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            first = runner.invoke(main, [command, cfg, "--out", str(out1), *options])
+            assert first.exit_code == 0, first.output
+            again = runner.invoke(main, [command, str(out1 / "manifest.json"),
+                                         "--out", str(out2), *options])
+            assert again.exit_code == 0, again.output
+            manifests = [json.loads((out / "manifest.json").read_text())
+                         for out in (out1, out2)]
+            assert manifests[0]["outputs"]
+            for name in (Path(p).name for p in manifests[0]["outputs"]):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
+                    (command, name)
+            for manifest in manifests:
+                for key in ("outputs", "started_at", "finished_at"):
+                    del manifest[key]
+            assert list(manifests[0].items()) == list(manifests[1].items())
 
     def test_manifest_contents(self, runner, tmp_path):
         cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
@@ -364,3 +415,9 @@ def test_csv_bytes_match_csv_writer(tmp_path):
             writer.writerow([cli._fmt(v) for v in row])
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert path.read_bytes().count(b"\r\n") == len(rows) + 1
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Config keys:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(cli.CONFIG_KEYS)

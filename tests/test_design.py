@@ -2,9 +2,12 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misobeam import conic, model
 from misobeam.conic import SecondOrder, Solution, SolveStatus
@@ -89,15 +92,14 @@ class TestBuildNominal:
 MEMO_BASE = dict(channels=model.generate_channels(3, 3, 4242),
                  qos=QosSpec.from_db([5.0] * 3, [1.0] * 3),
                  unc=UncertaintySpec(delta=[0.015] * 3),
-                 settings=None, perturbation_sigma="paper")
+                 perturbation_sigma="paper")
 
 
 def memo_request(method, **changes):
     a = dict(MEMO_BASE, **changes)
     if method == "nominal":
-        return design_nominal(a["channels"], a["qos"], a["settings"])
-    return design_robust(a["channels"], a["qos"], a["unc"], a["settings"],
-                         a["perturbation_sigma"])
+        return design_nominal(a["channels"], a["qos"])
+    return design_robust(a["channels"], a["qos"], a["unc"], a["perturbation_sigma"])
 
 
 class TestDesignMemo:
@@ -120,7 +122,6 @@ class TestDesignMemo:
 
     CHANGES = {
         "channels": model.generate_channels(3, 3, 4243),
-        "settings": conic.SolverSettings(gap_tol=1e-9),
         "qos-sigma": QosSpec.from_db([5.0] * 3, [1.0, 1.0, 1.25]),
         "qos-gamma": QosSpec.from_db([5.0, 5.0, 6.0], [1.0] * 3),
         "unc-delta": UncertaintySpec(delta=[0.015, 0.015, 0.02]),
@@ -129,9 +130,8 @@ class TestDesignMemo:
     }
 
     @pytest.mark.parametrize("method,change", [
-        ("nominal", "channels"), ("nominal", "settings"), ("nominal", "qos-sigma"),
-        ("nominal", "qos-gamma"), ("robust", "channels"), ("robust", "settings"),
-        ("robust", "qos-sigma"), ("robust", "qos-gamma"), ("robust", "unc-delta"),
+        ("nominal", "channels"), ("nominal", "qos-sigma"), ("nominal", "qos-gamma"),
+        ("robust", "channels"), ("robust", "qos-sigma"), ("robust", "qos-gamma"), ("robust", "unc-delta"),
         ("robust", "unc-kappa"), ("robust", "perturbation_sigma"),
     ])
     def test_any_changed_input_solves_afresh(self, solves, method, change):
@@ -432,9 +432,8 @@ class TestRobustLayout:
 
 
 # Statuses and iteration counts of a few designs, pinned so that a solver
-# change which moves convergence has to say so.  The last row is the known
-# defect of ROADMAP item 3: at sigma = 1e-6 the robust design should be
-# PrimalInfeasible, as it is at sigma = 1.
+# change which moves convergence has to say so.  The last row is solved in
+# the unit noise scale, so it matches its sigma = 1 design.
 CONVERGENCE_PINS = [
     # method, n_t = n_u, channel seed, gamma (dB), sigma, delta, status, iterations
     ("nominal", 1, 1000, 5.0, 1.0, 0.0, SolveStatus.OPTIMAL, 8),
@@ -442,7 +441,7 @@ CONVERGENCE_PINS = [
     ("nominal", 3, 3000, 5.0, 1.0, 0.0, SolveStatus.OPTIMAL, 8),
     ("robust", 3, 3000, 5.0, 1.0, 0.015, SolveStatus.OPTIMAL, 13),
     ("robust", 3, 3000, 15.0, 1.0, 0.015, SolveStatus.PRIMAL_INFEASIBLE, 8),
-    ("robust", 3, 7, 30.0, 1e-6, 0.015, SolveStatus.NUMERICAL_FAILURE, 22),
+    ("robust", 3, 7, 30.0, 1e-6, 0.015, SolveStatus.PRIMAL_INFEASIBLE, 8),
 ]
 
 
@@ -461,14 +460,76 @@ def test_convergence_pinned(method, n, seed, gamma_db, sigma, delta, status, ite
 
 def test_large_sigma_nominal_is_scaled_unit_design():
     """At sigma = 1e6 the nominal 5 dB design on generate_channels(3, 3, 7)
-    is the sigma = 1 design scaled by 1e6.  The textbook step-length roots
-    lost digits on this solve and ended it in a false PrimalInfeasible
-    after 19 iterations."""
+    is the sigma = 1 design scaled by 1e6, reached in the same iterations.
+    Solved in the caller's unit, it once ended in a false PrimalInfeasible
+    after 19 iterations, and later took 16 iterations."""
     channels = model.generate_channels(3, 3, 7)
     unit = design_nominal(channels, QosSpec.from_db([5.0] * 3, [1.0] * 3))
     large = design_nominal(channels, QosSpec.from_db([5.0] * 3, [1e6] * 3))
     assert large.status == SolveStatus.OPTIMAL
-    assert abs(large.solution.iterations - 16) <= 1
+    assert large.solution.iterations == unit.solution.iterations == 8
     assert large.power / 1e12 == pytest.approx(unit.power, rel=1e-8)
     sinr_db = 10.0 * np.log10(model.achieved_sinr(channels, large.precoder, [1e6] * 3))
     assert np.all(sinr_db >= 5.0 - 1e-6)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 99), method=st.sampled_from(["nominal", "zero", "paper"]),
+       log_scale=st.floats(-9.0, 6.0), log_c=st.floats(-4.0, 4.0),
+       log_spread=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3))
+def test_design_does_not_depend_on_units(seed, method, log_scale, log_c, log_spread):
+    """Noise times s and channels and radii times c (c = 1 for the "paper"
+    mode, which is not homogeneous in the channels) leave the status as it
+    is and scale the power by (s / c)^2."""
+    channels = model.generate_channels(3, 3, seed)
+    spread = 10.0 ** np.array(log_spread)
+    s, c = 10.0 ** log_scale, 1.0 if method == "paper" else 10.0 ** log_c
+
+    def run(c, s):
+        qos = QosSpec.from_db([5.0] * 3, s * spread)
+        if method == "nominal":
+            return design_nominal(ChannelSet(c * channels.rows), qos)
+        return design_robust(ChannelSet(c * channels.rows), qos,
+                             UncertaintySpec(delta=[c * 0.015] * 3), method)
+
+    unit, scaled = run(1.0, 1.0), run(c, s)
+    assert scaled.status == unit.status
+    assert unit.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE)
+    if unit.status == SolveStatus.OPTIMAL:
+        assert scaled.power * (c / s) ** 2 == pytest.approx(unit.power, rel=1e-6)
+
+
+def test_paper_mode_power_depends_on_the_noise_unit():
+    # (H, delta, sigma) -> (c H, c delta, c sigma) leaves every SINR and
+    # every uncertainty set as it was; only the "zero" mode keeps its power
+    channels = model.generate_channels(3, 3, 7)
+
+    def power(mode, c):
+        return design_robust(ChannelSet(c * channels.rows),
+                             QosSpec.from_db([5.0] * 3, [c] * 3),
+                             UncertaintySpec(delta=[c * 0.015] * 3), mode).power
+
+    zero = [power("zero", c) for c in (0.1, 10.0)]
+    paper = [power("paper", c) for c in (0.1, 10.0)]
+    assert zero[1] == pytest.approx(zero[0], rel=1e-6)
+    assert paper[1] > 2.0 * paper[0]
+
+
+@pytest.mark.parametrize("factor,status", [(1.0 - 1e-8, SolveStatus.OPTIMAL),
+                                           (1.0 - 1e-5, SolveStatus.NUMERICAL_FAILURE)])
+def test_optimal_requires_every_target_met(solves, monkeypatch, factor, status):
+    # a solver that reports Optimal for a shrunken precoder: the design
+    # checks the SINR at the estimates and reports NumericalFailure when a
+    # user misses its target by more than SINR_TOL
+    solve = conic.solve
+
+    def shrunk(program):
+        solution = solve(program)
+        return replace(solution, x=factor * solution.x)
+
+    monkeypatch.setattr(conic, "solve", shrunk)
+    result = design_nominal(model.generate_channels(3, 3, 4244),
+                            QosSpec.from_db([5.0] * 3, [1.0] * 3))
+    assert result.solution.status == SolveStatus.OPTIMAL
+    assert result.status == status
+    assert (result.precoder is None) == (status != SolveStatus.OPTIMAL)

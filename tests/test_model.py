@@ -128,10 +128,6 @@ class TestTransmitPower:
         # |3|^2 + |4i|^2 = 25
         assert transmit_power(Precoder(np.array([[3.0], [4.0j]]))) == pytest.approx(25.0)
 
-    def test_accessor_matches(self):
-        p = Precoder(np.array([[1.0 + 2.0j], [0.5]]))
-        assert p.total_power == transmit_power(p)
-
 
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2**31 - 1), theta=st.floats(0.0, 2 * np.pi),
