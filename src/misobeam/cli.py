@@ -50,6 +50,13 @@ CONFIG_KEYS = {
 REQUIRED_DEFAULTS = {"gamma_db": [5.0], "sigma": [1.0], "delta": [0.0]}
 # the commands that design for one channel instance, and so read `channels`
 CHANNEL_COMMANDS = ("design", "verify")
+# the command options a manifest records, so that a rerun from it reads them
+MANIFEST_OPTIONS = ("method", "samples", "grid")
+# sweep command -> (config field it sweeps, default --grid)
+SWEEPS = {
+    "sweep-gamma": ("gamma_db", "0,2,4,6,8,10"),
+    "sweep-delta": ("delta", "0.005,0.01,0.015,0.02,0.025,0.03,0.035,0.04,0.045,0.05"),
+}
 
 
 class ConfigError(click.ClickException):
@@ -94,9 +101,10 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _parse_manifest(text: str) -> dict:
+def _parse_manifest(text: str) -> tuple[dict, dict]:
     """Parse a JSON config: a manifest.json whose "config" object holds the
-    keys, or a bare object of config keys."""
+    keys, or a bare object of config keys.  Returns the config values and
+    the manifest's command and options (empty for a bare object)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -104,22 +112,32 @@ def _parse_manifest(text: str) -> dict:
     raw = data.get("config", data)
     if not isinstance(raw, dict):
         raise ConfigError(f"manifest 'config' must be an object, got {type(raw).__name__}")
-    for key in raw:
+    for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"manifest config: unknown key {key!r}")
-    return {k: _parse_value(k, v) for k, v in raw.items()}
+        # int() would truncate 2.9 and accept true
+        if CONFIG_KEYS[key][1] is int and type(value) is not int:
+            raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
+    recorded = {}
+    if "config" in data:
+        recorded = {k: data[k] for k in ("command", *MANIFEST_OPTIONS) if k in data}
+    return {k: _parse_value(k, v) for k, v in raw.items()}, recorded
 
 
-def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
-    """Load a flat config file or a manifest.json written by an earlier run."""
+def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None, dict]:
+    """Load a flat config file or a manifest.json written by an earlier run.
+
+    Returns the config, the explicit channels (None if the config gives
+    none) and, for a manifest, its command and recorded options (else an
+    empty dict)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     if text.lstrip().startswith("{"):
-        values = _parse_manifest(text)
+        values, recorded = _parse_manifest(text)
     else:
-        values = parse_config_text(text)
+        values, recorded = parse_config_text(text), {}
 
     rows = values.pop("channels", None)
     try:
@@ -136,7 +154,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None]:
         raise ConfigError(
             f"explicit channels are {channels.n_users}x{channels.n_tx} but config "
             f"says n_u={config.n_u}, n_t={config.n_t}")
-    return config, channels
+    return config, channels, recorded
 
 
 def _config_as_dict(config: ExperimentConfig, channels: ChannelSet | None) -> dict:
@@ -159,14 +177,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows):
-    """Write ``header`` and ``rows`` as the bytes ``csv.writer`` writes for
-    the cells formatted by ``_fmt``: comma-separated, CRLF line ends.  The
-    cells are numbers and plain identifiers, none of which needs quoting,
-    so each row is one join and the file is one write."""
-    lines = [",".join(map(_fmt, row)) for row in (header, *rows)]
+def _column(cells) -> tuple[str, list]:
+    """The ``%`` format and the values of one column of cells (an array's
+    cells are its ``tolist()`` elements): ``%.12g`` over the cells
+    themselves when each is a finite float, else ``%s`` over ``_fmt``'s
+    strings.  Either way a cell reads as ``_fmt`` writes it."""
+    if isinstance(cells, np.ndarray):
+        finite = cells.dtype.kind == "f" and bool(np.isfinite(cells).all())
+        cells = cells.tolist()
+    else:
+        finite = all(isinstance(v, float) and math.isfinite(v) for v in cells)
+    return ("%.12g", cells) if finite else ("%s", [_fmt(v) for v in cells])
+
+
+def _write_csv(path: Path, header, *blocks):
+    """Write a table as the bytes ``csv.writer`` writes for ``header`` and
+    the rows of ``blocks``, with every cell formatted by ``_fmt``:
+    comma-separated, CRLF line ends.
+
+    A block gives one column per header cell, each a list or array of
+    cells or one value that fills the block's rows; a block of single
+    values is one row.  Each block is formatted by one ``%`` operation
+    over its cells in row order, and the file is one write.  The cells are
+    numbers and plain identifiers, none of which needs quoting, and every
+    table has at least two columns (``csv.writer`` quotes a lone empty
+    cell)."""
+    parts = [",".join(map(_fmt, header)) + "\r\n"]
+    for block in blocks:
+        specs, columns = [], []
+        for cells in block:
+            if isinstance(cells, (list, tuple, np.ndarray)):
+                spec, values = _column(cells)
+                columns.append(values)
+            else:  # a constant column is part of the row format
+                spec = _fmt(cells).replace("%", "%%")
+            specs.append(spec)
+        n_rows, width = (len(columns[0]), len(columns)) if columns else (1, 0)
+        flat = [None] * (n_rows * width)
+        for j, values in enumerate(columns):
+            flat[j::width] = values
+        parts.append((",".join(specs) + "\r\n") * n_rows % tuple(flat))
     with path.open("w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write("".join(parts))
 
 
 def _now() -> str:
@@ -182,7 +234,7 @@ class _Run:
     config: ExperimentConfig
     channels: ChannelSet | None
     outdir: Path
-    grid: list[float] | None
+    options: dict
 
     def finish(self, outputs, **extra) -> Path:
         """Write manifest.json: feeding it back in place of the config
@@ -204,51 +256,78 @@ class _Run:
 
 
 def _start(command: str, config_path: str, seed: int | None, out: str | None,
-           axis: str | None = None, grid_text: str | None = None) -> _Run:
+           **options) -> _Run:
     """The first step of every command: load the config, apply ``--seed``,
-    check a sweep's ``--grid`` on ``axis``, and create the output
-    directory.  Every check runs before any work, so bad input exits 1 at
+    resolve the command's ``options`` and create the output directory.
+
+    ``options`` holds the command-line values of the command's options
+    among MANIFEST_OPTIONS, None where the command line omits one.  An
+    omitted option takes the value that a manifest of the same command
+    recorded, so that the manifest reruns its command, and else its
+    default.  Every check runs before any work, so bad input exits 1 at
     once instead of after the run."""
     started_at = _now()
-    config, channels = load_config(config_path)
+    config, channels, recorded = load_config(config_path)
     if seed is not None:
         config = replace(config, seed=seed)
     if channels is not None and command not in CHANNEL_COMMANDS:
         raise ConfigError(f"config key 'channels' applies to {' and '.join(CHANNEL_COMMANDS)}"
                           f" only; {command} draws its channels from the seed")
-    grid = None
-    if axis is not None:
-        try:
-            grid = [float(v) for v in grid_text.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --grid: {exc}")
-        if not grid:
-            raise ConfigError("--grid must contain at least one value")
-        for value in grid:
-            try:
-                montecarlo.sweep_point(config, axis, value)
-            except ValueError as exc:
-                raise ConfigError(f"bad --grid value {value}: {exc}")
+    if recorded.get("command") == command:
+        options = {k: recorded.get(k) if v is None else v for k, v in options.items()}
+    if "method" in options:
+        options["method"] = options["method"] or "robust"
+        if options["method"] not in montecarlo.METHODS:
+            raise ConfigError(f"bad method {options['method']!r}: must be one of "
+                              f"{', '.join(montecarlo.METHODS)}")
+    if "samples" in options:
+        if options["samples"] is None:
+            options["samples"] = config.n_error_samples
+        if type(options["samples"]) is not int or options["samples"] < 1:
+            raise ConfigError(f"bad samples {options['samples']!r}: must be an integer >= 1")
+    if "grid" in options:
+        options["grid"] = _grid(config, command, options["grid"])
     outdir = Path(out or os.environ.get(OUTDIR_ENV, "."))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {str(outdir)!r}: {exc}")
-    return _Run(command, started_at, config, channels, outdir, grid)
+    return _Run(command, started_at, config, channels, outdir, options)
 
 
-def _design_or_exit(run: _Run, method: str, path: Path, header):
-    """Design ``method`` for the run's explicit channels, else for channels
+def _grid(config: ExperimentConfig, command: str, grid) -> list[float]:
+    """A sweep's grid points, from ``--grid`` text or a manifest's list (the
+    command's default when None), each checked on the sweep's axis."""
+    axis, default = SWEEPS[command]
+    if grid is None:
+        grid = default
+    try:
+        values = grid.split(",") if isinstance(grid, str) else grid
+        points = [float(v) for v in values if not isinstance(v, str) or v.strip()]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad --grid: {exc}")
+    if not points:
+        raise ConfigError("--grid must contain at least one value")
+    for value in points:
+        try:
+            montecarlo.sweep_point(config, axis, value)
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid value {value}: {exc}")
+    return points
+
+
+def _design_or_exit(run: _Run, path: Path, header):
+    """Design the run's method for its explicit channels, else for channels
     drawn from the seed; return (channels, result).  A design that does not
     solve leaves its status in ``path`` (the other cells of ``header``
     empty) and the manifest, and exits 2."""
-    config, estimates = run.config, run.channels
+    config, estimates, method = run.config, run.channels, run.options["method"]
     if estimates is None:
         estimates = model.generate_channels(config.n_u, config.n_t, config.seed)
     result = montecarlo.run_design(method, config, estimates)
     if result.status != SolveStatus.OPTIMAL:
         _write_csv(path, header,
-                   [[method, result.status.value] + [math.nan] * (len(header) - 2)])
+                   [method, result.status.value] + [math.nan] * (len(header) - 2))
         run.finish([path], method=method)
         click.echo(f"design did not solve: {result.status.value}", err=True)
         sys.exit(2)
@@ -273,10 +352,13 @@ def main():
     """Minimum-power SINR-constrained precoder design and experiments."""
 
 
+_METHOD_HELP = " [default: the manifest's, else robust]"
+
+
 @main.command("design")
 @click.argument("config_path", type=str)
-@click.option("--method", type=click.Choice(montecarlo.METHODS), default="robust",
-              show_default=True, help="Which design to run.")
+@click.option("--method", type=click.Choice(montecarlo.METHODS), default=None,
+              help="Which design to run." + _METHOD_HELP)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the config seed.")
 @click.option("--out", type=str, default=None,
@@ -288,19 +370,20 @@ def cmd_design(config_path, method, seed, out):
     estimate from the seed.  Writes precoder.csv, summary.csv and
     manifest.json; exits 2 if the design is infeasible or the solve fails.
     """
-    run = _start("design", config_path, seed, out)
+    run = _start("design", config_path, seed, out, method=method)
     n_u = run.config.n_u
     summary_path = run.outdir / "summary.csv"
     header = ["method", "status", "power"] + [f"sinr_db_{k + 1}" for k in range(n_u)]
-    estimates, result = _design_or_exit(run, method, summary_path, header)
+    estimates, result = _design_or_exit(run, summary_path, header)
     B = result.precoder.matrix
     sinr_db = model.linear_to_db(model.achieved_sinr(estimates, result.precoder,
                                                      run.config.sigma)).tolist()
-    _write_csv(summary_path, header, [[method, result.status.value, result.power] + sinr_db])
+    _write_csv(summary_path, header,
+               [run.options["method"], result.status.value, result.power, *sinr_db])
     precoder_path = run.outdir / "precoder.csv"
     _write_csv(precoder_path, [f"{part}_{k + 1}" for k in range(n_u) for part in ("re", "im")],
-               np.stack([B.real, B.imag], axis=-1).reshape(B.shape[0], -1).tolist())
-    run.finish([precoder_path, summary_path], method=method)
+               [part[:, k] for k in range(n_u) for part in (B.real, B.imag)])
+    run.finish([precoder_path, summary_path], **run.options)
     click.echo(f"power={_fmt(result.power)} status={result.status.value}")
 
 
@@ -316,87 +399,86 @@ def cmd_cdf(config_path, seed, out, workers):
     run = _start("cdf", config_path, seed, out)
     methods = run.config.methods
     report = montecarlo.sinr_cdf_experiment(run.config, workers=workers)
-    rows = []
+    blocks = []
     for method in methods:
         samples = report.methods[method].sinr_db
-        n = samples.size
-        rows += [[method, v, (i + 1) / n] for i, v in enumerate(samples.tolist())]
+        # (i + 1) / n for sample i, as one array
+        blocks.append([method, samples, np.arange(1, samples.size + 1) / samples.size])
     path = run.outdir / "cdf.csv"
-    _write_csv(path, ("method", "sinr_db", "cdf"), rows)
+    _write_csv(path, ("method", "sinr_db", "cdf"), *blocks)
     rates_path = run.outdir / "feasibility.csv"
     _write_csv(rates_path, ("method", "feasibility_rate"),
-               [[m, report.methods[m].feasibility_rate] for m in methods])
+               [list(methods), [report.methods[m].feasibility_rate for m in methods]])
     run.finish([path, rates_path])
     click.echo(f"wrote {path}")
 
 
-def _run_sweep(command, config_path, seed, out, workers, grid_text, axis, columns, runner):
-    run = _start(command, config_path, seed, out, axis, grid_text)
-    table = runner(run.config, run.grid, workers=workers)
+def _run_sweep(command, config_path, grid, seed, out, workers, columns, runner):
+    run = _start(command, config_path, seed, out, grid=grid)
+    table = runner(run.config, run.options["grid"], workers=workers)
     path = run.outdir / f"{command.replace('-', '_')}.csv"
-    _write_csv(path, columns, [[row[c] for c in columns] for row in table])
-    run.finish([path], grid=run.grid)
+    _write_csv(path, columns, [[row[c] for row in table] for c in columns])
+    run.finish([path], **run.options)
     click.echo(f"wrote {path}")
 
 
 @main.command("sweep-gamma")
 @click.argument("config_path", type=str)
-@click.option("--grid", default="0,2,4,6,8,10", show_default=True,
-              help="Comma-separated SINR targets in dB.")
+@click.option("--grid", default=None,
+              help="Comma-separated SINR targets in dB [default: the manifest's, "
+                   f"else {SWEEPS['sweep-gamma'][1]}].")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_sweep_gamma(config_path, grid, seed, out, workers):
     """Mean transmit power versus SINR target (sweep_gamma.csv)."""
-    _run_sweep("sweep-gamma", config_path, seed, out, workers, grid, "gamma_db",
+    _run_sweep("sweep-gamma", config_path, grid, seed, out, workers,
                montecarlo.GAMMA_SWEEP_COLUMNS, montecarlo.power_vs_gamma_sweep)
 
 
 @main.command("sweep-delta")
 @click.argument("config_path", type=str)
-@click.option("--grid", default="0.005,0.01,0.015,0.02,0.025,0.03,0.035,0.04,0.045,0.05",
-              show_default=True, help="Comma-separated uncertainty radii.")
+@click.option("--grid", default=None,
+              help="Comma-separated uncertainty radii [default: the manifest's, "
+                   f"else {SWEEPS['sweep-delta'][1]}].")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_sweep_delta(config_path, grid, seed, out, workers):
     """Mean transmit power versus uncertainty size (sweep_delta.csv)."""
-    _run_sweep("sweep-delta", config_path, seed, out, workers, grid, "delta",
+    _run_sweep("sweep-delta", config_path, grid, seed, out, workers,
                montecarlo.DELTA_SWEEP_COLUMNS, montecarlo.power_vs_delta_sweep)
 
 
 @main.command("verify")
 @click.argument("config_path", type=str)
-@click.option("--method", type=click.Choice(montecarlo.METHODS), default="robust",
-              show_default=True, help="Design to audit.")
+@click.option("--method", type=click.Choice(montecarlo.METHODS), default=None,
+              help="Design to audit." + _METHOD_HELP)
 @click.option("--samples", type=click.IntRange(min=1), default=None,
-              help="Worst-case error samples per user (default: error_samples).")
+              help="Worst-case error samples per user "
+                   "[default: the manifest's, else error_samples].")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the config seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
 def cmd_verify(config_path, method, samples, seed, out):
     """Design a precoder and audit its worst-case SINR by sphere sampling."""
-    run = _start("verify", config_path, seed, out)
+    run = _start("verify", config_path, seed, out, method=method, samples=samples)
     config = run.config
     path = run.outdir / "verify.csv"
-    estimates, result = _design_or_exit(run, method, path, ("method", "status"))
-    n_samples = samples if samples is not None else config.n_error_samples
-    report = montecarlo.worst_case_check(
-        estimates, result.precoder, config.qos(), config.delta, n_samples, config.seed)
+    estimates, result = _design_or_exit(run, path, ("method", "status"))
+    report = montecarlo.worst_case_check(estimates, result.precoder, config.qos(),
+                                         config.delta, run.options["samples"], config.seed)
     header = ["user", "target_sinr_db", "min_sinr_db", "margin_db"]
     header += [f"err_re_{i + 1}" for i in range(config.n_t)]
     header += [f"err_im_{i + 1}" for i in range(config.n_t)]
-    rows = []
-    for k in range(config.n_u):
-        err = report.argmin_errors[k]
-        rows.append([k + 1, config.gamma_db[k], report.min_sinr_db[k],
-                     report.min_sinr_db[k] - config.gamma_db[k]]
-                    + [v.real for v in err] + [v.imag for v in err])
-    _write_csv(path, header, rows)
-    run.finish([path], method=method, samples=n_samples)
-    click.echo(f"min margin {_fmt(float(np.min(report.min_sinr_db - np.asarray(config.gamma_db))))} dB")
+    margin = report.min_sinr_db - np.asarray(config.gamma_db)
+    errors = np.array(report.argmin_errors)  # users x antennas
+    _write_csv(path, header, [list(range(1, config.n_u + 1)), list(config.gamma_db),
+                              report.min_sinr_db, margin, *errors.real.T, *errors.imag.T])
+    run.finish([path], **run.options)
+    click.echo(f"min margin {_fmt(float(margin.min()))} dB")
 
 
 if __name__ == "__main__":

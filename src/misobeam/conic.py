@@ -38,12 +38,14 @@ variables, a few thousand cone rows).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class ConeProgramError(ValueError):
@@ -304,7 +306,7 @@ class _ConeLayout:
 
     def spread(self, V: np.ndarray) -> np.ndarray:
         """Per-unit values repeated over each unit's rows."""
-        return np.repeat(V, self.dims, axis=0)
+        return V.repeat(self.dims, axis=0)
 
     def identity(self) -> np.ndarray:
         return self.head.copy()
@@ -323,7 +325,8 @@ def _lorentz(U: np.ndarray, w0: np.ndarray, w1: np.ndarray, sign: float) -> np.n
 
 
 class _Scaling:
-    """Nesterov-Todd scaling for a point pair (s, z) interior to K.
+    """Nesterov-Todd scaling for a point pair (s, z) interior to K, given
+    as the columns of ``sz``.
 
     Per unit W = sqrt(eta) V(w), with w the normalized NT scaling point and
     V(w) = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]; V(w)^-1 = V(Jw).  On a
@@ -331,11 +334,10 @@ class _Scaling:
     W z = W^-1 s = lambda.
     """
 
-    def __init__(self, layout: _ConeLayout, s: np.ndarray, z: np.ndarray):
+    def __init__(self, layout: _ConeLayout, sz: np.ndarray):
         self.layout = L = layout
-        pair = np.column_stack([s, z])
-        norms = np.sqrt(L.unit_sum(pair * pair * L.jsign))
-        bar = pair / L.spread(norms)
+        norms = np.sqrt(L.unit_sum(sz * sz * L.jsign))
+        bar = sz / L.spread(norms)
         gamma = np.sqrt((1.0 + L.unit_sum(bar[:, 0] * bar[:, 1])) / 2.0)
         self.w = (bar[:, 0] + L.jsign[:, 0] * bar[:, 1]) / L.spread(2.0 * gamma)
         eta = norms[:, 0] / norms[:, 1]
@@ -411,7 +413,7 @@ def _margin(layout: _ConeLayout, u: np.ndarray) -> float:
     u: positive iff every column is strictly inside K."""
     U = layout.columns(u)
     radius = np.sqrt(layout.unit_sum((U * layout.tail) ** 2))
-    return float(np.min(U[layout.heads] - radius, initial=np.inf))
+    return float((U[layout.heads] - radius).min(initial=np.inf))
 
 
 def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> float:
@@ -433,7 +435,7 @@ def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> float:
         q = -(c1 + np.copysign(np.sqrt(disc), c1))
         roots = np.stack([q / c2, c0 / q])
         roots = np.where(~linear & (disc >= 0) & (roots > 0), roots, np.inf)
-    return float(min(np.min(roots, initial=np.inf), np.min(lin_root, initial=np.inf)))
+    return float(min(roots.min(initial=np.inf), lin_root.min(initial=np.inf)))
 
 
 class _KktPlan:
@@ -468,6 +470,7 @@ class _KktPlan:
             self.stacks.append((cls, np.take_along_axis(rows, cols[:, None, :], axis=2)))
             index.append((cols[:, :, None] * n + cols[:, None, :]).ravel())
         self.gram_index = np.concatenate(index)
+        self.diagonal = np.diag_indices(n)
 
     def gram(self, scaling: _Scaling) -> np.ndarray:
         """G' W^-2 G as a dense n x n array."""
@@ -493,7 +496,9 @@ class _KktSolver:
 
     as (G' W^-2 G) dx = rx + G' W^-2 rz, dz = W^-2 (G dx - rz), with static
     regularization, for one right-hand side or a stack of columns at once.
-    The regularized matrix is symmetric positive definite.
+    The regularized matrix is symmetric positive definite.  It is factored
+    by LAPACK ``dpotrf`` called directly, with the arguments and the
+    failure exceptions of ``scipy.linalg.cho_factor``.
     """
 
     _REG = 1e-12
@@ -510,14 +515,19 @@ class _KktSolver:
         H = plan.gram(scaling)
         # regularization proportional to the matrix scale so it survives the
         # addition even when the scaled system is huge
-        reg = self._REG * max(1.0, float(np.abs(np.diagonal(H)).max()))
-        H[np.diag_indices(plan.n)] += reg
-        self.factor, self.lower = scipy.linalg.cho_factor(H, check_finite=False)
+        reg = self._REG * max(1.0, float(np.abs(H.diagonal()).max()))
+        H[plan.diagonal] += reg
+        self.factor, info = dpotrf(H, lower=False, clean=False)
+        if info > 0:
+            raise scipy.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
 
     def _base_solve(self, rx, rz):
         plan = self.plan
         top = rx + plan.Gt @ self.scaling.apply_sq(rz, invert=True)
-        dx = scipy.linalg.lapack.dpotrs(self.factor, top, lower=self.lower)[0]
+        dx = dpotrs(self.factor, top, lower=False)[0]
         dz = self.scaling.apply_sq(plan.G @ dx - rz, invert=True)
         return dx, dz
 
@@ -530,7 +540,7 @@ class _KktSolver:
         for _ in range(self._REFINE_PASSES):
             res_x = rx - plan.Gt @ dz
             res_z = rz - (plan.G @ dx - self.scaling.apply_sq(dz))
-            if np.all(_column_max(res_x, res_z) <= bound):
+            if (_column_max(res_x, res_z) <= bound).all():
                 break
             cx, cz = self._base_solve(res_x, res_z)
             dx, dz = dx + cx, dz + cz
@@ -640,8 +650,11 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
 
     e = layout.identity()
     x = np.zeros(n)
-    z = e.copy()
-    s = e.copy()
+    # the pair (s, z) as the one (m, 2) stack the cone kernels take, and
+    # its columns also as contiguous vectors, whose dot products round as
+    # contiguous ones do
+    sz = np.column_stack([e, e])
+    s, z = e.copy(), e.copy()
     tau, kappa = 1.0, 1.0
     degree = layout.degree + 1
 
@@ -654,12 +667,12 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
         x is an improving ray, at relative tolerance ``tol``.  Reads the
         products Gx and Gtz of the current iterate."""
         hz = -(h @ z)
-        if hz > 1e-12 and np.all(np.isfinite(z)):
-            if float(np.max(np.abs(Gtz))) <= tol * norm_c * hz:
+        if hz > 1e-12 and np.isfinite(z).all():
+            if float(np.abs(Gtz).max()) <= tol * norm_c * hz:
                 return SolveStatus.PRIMAL_INFEASIBLE
         cx = -(c @ x)
-        if cx > 1e-12 and np.all(np.isfinite(x)) and np.all(np.isfinite(s)):
-            if float(np.max(np.abs(Gx + s))) <= tol * norm_h * cx:
+        if cx > 1e-12 and np.isfinite(x).all() and np.isfinite(s).all():
+            if float(np.abs(Gx + s).max()) <= tol * norm_h * cx:
                 return SolveStatus.DUAL_INFEASIBLE
         return None
 
@@ -673,7 +686,8 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
             r_gap = float(c @ x + h @ z + kappa)  # -> 0
             mu = (s @ z + tau * kappa) / degree
 
-            if not np.all(np.isfinite(np.concatenate([r_dual, r_cone, [r_gap, mu]]))):
+            if not (np.isfinite(r_dual).all() and np.isfinite(r_cone).all()
+                    and math.isfinite(r_gap) and math.isfinite(mu)):
                 break
 
             # --- convergence tests on the de-homogenized point ---
@@ -683,8 +697,8 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
             # iterate's magnitude
             xh, zh = x / tau, z / tau
             pres = max(-_margin(layout, h - Gx / tau), 0.0)
-            dres = float(np.max(np.abs(Gtz / tau + c)))
-            dual_scale = norm_c * (1.0 + float(np.max(np.abs(zh))))
+            dres = float(np.abs(Gtz / tau + c).max())
+            dual_scale = norm_c * (1.0 + float(np.abs(zh).max()))
             pobj = float(c @ xh) + offset
             dobj = float(-(h @ zh)) + offset
             relgap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
@@ -706,11 +720,10 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
 
             # degenerate instances stop making progress once mu bottoms out;
             # bail out before the scaled KKT system turns to noise
-            sz = np.column_stack([s, z])
             if mu < 1e-18 or _margin(layout, sz) < 1e-40 or stall >= 15:
                 break
 
-            scaling = _Scaling(layout, s, z)
+            scaling = _Scaling(layout, sz)
             lam = scaling.apply(z)
             try:
                 kkt = _KktSolver(plan, scaling)
@@ -761,8 +774,8 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
             dx, dz, dtau, ds, dkappa = direction(
                 w_dst, dkappa_target, *kkt.solve(-r_dual, rz))
 
-            if not (np.isfinite(dtau) and np.isfinite(dkappa)
-                    and np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
+            if not (math.isfinite(dtau) and math.isfinite(dkappa)
+                    and np.isfinite(dx).all() and np.isfinite(ds).all()):
                 break
 
             dsz = np.column_stack([ds, dz])
@@ -772,7 +785,7 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
                 -kappa / dkappa if dkappa < 0 else np.inf,
             )
             alpha = min(alpha, 1.0)
-            if not np.isfinite(alpha):
+            if not math.isfinite(alpha):
                 break
 
             # keep iterates strictly interior despite floating-point step rounding
@@ -788,7 +801,8 @@ def _interior_point(program: ConeProgram, settings: SolverSettings,
                 break
 
             x += alpha * dx
-            s, z = sz_new[:, 0].copy(), sz_new[:, 1].copy()
+            sz = sz_new
+            s, z = sz[:, 0].copy(), sz[:, 1].copy()
             tau, kappa = tau_new, kappa_new
 
         else:

@@ -2,14 +2,20 @@
 
 import csv
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from misobeam import cli
+from misobeam import __version__, cli
 from misobeam.cli import load_config, main, parse_config_text
 
 SCALAR_CONFIG = """\
@@ -79,7 +85,8 @@ class TestConfigParsing:
     def test_channel_rows(self, tmp_path):
         path = write(tmp_path, "c.cfg",
                      "n_t = 2\nn_u = 2\nchannels = 1+0j, 0+1j ; 2-1j, 0.5+0j\n")
-        config, channels = load_config(path)
+        config, channels, recorded = load_config(path)
+        assert recorded == {}
         assert channels.rows.shape == (2, 2)
         assert channels.rows[0, 1] == 1j
         assert channels.rows[1, 0] == 2 - 1j
@@ -126,12 +133,35 @@ class TestConfigParsing:
     def test_written_manifest_reloads_with_channels(self, tmp_path):
         path = write(tmp_path, "c.cfg",
                      "n_t = 2\nn_u = 2\nseed = 4\nchannels = 1+0j, 0+1j ; 2-1j, 0.5+0j\n")
-        config, channels = load_config(path)
+        config, channels, _ = load_config(path)
         manifest = cli._start("design", path, None, str(tmp_path)).finish([])
-        reloaded, reloaded_channels = load_config(str(manifest))
+        reloaded, reloaded_channels, recorded = load_config(str(manifest))
+        assert recorded == {"command": "design"}
         np.testing.assert_array_equal(reloaded_channels.rows, channels.rows)
         assert cli._config_as_dict(reloaded, reloaded_channels) == \
             cli._config_as_dict(config, channels)
+
+
+    @pytest.mark.parametrize("key,value", [("n_u", "2.9"), ("n_t", "true"),
+                                           ("seed", "1.5"), ("trials", "2e1")])
+    def test_integer_keys_take_integers_only(self, runner, tmp_path, key, value):
+        # a JSON number used to be truncated: 2.9 -> 2, true -> 1, 1.5 -> 1
+        flat = write(tmp_path, "c.cfg", f"{key} = {value}\n")
+        manifest = write(tmp_path, "manifest.json",
+                         json.dumps({"config": {key: json.loads(value)}}))
+        for path in (flat, manifest):
+            with pytest.raises(cli.ConfigError, match=f"config key '{key}'"):
+                load_config(path)
+            result = runner.invoke(main, ["design", path, "--out", str(tmp_path / "o")])
+            assert result.exit_code == 1, result.output
+            assert f"config key '{key}'" in result.output
+            assert not (tmp_path / "o").exists()
+
+    def test_json_integers_load(self, tmp_path):
+        path = write(tmp_path, "manifest.json",
+                     '{"config": {"n_u": 2, "n_t": 4, "trials": 3, "seed": 0}}')
+        config, _, _ = load_config(path)
+        assert (config.n_u, config.n_t, config.n_channel_trials, config.seed) == (2, 4, 3, 0)
 
 
 class TestWorkersOption:
@@ -331,26 +361,64 @@ class TestExperimentCommands:
     ]
 
     def test_manifest_rerun_is_byte_identical(self, runner, tmp_path):
-        # every command, with the options given again: the manifest
-        # replaces the config, explicit channels included
+        # every command, with the options given again and without them: the
+        # manifest replaces the config, explicit channels included, and
+        # supplies the options its command recorded
         for i, (command, config, options) in enumerate(self.RERUNS):
             cfg = write(tmp_path, f"{i}.cfg", config.replace("trials = 3", "trials = 2"))
-            out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
-            first = runner.invoke(main, [command, cfg, "--out", str(out1), *options])
+            outs = [tmp_path / f"{i}{tag}" for tag in "abc"]
+            first = runner.invoke(main, [command, cfg, "--out", str(outs[0]), *options])
             assert first.exit_code == 0, first.output
-            again = runner.invoke(main, [command, str(out1 / "manifest.json"),
-                                         "--out", str(out2), *options])
-            assert again.exit_code == 0, again.output
-            manifests = [json.loads((out / "manifest.json").read_text())
-                         for out in (out1, out2)]
+            for out, rerun_options in ((outs[1], options), (outs[2], [])):
+                again = runner.invoke(main, [command, str(outs[0] / "manifest.json"),
+                                             "--out", str(out), *rerun_options])
+                assert again.exit_code == 0, again.output
+            manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
             assert manifests[0]["outputs"]
             for name in (Path(p).name for p in manifests[0]["outputs"]):
-                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
-                    (command, name)
+                for out in outs[1:]:
+                    assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), \
+                        (command, name, out.name)
             for manifest in manifests:
                 for key in ("outputs", "started_at", "finished_at"):
                     del manifest[key]
-            assert list(manifests[0].items()) == list(manifests[1].items())
+            for manifest in manifests[1:]:
+                assert list(manifests[0].items()) == list(manifest.items())
+
+    def test_command_line_option_beats_manifest(self, tmp_path, no_work):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        manifest = cli._start("verify", cfg, None, str(tmp_path / "a"), method="nominal",
+                              samples=50).finish([], method="nominal", samples=50)
+        recorded = cli._start("verify", str(manifest), None, str(tmp_path / "b"),
+                              method=None, samples=None)
+        assert recorded.options == {"method": "nominal", "samples": 50}
+        given = cli._start("verify", str(manifest), None, str(tmp_path / "c"),
+                           method="robust", samples=7)
+        assert given.options == {"method": "robust", "samples": 7}
+
+    def test_options_of_another_command_are_not_read(self, tmp_path, no_work):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        manifest = cli._start("sweep-gamma", cfg, None, str(tmp_path / "a"),
+                              grid="0,6").finish([], grid=[0.0, 6.0])
+        run = cli._start("sweep-delta", str(manifest), None, str(tmp_path / "b"), grid=None)
+        assert run.options["grid"] == [float(v) for v in cli.SWEEPS["sweep-delta"][1].split(",")]
+
+    @pytest.mark.parametrize("command,entry,message", [
+        ("design", {"method": "best"}, "bad method 'best'"),
+        ("verify", {"samples": 0}, "bad samples 0"),
+        ("verify", {"samples": 2.5}, "bad samples 2.5"),
+        ("sweep-delta", {"grid": [-0.1]}, "bad --grid value -0.1"),
+        ("sweep-gamma", {"grid": "x"}, "bad --grid"),
+        ("sweep-gamma", {"grid": []}, "at least one value"),
+    ])
+    def test_bad_recorded_option_exits_one(self, runner, tmp_path, no_work,
+                                           command, entry, message):
+        cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
+        manifest = cli._start(command, cfg, None, str(tmp_path / "a")).finish([], **entry)
+        result = runner.invoke(main, [command, str(manifest), "--out", str(tmp_path / "b")])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+        assert not (tmp_path / "b").exists()
 
     def test_manifest_contents(self, runner, tmp_path):
         cfg = write(tmp_path, "e.cfg", EXPERIMENT_CONFIG)
@@ -399,25 +467,112 @@ class TestExperimentCommands:
         assert float(by_delta[0.01]["mean_power"]) > 0
 
 
+def csv_writer_bytes(path, header, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+    return path.read_bytes()
+
+
+def block_rows(block):
+    """The rows a block of columns stands for: an array's cells are its
+    tolist() elements, and a single value fills every row."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+    sequences = [c for c in columns if isinstance(c, (list, tuple))]
+    n_rows = len(sequences[0]) if sequences else 1
+    return [[c[i] if isinstance(c, (list, tuple)) else c for c in columns]
+            for i in range(n_rows)]
+
+
 def test_csv_bytes_match_csv_writer(tmp_path):
-    # the one-join-per-row writer against csv.writer on the same _fmt cells
+    # the one-format-per-block writer against csv.writer on the same _fmt
+    # cells, given as columns, as arrays, and as one-row blocks
     header = ("method", "sinr_db", "cdf")
     rows = [["nominal", float("nan"), 0.5], ["robust", float("inf"), -0.0],
             ["robust", float("-inf"), 1 / 3], ["nominal", np.float64(-0.0), 1e-300],
             [3, np.float64(np.nan), np.float64(12.345678901234567)],
             ["robust", 2**60, -1.5e300]]
-    path = tmp_path / "out.csv"
-    cli._write_csv(path, header, rows)
-    with (tmp_path / "ref.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cli._fmt(v) for v in row])
-    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert path.read_bytes().count(b"\r\n") == len(rows) + 1
+    reference = csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+    assert reference.count(b"\r\n") == len(rows) + 1
+    columns = [list(c) for c in zip(*rows)]
+    for blocks in ([columns], [[columns[0], columns[1], np.array(columns[2])]],
+                   [[c[:2] for c in columns], [c[2:] for c in columns]], rows):
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, header, *blocks)
+        assert path.read_bytes() == reference
+    # a finite float column takes the %.12g path, a constant the row format
+    axis = np.arange(1, 6001) / 6000
+    samples = np.random.default_rng(3).normal(size=6000) * 10.0 ** np.arange(-3, 3).repeat(1000)
+    path = tmp_path / "cdf.csv"
+    cli._write_csv(path, header, ["robust%", samples, axis], ["nominal", samples[:0], axis[:0]])
+    assert path.read_bytes() == csv_writer_bytes(
+        tmp_path / "ref.csv", header, [["robust%", v, (i + 1) / 6000]
+                                       for i, v in enumerate(samples.tolist())])
+
+
+IDENTIFIER = st.text("abcXYZ019_%.+-", max_size=8)  # no cell needs quoting
+CELLS = st.one_of(
+    IDENTIFIER,
+    st.booleans(),
+    st.integers(-2**70, 2**70),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@st.composite
+def blocks(draw, width):
+    n_rows = draw(st.integers(0, 12))
+    floats = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+    columns = st.one_of(
+        CELLS,
+        st.lists(CELLS, min_size=n_rows, max_size=n_rows),
+        st.lists(floats, min_size=n_rows, max_size=n_rows),
+        st.lists(floats, min_size=n_rows, max_size=n_rows).map(np.array),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=n_rows, max_size=n_rows)
+        .map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(IDENTIFIER, min_size=n_rows, max_size=n_rows),
+    )
+    block = draw(st.lists(columns, min_size=width, max_size=width))
+    if n_rows == 0 and not any(isinstance(c, (list, np.ndarray)) for c in block):
+        block[0] = []  # an all-constant block is one row, not zero
+    return block
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(IDENTIFIER.filter(bool), min_size=width, max_size=width))
+    return header, draw(st.lists(blocks(width), max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_any_table_matches_csv_writer(tmp_path_factory, table):
+    header, table_blocks = table
+    tmp = tmp_path_factory.mktemp("table")
+    cli._write_csv(tmp / "out.csv", header, *table_blocks)
+    rows = [row for block in table_blocks for row in block_rows(block)]
+    assert (tmp / "out.csv").read_bytes() == csv_writer_bytes(tmp / "ref.csv", header, rows)
 
 
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = readme.split("Config keys:", 1)[1].split(".", 1)[0]
     assert re.findall(r"`(\w+)`", listed) == list(cli.CONFIG_KEYS)
+
+
+def test_python_m_misobeam_runs_the_cli():
+    # a source checkout runs the CLI without installing, as the bench does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-m", "misobeam", "--version"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().endswith(f"version {__version__}")

@@ -468,7 +468,7 @@ class TestFlatConeKernels:
     def test_scaling_and_squares(self):
         layout = self.layout
         for s, z in self.points():
-            scaling = _Scaling(layout, s, z)
+            scaling = _Scaling(layout, np.column_stack([s, z]))
             W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
             W = np.linalg.inv(W_inv)
             assert_close(scaling.apply(z), W_inv @ s)  # lambda = W z = W^-1 s
@@ -527,7 +527,7 @@ class TestStructuredKkt:
         G, h, layout = _split_rows(mixed_structure_program(rng))
         for _ in range(5):
             s, z = interior_point(layout, rng), interior_point(layout, rng)
-            gram = _KktPlan(G, layout).gram(_Scaling(layout, s, z))
+            gram = _KktPlan(G, layout).gram(_Scaling(layout, np.column_stack([s, z])))
 
             W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
             # the reference is the NT scaling: W z = W^-1 s
@@ -540,7 +540,8 @@ class TestStructuredKkt:
     def test_one_pass_square_scaling_matches_two_applies(self):
         rng = np.random.default_rng(7)
         G, h, layout = _split_rows(mixed_structure_program(rng))
-        scaling = _Scaling(layout, interior_point(layout, rng), interior_point(layout, rng))
+        scaling = _Scaling(layout, np.column_stack([interior_point(layout, rng),
+                                                    interior_point(layout, rng)]))
         u = rng.normal(size=layout.m)
         for invert in (False, True):
             twice = scaling.apply(scaling.apply(u, invert), invert)
@@ -575,8 +576,8 @@ class TestKktSolve:
     def systems(self, rng):
         for prog in kkt_programs(rng):
             G, h, layout = _split_rows(prog)
-            scaling = _Scaling(layout, interior_point(layout, rng),
-                               interior_point(layout, rng))
+            scaling = _Scaling(layout, np.column_stack([interior_point(layout, rng),
+                                                        interior_point(layout, rng)]))
             kkt = _KktSolver(_KktPlan(G, layout), scaling)
             rhs = (rng.normal(size=(prog.num_vars, 2)), rng.normal(size=(layout.m, 2)))
             yield G, scaling, kkt, rhs
@@ -596,3 +597,24 @@ class TestKktSolve:
             residual = np.concatenate([rx - G.T @ dz, rz - (G @ dx - scaling.apply_sq(dz))])
             scale = np.abs(np.concatenate([rx, rz])).max(axis=0)
             assert np.all(np.abs(residual).max(axis=0) <= _KktSolver._REFINE_TOL * scale)
+
+    def test_solves_bit_equal_to_cho_solve(self):
+        # the direct LAPACK factorisation and back solve do exactly what
+        # scipy.linalg.cho_factor and cho_solve do, on the regularized Gram
+        rng = np.random.default_rng(13)
+        for G, scaling, kkt, (rx, rz) in self.systems(rng):
+            H = kkt.plan.gram(scaling)
+            H[np.diag_indices_from(H)] += _KktSolver._REG * max(1.0, np.abs(H.diagonal()).max())
+            top = rx + kkt.plan.Gt @ scaling.apply_sq(rz, invert=True)
+            reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), top)
+            dx, _ = kkt._base_solve(rx, rz)
+            assert np.array_equal(dx, reference)
+
+    def test_indefinite_gram_ends_in_numerical_failure(self, monkeypatch):
+        # a Gram matrix LAPACK cannot factor stops the loop with a status,
+        # never with an exception
+        monkeypatch.setattr(_KktPlan, "gram", lambda plan, scaling: -np.eye(plan.n))
+        for prog in (soc_min_norm_program(), least_norm_program(np.eye(2), np.ones(2))):
+            sol = solve(prog)
+            assert sol.status == SolveStatus.NUMERICAL_FAILURE
+            assert sol.iterations == 0
