@@ -115,13 +115,25 @@ def _parse_manifest(text: str) -> tuple[dict, dict]:
     for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"manifest config: unknown key {key!r}")
-        # int() would truncate 2.9 and accept true
-        if CONFIG_KEYS[key][1] is int and type(value) is not int:
+        kind = CONFIG_KEYS[key][1]
+        # int() would truncate 2.9 and accept true; float() takes true and "7"
+        if kind is int and type(value) is not int:
             raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
+        if kind is float and not _is_number(value):
+            raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
+        if kind == "floats" and not (_is_number(value) or (
+                isinstance(value, list) and all(map(_is_number, value)))):
+            raise ConfigError(
+                f"config key {key!r}: expected a number or a list of numbers, got {value!r}")
     recorded = {}
     if "config" in data:
         recorded = {k: data[k] for k in ("command", *MANIFEST_OPTIONS) if k in data}
     return {k: _parse_value(k, v) for k, v in raw.items()}, recorded
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, ChannelSet | None, dict]:

@@ -36,17 +36,24 @@ noise in; at s = 1 nothing is scaled.  A design reports Optimal only if
 its precoder meets every SINR target at the estimates within the relative
 tolerance SINR_TOL; otherwise it reports NumericalFailure.
 
-Both functions also remember their last request and its result, and
-answer an exact repeat from memory.  The key holds every input the result
+``design_batch`` builds, solves, rescales and checks a list of requests
+of one method: the programs go to ``conic.solve_batch``, which solves each
+one bit for bit as alone, and a list of one goes to ``conic.solve``.
+``design_nominal`` and ``design_robust`` are ``design_batch`` of one
+request.
+
+Each method remembers the requests and results of its last list, and
+answers any of them from memory.  The key holds every input the result
 depends on, as the caller gave it: the channel rows (shape and bytes), the
 bytes of gamma and sigma and, for the robust design, the bytes of delta,
 kappa as a float64 (the program reads only kappa * delta) and the
-perturbation mode.  Build and solve are deterministic
-functions of these, so a hit returns what a fresh solve would return, bit
-for bit; inputs and results are frozen dataclasses over read-only arrays,
-so the shared result cannot change under a caller.  A delta sweep asks for
-the same nominal design at every grid point, between robust requests that
-all differ, so one entry per function removes every repeated solve there.
+perturbation mode.  Build and solve are deterministic functions of these,
+so a hit returns what a fresh solve would return, bit for bit; inputs and
+results are frozen dataclasses over read-only arrays, so the shared result
+cannot change under a caller.  A sweep trial hands each method's grid
+requests to ``design_batch`` first, so its per-point design calls are all
+answered from memory: the robust grid is one batched solve, and the
+nominal request that a delta sweep repeats at every point is solved once.
 """
 
 from __future__ import annotations
@@ -347,10 +354,9 @@ def extract_precoder(solution: Solution, layout: ProgramLayout) -> Precoder:
 
 def design_nominal(channels: ChannelSet, qos: QosSpec) -> DesignResult:
     """Build, solve and extract the nominal design; non-Optimal solver
-    statuses propagate in the result instead of raising.  An exact repeat
-    of the previous request returns the previous result."""
-    return _recall("nominal", _request_key(channels, qos),
-                   lambda: _design(channels, qos, lambda unit: build_nominal(channels, unit)))
+    statuses propagate in the result instead of raising.  A request that
+    the last :func:`design_batch` of this method held returns its result."""
+    return design_batch("nominal", [(channels, qos)])[0]
 
 
 def design_robust(
@@ -359,40 +365,78 @@ def design_robust(
     unc: UncertaintySpec,
     perturbation_sigma: str = "paper",
 ) -> DesignResult:
-    """Build, solve and extract the robust design.  An exact repeat of the
-    previous request returns the previous result."""
-    key = _request_key(channels, qos) + (
-        unc.delta.tobytes(), np.float64(unc.kappa).tobytes(), perturbation_sigma)
-    return _recall("robust", key, lambda: _design(
-        channels, qos, lambda unit: build_robust(channels, unit, unc, perturbation_sigma)))
+    """Build, solve and extract the robust design.  A request that the last
+    :func:`design_batch` of this method held returns its result."""
+    return design_batch("robust", [(channels, qos, unc, perturbation_sigma)])[0]
 
 
-# method -> (key, result) of that design function's last request; an entry
-# is one tuple, read and replaced whole, so concurrent callers can at worst
-# miss, never pair a key with another request's result
-_last: dict[str, tuple[tuple, DesignResult]] = {}
+def design_batch(method: str, requests) -> list[DesignResult]:
+    """The designs of a list of requests of one method, each the result its
+    own design function call gives, bit for bit.
+
+    A request is the tuple of the design function's arguments:
+    ``(channels, qos)`` for "nominal", ``(channels, qos, unc,
+    perturbation_sigma)`` for "robust".  Requests the last batch of this
+    method held are answered from memory, repeats within the list are
+    solved once, and the rest are built and solved together, one program
+    through :func:`conic.solve`, more through :func:`conic.solve_batch`.
+    The list then replaces the method's memory, unless every request was
+    answered from it.
+    """
+    if method not in ("nominal", "robust"):
+        raise ValueError(f"unknown design method {method!r}")
+    keys = [_request_key(*request) for request in requests]
+    last = _last.get(method, {})
+    fresh = {}
+    for key, request in zip(keys, requests):
+        if key not in last:
+            fresh.setdefault(key, request)
+    if not fresh:
+        return [last[key] for key in keys]
+    remembered = {key: last[key] for key in keys if key in last}
+    remembered.update(zip(fresh, _design(method, list(fresh.values()))))
+    _last[method] = remembered
+    return [remembered[key] for key in keys]
 
 
-def _request_key(channels: ChannelSet, qos: QosSpec) -> tuple:
-    return (channels.rows.shape, channels.rows.tobytes(), qos.gamma.tobytes(),
-            qos.sigma.tobytes())
+# method -> {key: result} of that method's last batch; an entry is one
+# dict, read and replaced whole and never changed after, so concurrent
+# callers can at worst miss, never pair a key with another request's result
+_last: dict[str, dict[tuple, DesignResult]] = {}
 
 
-def _recall(method: str, key: tuple, compute) -> DesignResult:
-    last = _last.get(method)
-    if last is not None and last[0] == key:
-        return last[1]
-    result = compute()
-    _last[method] = (key, result)
-    return result
+def _request_key(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = None,
+                 perturbation_sigma: str = "paper") -> tuple:
+    key = (channels.rows.shape, channels.rows.tobytes(), qos.gamma.tobytes(),
+           qos.sigma.tobytes())
+    if unc is None:
+        return key
+    return key + (unc.delta.tobytes(), np.float64(unc.kappa).tobytes(), perturbation_sigma)
 
 
-def _design(channels: ChannelSet, qos: QosSpec, build) -> DesignResult:
-    """Solve ``build(unit_qos)`` at the noise divided by s = max_k sigma_k,
-    scale the solution back by s, and check it at the estimates."""
-    scale = float(np.max(qos.sigma))
-    program, layout = build(QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale))
-    solution = conic.solve(program)
+def _design(method: str, requests: list) -> list[DesignResult]:
+    """Solve each request's program at the noise divided by s = max_k
+    sigma_k, scale each solution back by s, and check it at the
+    estimates."""
+    scales, built = [], []
+    for channels, qos, *robust in requests:
+        scale = float(np.max(qos.sigma))
+        unit = QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale)
+        scales.append(scale)
+        built.append(build_nominal(channels, unit) if method == "nominal"
+                     else build_robust(channels, unit, *robust))
+    programs = [program for program, _ in built]
+    solutions = ([conic.solve(programs[0])] if len(programs) == 1
+                 else conic.solve_batch(programs))
+    return [_checked(channels, qos, scale, solution, layout)
+            for (channels, qos, *_), scale, solution, (_, layout)
+            in zip(requests, scales, solutions, built)]
+
+
+def _checked(channels: ChannelSet, qos: QosSpec, scale: float, solution: Solution,
+             layout: ProgramLayout) -> DesignResult:
+    """The design of a unit-noise solution: scaled back by ``scale`` and
+    Optimal only if its precoder meets every target at the estimates."""
     if scale != 1.0:  # at s = 1 the design hands back the solver's own Solution
         solution = replace(solution, x=scale * solution.x,
                            objective_value=scale * solution.objective_value)

@@ -18,10 +18,14 @@ Designs go through :func:`run_design`, the one place that maps a method
 name to its design function; SINR goes through ``model.achieved_sinr``.
 
 A sweep requests every enabled design at every grid point, so each point
-has its own design call and table entries.  In a delta sweep the nominal
-request is the same at every point of a trial (it does not read delta);
-the design functions answer such an exact repeat from memory (see
-``misobeam.design``), so the nominal program is solved once per trial.
+has its own design call and table entries.  Before those calls, a trial
+hands each method's requests for the whole grid to
+``design.design_batch``, which solves them together (one batched interior
+point, each design bit for bit as alone) and remembers them, so every
+per-point call is answered from memory.  In a delta sweep the nominal
+request is the same at every point (it does not read delta), so the
+nominal program is solved once per trial.  A CDF experiment designs once
+per trial and method, so its designs are not batched.
 """
 
 from __future__ import annotations
@@ -127,16 +131,23 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
+def _design_request(method: str, config: ExperimentConfig, channels: ChannelSet) -> tuple:
+    """The arguments of the ``method`` design for ``channels`` under
+    ``config``'s targets, noise, radii and perturbation mode."""
+    if method == "nominal":
+        return channels, config.qos()
+    return channels, config.qos(), config.uncertainty(), config.perturbation_sigma
+
+
 def run_design(method: str, config: ExperimentConfig,
                channels: ChannelSet) -> design.DesignResult:
-    """The ``method`` design for ``channels`` under ``config``'s targets,
-    noise, radii and perturbation mode.  The design functions are looked up
-    on the design module at call time, so a caller that swaps them (for
-    tracing) sees every call."""
+    """The ``method`` design of :func:`_design_request`.  The design
+    functions are looked up on the design module at call time, so a caller
+    that swaps them (for tracing) sees every call."""
+    request = _design_request(method, config, channels)
     if method == "nominal":
-        return design.design_nominal(channels, config.qos())
-    return design.design_robust(channels, config.qos(), config.uncertainty(),
-                                perturbation_sigma=config.perturbation_sigma)
+        return design.design_nominal(*request)
+    return design.design_robust(*request)
 
 
 def _design_methods(config: ExperimentConfig, channels: ChannelSet):
@@ -211,9 +222,13 @@ def _sweep_trial(config: ExperimentConfig, axis: str, grid, trial: int):
     the swept parameter is exact rather than statistical."""
     rng = trial_rng(config.seed, trial)
     channels = model.generate_channels(config.n_u, config.n_t, rng)
+    points = [sweep_point(config, axis, value) for value in grid]
+    for method in config.methods:
+        design.design_batch(method, [_design_request(method, point, channels)
+                                     for point in points])
     rows = []
-    for value in grid:
-        results = _design_methods(sweep_point(config, axis, value), channels)
+    for point in points:
+        results = _design_methods(point, channels)
         rows.append({m: (r.status.value, r.power) for m, r in results.items()})
     return rows
 

@@ -9,7 +9,8 @@ from misobeam.model import ChannelSet, QosSpec
 
 @pytest.fixture
 def solves(monkeypatch) -> list:
-    """The programs ``conic.solve`` receives during the test, in order.
+    """The program lists ``conic.solve_batch`` receives during the test, in
+    order; ``conic.solve`` hands it a list of one program.
 
     Each design function remembers its last request, so both first get a
     1 x 1 request that no test repeats: the test's first design request is
@@ -18,11 +19,11 @@ def solves(monkeypatch) -> list:
     one, qos = ChannelSet([[0.5 + 0.25j]]), QosSpec(gamma=[0.5], sigma=[0.75])
     design.design_nominal(one, qos)
     design.design_robust(one, qos, UncertaintySpec(delta=[0.0625]))
-    solved, solve = [], conic.solve
+    solved, solve_batch = [], conic.solve_batch
 
-    def counted(program, settings=None):
-        solved.append(program)
-        return solve(program, settings)
+    def counted(programs, settings=None):
+        solved.append(list(programs))
+        return solve_batch(programs, settings)
 
-    monkeypatch.setattr(conic, "solve", counted)
+    monkeypatch.setattr(conic, "solve_batch", counted)
     return solved

@@ -157,6 +157,25 @@ class TestConfigParsing:
             assert f"config key '{key}'" in result.output
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["kappa", "sigma", "delta", "gamma_db"])
+    @pytest.mark.parametrize("value", [True, "0.5", [True], ["0.5"], [0.5, False]])
+    def test_float_keys_take_json_numbers_only(self, runner, tmp_path, key, value):
+        # float() used to read true as 1.0 and "7" as 7.0
+        path = write(tmp_path, "manifest.json", json.dumps({"config": {key: value}}))
+        with pytest.raises(cli.ConfigError, match=f"config key '{key}'"):
+            load_config(path)
+        result = runner.invoke(main, ["design", path, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert f"config key '{key}'" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_json_numbers_load_for_float_keys(self, tmp_path):
+        path = write(tmp_path, "manifest.json", json.dumps({"config": {
+            "kappa": 1, "sigma": 2, "delta": [0.01, 0.02, 0], "gamma_db": [5, 6.5, 7]}}))
+        config, _, _ = load_config(path)
+        assert (config.kappa, config.sigma, config.delta, config.gamma_db) == (
+            1.0, (2.0, 2.0, 2.0), (0.01, 0.02, 0.0), (5.0, 6.5, 7.0))
+
     def test_json_integers_load(self, tmp_path):
         path = write(tmp_path, "manifest.json",
                      '{"config": {"n_u": 2, "n_t": 4, "trials": 3, "seed": 0}}')

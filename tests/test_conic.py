@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misobeam import design, model
 from misobeam.conic import (
     ConeProgram,
     ConeProgramError,
@@ -19,6 +20,7 @@ from misobeam.conic import (
     Zero,
     residuals,
     solve,
+    solve_batch,
     validate,
 )
 from misobeam.conic import (
@@ -492,15 +494,17 @@ class TestFlatConeKernels:
             ds, dz = self.rng.normal(size=(2, layout.m))
             reference = min(block_step(u[a : a + d], du[a : a + d])
                             for u, du in ((s, ds), (z, dz)) for a, d in spans)
-            step = _max_step(layout, np.column_stack([s, z]), np.column_stack([ds, dz]))
+            with np.errstate(all="ignore"):  # as the solver loop calls it
+                step = _max_step(layout, np.column_stack([s, z]), np.column_stack([ds, dz]))
             assert np.isfinite(reference)
             assert abs(step - reference) <= 1e-12 * reference
             margin = min(u[a] - np.linalg.norm(u[a + 1 : a + d])
                          for u in (s, z) for a, d in spans)
             assert abs(_margin(layout, np.column_stack([s, z])) - margin) <= 1e-12
             # a direction into the cone never leaves it
-            assert _max_step(layout, np.column_stack([s, z]),
-                             np.column_stack([s, z])) == np.inf
+            with np.errstate(all="ignore"):
+                assert _max_step(layout, np.column_stack([s, z]),
+                                 np.column_stack([s, z])) == np.inf
 
 
     def test_near_tangent_step_length(self):
@@ -603,7 +607,7 @@ class TestKktSolve:
         # scipy.linalg.cho_factor and cho_solve do, on the regularized Gram
         rng = np.random.default_rng(13)
         for G, scaling, kkt, (rx, rz) in self.systems(rng):
-            H = kkt.plan.gram(scaling)
+            H = kkt.plan.gram(scaling)[0]
             H[np.diag_indices_from(H)] += _KktSolver._REG * max(1.0, np.abs(H.diagonal()).max())
             top = rx + kkt.plan.Gt @ scaling.apply_sq(rz, invert=True)
             reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), top)
@@ -613,8 +617,84 @@ class TestKktSolve:
     def test_indefinite_gram_ends_in_numerical_failure(self, monkeypatch):
         # a Gram matrix LAPACK cannot factor stops the loop with a status,
         # never with an exception
-        monkeypatch.setattr(_KktPlan, "gram", lambda plan, scaling: -np.eye(plan.n))
+        monkeypatch.setattr(_KktPlan, "gram", lambda plan, scaling: -np.eye(plan.n)[None])
         for prog in (soc_min_norm_program(), least_norm_program(np.eye(2), np.ones(2))):
             sol = solve(prog)
             assert sol.status == SolveStatus.NUMERICAL_FAILURE
             assert sol.iterations == 0
+
+
+def design_program(kind, n, seed, gamma_db, delta):
+    """A design program: the nominal design, or the robust one in the
+    "paper" or "zero" mode."""
+    channels = model.generate_channels(n, n, seed)
+    qos = model.QosSpec.from_db([gamma_db] * n, [1.0] * n)
+    if kind == "nominal":
+        return design.build_nominal(channels, qos)[0]
+    return design.build_robust(channels, qos, design.UncertaintySpec(delta=[delta] * n),
+                               kind)[0]
+
+
+def assert_same_solution(batched, alone):
+    assert batched.status == alone.status
+    assert batched.iterations == alone.iterations
+    assert np.array_equal(batched.objective_value, alone.objective_value, equal_nan=True)
+    assert batched.duality_gap == alone.duality_gap
+    assert batched.x.tobytes() == alone.x.tobytes()
+
+
+class TestSolveBatch:
+    """Every member of a batch is solved bit for bit as it is alone."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(n=st.integers(1, 3), members=st.lists(st.tuples(
+               st.sampled_from(["nominal", "paper", "zero"]), st.integers(0, 50),
+               st.sampled_from([0.0, 5.0, 15.0, 30.0]),
+               st.sampled_from([0.0, 0.005, 0.03, 0.2])), min_size=2, max_size=6),
+           zero_row_at=st.none() | st.integers(0, 6))
+    def test_members_match_solo_solves(self, n, members, zero_row_at):
+        # same-size designs share a layout unless delta = 0 moves the robust
+        # pattern; a Zero-row program has its own group
+        programs = [design_program(kind, n, *draw) for kind, *draw in members]
+        if zero_row_at is not None:
+            rng = np.random.default_rng(zero_row_at)
+            programs.insert(zero_row_at, projection_program(
+                rng.normal(size=3), rng.normal(size=3), float(rng.normal())))
+        for batched, program in zip(solve_batch(programs), programs):
+            assert_same_solution(batched, solve(program))
+
+    def test_statuses_mix_in_one_group(self):
+        # one layout, Optimal and PrimalInfeasible members ending at
+        # different iterations
+        programs = [design_program("paper", 3, 7, 5.0, delta)
+                    for delta in (0.005, 0.01, 0.02, 0.04, 0.08, 0.16)]
+        solutions = solve_batch(programs)
+        assert {s.status for s in solutions} == {SolveStatus.OPTIMAL,
+                                                 SolveStatus.PRIMAL_INFEASIBLE}
+        assert len({s.iterations for s in solutions}) > 1
+        for batched, program in zip(solutions, programs):
+            assert_same_solution(batched, solve(program))
+
+    def test_failed_factorisation_ends_one_member(self, monkeypatch):
+        # member 1's Gram block turns indefinite in the third iteration: it
+        # ends in NumericalFailure there, and the others run on unchanged
+        programs = [design_program("zero", 2, seed, 5.0, 0.01) for seed in range(3)]
+        alone = [solve(program) for program in programs]
+        gram, calls = _KktPlan.gram, []
+
+        def broken(plan, scaling):
+            H = gram(plan, scaling)
+            calls.append(plan.members)
+            if plan.members == 3 and calls.count(3) == 3:
+                H[1] = -np.eye(plan.n)
+            return H
+
+        monkeypatch.setattr(_KktPlan, "gram", broken)
+        solutions = solve_batch(programs)
+        assert solutions[1].status == SolveStatus.NUMERICAL_FAILURE
+        assert solutions[1].iterations == 2
+        for k in (0, 2):
+            assert_same_solution(solutions[k], alone[k])
+
+    def test_empty_batch(self):
+        assert solve_batch([]) == []

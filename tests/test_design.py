@@ -17,6 +17,7 @@ from misobeam.design import (
     UncertaintySpec,
     build_nominal,
     build_robust,
+    design_batch,
     design_nominal,
     design_robust,
     extract_precoder,
@@ -176,6 +177,56 @@ class TestDesignMemo:
         assert memo_request("robust", unc=UncertaintySpec(delta=[0.015] * 3, kappa=1)) \
             is base
         assert len(solves) == 1
+
+
+class TestBatchMemo:
+    """design_batch remembers its whole list, and the design functions
+    answer any request of that list from it."""
+
+    DELTAS = [0.005, 0.01, 0.02, 0.04]
+
+    def robust_request(self, delta):
+        a = MEMO_BASE
+        return (a["channels"], a["qos"], UncertaintySpec(delta=[delta] * 3),
+                a["perturbation_sigma"])
+
+    def test_every_member_is_answered_from_memory(self, solves):
+        batch = design_batch("robust", [self.robust_request(d) for d in self.DELTAS])
+        assert [len(programs) for programs in solves] == [len(self.DELTAS)]
+        for delta, result in zip(self.DELTAS, batch):
+            assert design_robust(*self.robust_request(delta)) is result
+        again = design_batch("robust", [self.robust_request(d) for d in self.DELTAS[::-1]])
+        assert all(a is b for a, b in zip(again, batch[::-1]))
+        assert len(solves) == 1
+
+    def test_members_equal_solo_designs(self, solves):
+        batch = design_batch("robust", [self.robust_request(d) for d in self.DELTAS])
+        for delta, result in zip(self.DELTAS, batch):
+            program, _ = build_robust(*self.robust_request(delta))
+            alone = conic.solve(program)
+            assert result.solution.status == alone.status
+            assert result.solution.iterations == alone.iterations
+            assert result.solution.x.tobytes() == alone.x.tobytes()
+
+    def test_request_outside_the_batch_solves_afresh(self, solves):
+        batch = design_batch("robust", [self.robust_request(d) for d in self.DELTAS])
+        other = design_robust(*self.robust_request(0.03))
+        assert [len(programs) for programs in solves] == [len(self.DELTAS), 1]
+        assert all(other is not result for result in batch)
+        # the one-request list replaced the batch
+        assert design_robust(*self.robust_request(self.DELTAS[0])) is not batch[0]
+        assert len(solves) == 3
+
+    def test_repeats_in_a_list_solve_once(self, solves):
+        request = (MEMO_BASE["channels"], MEMO_BASE["qos"])
+        results = design_batch("nominal", [request] * 4)
+        assert [len(programs) for programs in solves] == [1]
+        assert all(result is results[0] for result in results)
+        assert design_nominal(*request) is results[0]
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown design method"):
+            design_batch("sdp", [])
 
 
 class TestUncertaintySpec:
@@ -456,6 +507,21 @@ def test_convergence_pinned(method, n, seed, gamma_db, sigma, delta, status, ite
         result = design_robust(channels, qos, UncertaintySpec(delta=[delta] * n))
     assert result.status == status
     assert abs(result.solution.iterations - iterations) <= 1
+
+
+@pytest.mark.xfail(strict=True, reason="robust design ends in NumericalFailure at "
+                   "radii between 1e-9 and 1e-6 (ROADMAP item 1)")
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-6])
+def test_tiny_radius_robust_design_is_optimal(n, delta):
+    """Radius 0 and radii from 1e-5 up are Optimal on these channels, and
+    so is n = 1 at every radius; in between, the solver stalls after 25-30
+    iterations in both perturbation modes."""
+    channels = model.generate_channels(n, n, 0)
+    qos = QosSpec.from_db([5.0] * n, [1.0] * n)
+    for mode in ("paper", "zero"):
+        result = design_robust(channels, qos, UncertaintySpec(delta=[delta] * n), mode)
+        assert result.status == SolveStatus.OPTIMAL
 
 
 def test_large_sigma_nominal_is_scaled_unit_design():

@@ -185,9 +185,10 @@ class TestDeltaSweepDesigns:
     GRID = [0.005, 0.01, 0.02, 0.04]
 
     def test_nominal_solved_once_per_trial(self, solves):
+        # per trial: one nominal solve, then the robust grid as one batch
         cfg = small_config(n_channel_trials=3, seed=77)
         power_vs_delta_sweep(cfg, self.GRID)
-        assert len(solves) == cfg.n_channel_trials * (len(self.GRID) + 1)
+        assert [len(batch) for batch in solves] == [1, len(self.GRID)] * cfg.n_channel_trials
 
     def test_table_matches_direct_solves(self):
         cfg = small_config(n_channel_trials=3, seed=78)
