@@ -32,9 +32,13 @@ they build the program for sigma / s with s = max_k sigma_k and scale the
 solution back by s.  Both programs, in both perturbation modes, are
 homogeneous of degree 1 in (B, tau, y, t, rho, sigma), so this is exact,
 and it keeps the solver's data near 1 whatever unit the caller measures
-noise in; at s = 1 nothing is scaled.  A design reports Optimal only if
-its precoder meets every SINR target at the estimates within the relative
-tolerance SINR_TOL; otherwise it reports NumericalFailure.
+noise in; at s = 1 nothing is scaled.  The nominal and "zero"-mode robust
+programs are likewise homogeneous in (channels, radii, 1 / B), so when the
+channels' largest entry is far from 1 they are solved at a power-of-two
+channel scale near 1 (see ``_channel_exponent``).  A design reports
+Optimal only if its precoder meets every SINR target at the estimates
+within the relative tolerance SINR_TOL; otherwise it reports
+NumericalFailure.
 
 ``design_batch`` builds, solves, rescales and checks a list of requests
 of one method: the programs go to ``conic.solve_batch``, which solves each
@@ -50,10 +54,12 @@ kappa as a float64 (the program reads only kappa * delta) and the
 perturbation mode.  Build and solve are deterministic functions of these,
 so a hit returns what a fresh solve would return, bit for bit; inputs and
 results are frozen dataclasses over read-only arrays, so the shared result
-cannot change under a caller.  A sweep trial hands each method's grid
-requests to ``design_batch`` first, so its per-point design calls are all
-answered from memory: the robust grid is one batched solve, and the
-nominal request that a delta sweep repeats at every point is solved once.
+cannot change under a caller.  An experiment hands each method's
+requests for a chunk of trials (every trial, and in a sweep every grid
+point) to ``design_batch`` first, so its per-trial design calls are all
+answered from memory: each method's chunk is one batched solve, and the
+nominal request that a delta sweep repeats at every point is solved once
+per trial.
 """
 
 from __future__ import annotations
@@ -199,6 +205,28 @@ def _check_dims(channels: ChannelSet, qos: QosSpec):
         )
 
 
+def _blocks(method: str, nt: int, nu: int) -> tuple[ProgramLayout, list, list]:
+    """The layout of the ``method`` program, and its cones that repeat per
+    user and per antenna, in row order, as (dimension, tag, coordinate)."""
+    if method == "nominal":
+        return ProgramLayout(nt, nu), [(2 * nu + 2, "sinr", None)], []
+    return (RobustProgramLayout(nt, nu),
+            [(2 * nu + 2, "main-robust", None)]
+            + [(3, tag, i) for i in range(2 * nt)
+               for tag in ("perturbation-plus", "perturbation-minus")]
+            + [(1 + 2 * nt, "aggregation", None)],
+            [(1 + 2 * nu, "row-norm", None)])
+
+
+def program_shape(method: str, n_tx: int, n_users: int) -> tuple[int, int]:
+    """(rows, variables) of the ``method`` design program for n_users users
+    and n_tx antennas: the shape of its dense constraint matrix."""
+    layout, user_cones, antenna_cones = _blocks(method, n_tx, n_users)
+    rows = (1 + 2 * n_tx * n_users + n_users * sum(dim for dim, _, _ in user_cones)
+            + n_tx * sum(dim for dim, _, _ in antenna_cones))
+    return rows, layout.num_vars
+
+
 def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = None,
            perturbation_sigma: str = "paper") -> tuple[ConeProgram, ProgramLayout]:
     """Assemble the nominal program (``unc`` None) or the robust one.
@@ -210,24 +238,14 @@ def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = Non
     """
     nt, nu = channels.n_tx, channels.n_users
     user_dim, agg_dim, norm_dim = 2 * nu + 2, 1 + 2 * nt, 1 + 2 * nu
-    if unc is None:
-        layout = ProgramLayout(nt, nu)
-        user_cones = [(user_dim, "sinr", None)]
-        antenna_cones = []
-    else:
-        layout = RobustProgramLayout(nt, nu)
-        user_cones = ([(user_dim, "main-robust", None)]
-                      + [(3, tag, i) for i in range(2 * nt)
-                         for tag in ("perturbation-plus", "perturbation-minus")]
-                      + [(agg_dim, "aggregation", None)])
-        antenna_cones = [(norm_dim, "row-norm", None)]
+    method = "nominal" if unc is None else "robust"
+    layout, user_cones, antenna_cones = _blocks(method, nt, nu)
     a = _sinr_coefficients(qos)
     h_re, h_im = channels.rows.real, channels.rows.imag
     n_b = 2 * nt * nu
     power_dim = 1 + n_b
     per_user = sum(dim for dim, _, _ in user_cones)
-    per_antenna = sum(dim for dim, _, _ in antenna_cones)
-    A = np.zeros((power_dim + nu * per_user + nt * per_antenna, layout.num_vars))
+    A = np.zeros(program_shape(method, nt, nu))
     b = np.zeros(A.shape[0])
 
     # total-power epigraph ||vec(B)|| <= tau
@@ -416,12 +434,20 @@ def _request_key(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None
 
 def _design(method: str, requests: list) -> list[DesignResult]:
     """Solve each request's program at the noise divided by s = max_k
-    sigma_k, scale each solution back by s, and check it at the
-    estimates."""
+    sigma_k and, in a form homogeneous in the channels, at the channels and
+    radii divided by 2^k (see :func:`_channel_exponent`); scale each
+    solution back by s 2^-k, and check it at the estimates."""
     scales, built = [], []
     for channels, qos, *robust in requests:
         scale = float(np.max(qos.sigma))
         unit = QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale)
+        if method == "nominal" or robust[1:] == ["zero"]:  # homogeneous in the channels
+            k = _channel_exponent(channels)
+            if k:
+                channels = ChannelSet(channels.rows * 2.0 ** -k)
+                if robust:
+                    robust[0] = replace(robust[0], delta=robust[0].delta * 2.0 ** -k)
+                scale *= 2.0 ** -k
         scales.append(scale)
         built.append(build_nominal(channels, unit) if method == "nominal"
                      else build_robust(channels, unit, *robust))
@@ -431,6 +457,23 @@ def _design(method: str, requests: list) -> list[DesignResult]:
     return [_checked(channels, qos, scale, solution, layout)
             for (channels, qos, *_), scale, solution, (_, layout)
             in zip(requests, scales, solutions, built)]
+
+
+def _channel_exponent(channels: ChannelSet) -> int:
+    """k = floor(log2 max_ij |h_ij|) when |k| > 4, else 0.
+
+    The nominal program and the "zero"-mode robust program are homogeneous
+    in (channels, radii, 1 / precoder), so designing for the channels and
+    radii divided by 2^k and multiplying the precoder by 2^-k gives the
+    design at the caller's scale, and a power of two rounds nothing.  It
+    keeps the solver's channel data near 1: the "zero" design of
+    ``generate_channels(3, 3, 25)`` with channels and radii times 100 once
+    ended in NumericalFailure where times 1 is Optimal.  Within |k| <= 4
+    nothing is scaled, so designs at the default channel scale keep their
+    bytes."""
+    _, exponent = np.frexp(np.max(np.abs(channels.rows)))
+    k = int(exponent) - 1
+    return k if abs(k) > 4 else 0
 
 
 def _checked(channels: ChannelSet, qos: QosSpec, scale: float, solution: Solution,

@@ -17,15 +17,20 @@ both methods are evaluated against identical errors.
 Designs go through :func:`run_design`, the one place that maps a method
 name to its design function; SINR goes through ``model.achieved_sinr``.
 
-A sweep requests every enabled design at every grid point, so each point
-has its own design call and table entries.  Before those calls, a trial
-hands each method's requests for the whole grid to
-``design.design_batch``, which solves them together (one batched interior
-point, each design bit for bit as alone) and remembers them, so every
-per-point call is answered from memory.  In a delta sweep the nominal
-request is the same at every point (it does not read delta), so the
-nominal program is solved once per trial.  A CDF experiment designs once
-per trial and method, so its designs are not batched.
+Trials run in chunks of consecutive trials.  A chunk draws each trial's
+channels from the trial's own Generator, hands each method's requests for
+every trial (and, in a sweep, every grid point) to one
+``design.design_batch`` call, which solves them together (one batched
+interior point, each design bit for bit as alone) and remembers them, and
+then builds each trial's results through per-trial :func:`run_design`
+calls that the memory answers; the trial's error samples come afterwards
+from the same Generator.  A chunk holds the most trials whose dense
+constraint rows fit CHUNK_BYTES, so small programs are solved many trials
+at a time and an n_t = n_u = 8 program one trial at a time; ``workers``
+maps chunks, not trials, over processes.  Chunking changes no result: every
+report is bit for bit the one trial-by-trial designs give.  In a delta
+sweep the nominal request is the same at every point (it does not read
+delta), so the nominal program is solved once per trial.
 """
 
 from __future__ import annotations
@@ -154,29 +159,72 @@ def _design_methods(config: ExperimentConfig, channels: ChannelSet):
     return {method: run_design(method, config, channels) for method in config.methods}
 
 
-def _cdf_trial(config: ExperimentConfig, trial: int):
-    rng = trial_rng(config.seed, trial)
-    channels = model.generate_channels(config.n_u, config.n_t, rng)
-    results = _design_methods(config, channels)
-    true_rows = channels.rows + model.sample_error(
-        config.n_t, config.delta, config.error_mode, rng,
-        shape=(config.n_error_samples, config.n_u))
-    out = {}
-    for method, res in results.items():
-        if res.status == SolveStatus.OPTIMAL:
-            sinr = model.achieved_sinr(true_rows, res.precoder, config.sigma)
-            out[method] = (res.status.value, res.power, sinr.reshape(-1))
-        else:
-            out[method] = (res.status.value, np.nan, np.zeros(0))
-    return out
+# bytes of dense constraint rows one chunk of trials may hold.  A chunk of
+# two cdf trials ran 1.18x as fast as two solo trials at n_t = n_u = 6
+# (1.03 MB a trial), 1.09x at n = 7 (1.87 MB) and 1.04x at n = 8 (3.15 MB),
+# so n = 8 keeps one trial a chunk and n = 7 gets two
+CHUNK_BYTES = 4_000_000
 
 
-def _run_trials(worker, n_trials: int, workers: int):
-    # ``worker`` is a partial over a module-level function, so it pickles
+def _chunk_size(config: ExperimentConfig, n_points: int) -> int:
+    """Trials per chunk when each trial designs every method at ``n_points``
+    configs: the most whose dense constraint rows fit CHUNK_BYTES, at
+    least one."""
+    trial_bytes = n_points * sum(
+        8 * rows * cols for rows, cols in
+        (design.program_shape(method, config.n_t, config.n_u) for method in config.methods))
+    return max(1, CHUNK_BYTES // trial_bytes)
+
+
+def _chunk_designs(config: ExperimentConfig, points, trials: range):
+    """(generator, channels, designs) of each trial in ``trials``; designs
+    holds one {method: result} per config in ``points``.
+
+    Each trial draws its channels from its own :func:`trial_rng`, which it
+    returns so that later draws continue the trial's stream.  Each method's
+    requests for every trial and point go to one ``design.design_batch``,
+    whose memory then answers the per-trial :func:`run_design` calls."""
+    drawn = []
+    for trial in trials:
+        rng = trial_rng(config.seed, trial)
+        drawn.append((rng, model.generate_channels(config.n_u, config.n_t, rng)))
+    for method in config.methods:
+        design.design_batch(method, [_design_request(method, point, channels)
+                                     for _, channels in drawn for point in points])
+    return [(rng, channels, [_design_methods(point, channels) for point in points])
+            for rng, channels in drawn]
+
+
+def _run_chunks(step, config: ExperimentConfig, n_points: int, workers: int) -> list:
+    """``step(trials)`` over consecutive chunks of trials, in trial order;
+    ``step`` is a partial over a module-level function, so it pickles."""
+    size = _chunk_size(config, n_points)
+    chunks = [range(first, min(first + size, config.n_channel_trials))
+              for first in range(0, config.n_channel_trials, size)]
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, range(n_trials)))
-    return [worker(t) for t in range(n_trials)]
+            parts = list(pool.map(step, chunks))
+    else:
+        parts = [step(chunk) for chunk in chunks]
+    return [row for part in parts for row in part]
+
+
+def _cdf_chunk(config: ExperimentConfig, trials: range):
+    out = []
+    for rng, channels, (results,) in _chunk_designs(config, [config], trials):
+        true_rows = channels.rows + model.sample_error(
+            config.n_t, config.delta, config.error_mode, rng,
+            shape=(config.n_error_samples, config.n_u))
+        row = {}
+        for method, res in results.items():
+            if res.status == SolveStatus.OPTIMAL:
+                sinr = model.achieved_sinr(true_rows, res.precoder, config.sigma)
+                row[method] = (res.status.value, res.power, sinr.reshape(-1))
+            else:
+                row[method] = (res.status.value, np.nan, np.zeros(0))
+        out.append(row)
+    return out
 
 
 def sinr_cdf_experiment(config: ExperimentConfig, workers: int = 1) -> SimulationReport:
@@ -186,7 +234,7 @@ def sinr_cdf_experiment(config: ExperimentConfig, workers: int = 1) -> Simulatio
     enabled method on the same error draws; infeasible trials are counted
     in the feasibility rate and contribute no SINR samples.
     """
-    raw = _run_trials(partial(_cdf_trial, config), config.n_channel_trials, workers)
+    raw = _run_chunks(partial(_cdf_chunk, config), config, 1, workers)
     methods = {}
     for method in config.methods:
         statuses = tuple(r[method][0] for r in raw)
@@ -216,27 +264,20 @@ def sweep_point(config: ExperimentConfig, axis: str, value: float) -> Experiment
     return replace(config, **{axis: _per_user(value, config.n_u, axis)})
 
 
-def _sweep_trial(config: ExperimentConfig, axis: str, grid, trial: int):
-    """One trial of a parameter sweep: a single channel draw is reused for
-    every grid point (common random numbers), so per-trial monotonicity in
-    the swept parameter is exact rather than statistical."""
-    rng = trial_rng(config.seed, trial)
-    channels = model.generate_channels(config.n_u, config.n_t, rng)
+def _sweep_chunk(config: ExperimentConfig, axis: str, grid, trials: range):
+    """Per trial of ``trials``, one {method: (status, power)} per grid
+    point: a single channel draw is reused for every grid point (common
+    random numbers), so per-trial monotonicity in the swept parameter is
+    exact rather than statistical."""
     points = [sweep_point(config, axis, value) for value in grid]
-    for method in config.methods:
-        design.design_batch(method, [_design_request(method, point, channels)
-                                     for point in points])
-    rows = []
-    for point in points:
-        results = _design_methods(point, channels)
-        rows.append({m: (r.status.value, r.power) for m, r in results.items()})
-    return rows
+    return [[{m: (r.status.value, r.power) for m, r in results.items()}
+             for results in per_point]
+            for _, _, per_point in _chunk_designs(config, points, trials)]
 
 
 def _sweep(config: ExperimentConfig, axis: str, grid, workers: int = 1):
     grid = [float(g) for g in grid]
-    raw = _run_trials(partial(_sweep_trial, config, axis, grid), config.n_channel_trials,
-                      workers)
+    raw = _run_chunks(partial(_sweep_chunk, config, axis, grid), config, len(grid), workers)
     # mean_power averages the trials feasible at each point, so the curve
     # mixes different trial subsets near the feasibility boundary; the
     # mean_power_common column restricts to trials feasible for every method

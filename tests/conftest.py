@@ -10,11 +10,12 @@ from misobeam.model import ChannelSet, QosSpec
 @pytest.fixture
 def solves(monkeypatch) -> list:
     """The program lists ``conic.solve_batch`` receives during the test, in
-    order; ``conic.solve`` hands it a list of one program.
+    order; ``conic.solve`` hands it a list of one program, and an
+    experiment one list per method and chunk of trials.
 
-    Each design function remembers its last request, so both first get a
-    1 x 1 request that no test repeats: the test's first design request is
-    then never answered from an earlier test's request.
+    Each design method remembers the requests of its last list, so both
+    first get a 1 x 1 request that no test repeats: the test's first design
+    request is then never answered from an earlier test's list.
     """
     one, qos = ChannelSet([[0.5 + 0.25j]]), QosSpec(gamma=[0.5], sigma=[0.75])
     design.design_nominal(one, qos)

@@ -1,10 +1,14 @@
 """The benchmark's tracer (bench/spans.py) wraps misobeam attributes by name
 and reads design calls by parameter name; these names must keep resolving.
-Its sweep check (bench/checks.py) reads one design call per grid point and
-method, so repeated designs must be answered inside the design functions."""
+Its checks (bench/checks.py) read one design call per trial and method in a
+cdf run, and one per grid point and method in a sweep, so designs that an
+experiment solves as a batch must still reach the design functions, which
+answer them from memory."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -76,3 +80,31 @@ def test_delta_sweep_reports_every_design_call(solves):
     assert [len(batch) for batch in solves] == [1, len(grid)]
     assert len({id(c.result) for c in calls[::2]}) == 1
     assert checks.check_sweep(table, config, grid, calls) == []
+
+
+def test_cdf_reports_every_design_call(solves, tmp_path):
+    # the cdf-n3 workload runs the cdf command under the untraced tracer;
+    # the tracer must see both design calls of every trial, in trial order,
+    # while each method's designs of the run are one batch
+    spans, checks = load_spans(), load_bench("checks")
+    trials, seed = 2, 5
+    config = montecarlo.ExperimentConfig(n_u=3, n_t=3, gamma_db=5.0, sigma=1.0,
+                                         delta=0.015, n_channel_trials=trials,
+                                         n_error_samples=50, seed=seed)
+    path, out = tmp_path / "cdf.cfg", tmp_path / "out"
+    path.write_text("n_t = 3\nn_u = 3\ngamma_db = 5.0\nsigma = 1.0\ndelta = 0.015\n"
+                    f"trials = {trials}\nerror_samples = 50\n")
+    tracer = spans.Tracer(MODULES)
+    with contextlib.redirect_stdout(io.StringIO()):
+        _, _, recorded = tracer.run(0, False, lambda: cli.main(
+            ["cdf", str(path), "--seed", str(seed), "--out", str(out)],
+            standalone_mode=False))
+    calls = spans.design_calls(recorded, design)
+    assert [c.method for c in calls] == ["nominal", "robust"] * trials
+    for trial in range(trials):
+        channels = model.generate_channels(3, 3, montecarlo.trial_rng(seed, trial))
+        for call in calls[2 * trial:2 * trial + 2]:
+            np.testing.assert_array_equal(call.inputs["channels"].rows, channels.rows)
+    assert checks.check_cdf(out, config, calls) == []
+    assert [e for c in calls for e in checks.check_design(c)] == []
+    assert [len(batch) for batch in solves] == [trials, trials]

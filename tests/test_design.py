@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misobeam import conic, model
@@ -21,6 +21,7 @@ from misobeam.design import (
     design_nominal,
     design_robust,
     extract_precoder,
+    program_shape,
 )
 from misobeam.model import ChannelSet, Precoder, QosSpec
 
@@ -482,6 +483,18 @@ class TestRobustLayout:
         assert sorted(index.values()) == list(range(layout.num_vars))
 
 
+@pytest.mark.parametrize("n_u,n_t", [(1, 1), (2, 3), (3, 3), (4, 2), (8, 8)])
+def test_program_shape_is_the_built_shape(n_u, n_t):
+    channels = model.generate_channels(n_u, n_t, 0)
+    qos = QosSpec.from_db([5.0] * n_u, [1.0] * n_u)
+    unc = UncertaintySpec(delta=[0.015] * n_u)
+    assert program_shape("nominal", n_t, n_u) == \
+        build_nominal(channels, qos)[0].constraint_matrix.shape
+    assert program_shape("robust", n_t, n_u) == \
+        build_robust(channels, qos, unc)[0].constraint_matrix.shape
+    assert program_shape("robust", 8, 8) == (1313, 273)
+
+
 # Statuses and iteration counts of a few designs, pinned so that a solver
 # change which moves convergence has to say so.  The last row is solved in
 # the unit noise scale, so it matches its sigma = 1 design.
@@ -543,10 +556,13 @@ def test_large_sigma_nominal_is_scaled_unit_design():
 @given(seed=st.integers(0, 99), method=st.sampled_from(["nominal", "zero", "paper"]),
        log_scale=st.floats(-9.0, 6.0), log_c=st.floats(-4.0, 4.0),
        log_spread=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3))
+@example(seed=25, method="zero", log_scale=0.0, log_c=2.0, log_spread=[0.0, 0.0, 0.0])
 def test_design_does_not_depend_on_units(seed, method, log_scale, log_c, log_spread):
     """Noise times s and channels and radii times c (c = 1 for the "paper"
     mode, which is not homogeneous in the channels) leave the status as it
-    is and scale the power by (s / c)^2."""
+    is and scale the power by (s / c)^2.  The example ended in
+    NumericalFailure after 30 iterations where c = 1 is Optimal, until the
+    design divided the channels by a power of two near their scale."""
     channels = model.generate_channels(3, 3, seed)
     spread = 10.0 ** np.array(log_spread)
     s, c = 10.0 ** log_scale, 1.0 if method == "paper" else 10.0 ** log_c
@@ -563,6 +579,28 @@ def test_design_does_not_depend_on_units(seed, method, log_scale, log_c, log_spr
     assert unit.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE)
     if unit.status == SolveStatus.OPTIMAL:
         assert scaled.power * (c / s) ** 2 == pytest.approx(unit.power, rel=1e-6)
+
+
+@pytest.mark.parametrize("method", ["nominal", "zero"])
+@pytest.mark.parametrize("log2_c", [-10, 10])
+def test_far_channel_scale_is_designed_near_one(method, log2_c):
+    # max |h_ij| of this draw lies in [1, 2), so channels and radii times
+    # c = 2^(+-10) are divided back by exactly c: the same program, the
+    # same iterations, and the precoder times 1 / c, bit for bit
+    channels = model.generate_channels(3, 3, 0)
+    assert 1.0 <= np.abs(channels.rows).max() < 2.0
+    qos = QosSpec.from_db([5.0] * 3, [1.0] * 3)
+
+    def run(c):
+        if method == "nominal":
+            return design_nominal(ChannelSet(c * channels.rows), qos)
+        return design_robust(ChannelSet(c * channels.rows), qos,
+                             UncertaintySpec(delta=[c * 0.015] * 3), method)
+
+    unit, scaled = run(1.0), run(2.0 ** log2_c)
+    assert unit.status == scaled.status == SolveStatus.OPTIMAL
+    assert scaled.solution.iterations == unit.solution.iterations
+    assert (scaled.precoder.matrix * 2.0 ** log2_c).tobytes() == unit.precoder.matrix.tobytes()
 
 
 def test_paper_mode_power_depends_on_the_noise_unit():

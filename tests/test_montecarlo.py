@@ -185,10 +185,12 @@ class TestDeltaSweepDesigns:
     GRID = [0.005, 0.01, 0.02, 0.04]
 
     def test_nominal_solved_once_per_trial(self, solves):
-        # per trial: one nominal solve, then the robust grid as one batch
+        # the three trials are one chunk: one batch of each trial's nominal
+        # request, then one batch of every trial's robust grid
         cfg = small_config(n_channel_trials=3, seed=77)
         power_vs_delta_sweep(cfg, self.GRID)
-        assert [len(batch) for batch in solves] == [1, len(self.GRID)] * cfg.n_channel_trials
+        assert [len(batch) for batch in solves] == [cfg.n_channel_trials,
+                                                    cfg.n_channel_trials * len(self.GRID)]
 
     def test_table_matches_direct_solves(self):
         cfg = small_config(n_channel_trials=3, seed=78)
@@ -223,6 +225,68 @@ class TestDeltaSweepDesigns:
                     "trials": cfg.n_channel_trials, "feasible_trials": int(ok.sum()),
                     "feasibility_rate": ok.sum() / cfg.n_channel_trials})
         np.testing.assert_equal(table, expected)
+
+
+def test_chunk_size_fits_the_byte_budget():
+    # dense rows of one cdf trial: 8 (43 x 19 + 193 x 43) bytes at n = 3,
+    # 8 (211 x 99 + 1009 x 211) at n = 7, 8 (273 x 129 + 1313 x 273) at n = 8
+    def size(n, points=1, **overrides):
+        return montecarlo._chunk_size(small_config(n_u=n, n_t=n, **overrides), points)
+
+    assert montecarlo.CHUNK_BYTES == 4_000_000
+    assert [size(3), size(7), size(8)] == [54, 2, 1]
+    assert size(3, methods=("robust",)) == 4_000_000 // (8 * 193 * 43)
+    assert [size(3, points=6), size(8, points=6)] == [9, 1]
+
+
+class TestChunks:
+    """Every report of chunked trials equals, bit for bit, the report of
+    the trial-by-trial path (one trial per chunk)."""
+
+    @staticmethod
+    def run(monkeypatch, experiment, trials_per_chunk=None):
+        with monkeypatch.context() as patch:
+            if trials_per_chunk is not None:
+                patch.setattr(montecarlo, "_chunk_size", lambda config, points: trials_per_chunk)
+            return experiment()
+
+    def assert_cdf_equal(self, chunked, per_trial):
+        assert chunked.methods.keys() == per_trial.methods.keys()
+        for method, report in chunked.methods.items():
+            expected = per_trial.methods[method]
+            assert report.trial_status == expected.trial_status
+            assert report.trial_power.tobytes() == expected.trial_power.tobytes()
+            assert report.sinr_db.tobytes() == expected.sinr_db.tobytes()
+            assert report.feasibility_rate == expected.feasibility_rate
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cdf_chunks_end_partway(self, monkeypatch, workers):
+        # 7 trials in chunks of 3: the last chunk holds one trial
+        cfg = small_config(n_channel_trials=7, n_error_samples=20, delta=0.03, seed=5)
+        chunked = self.run(monkeypatch, lambda: sinr_cdf_experiment(cfg, workers), 3)
+        per_trial = self.run(monkeypatch, lambda: sinr_cdf_experiment(cfg), 1)
+        assert {"Optimal", "PrimalInfeasible"} <= set(chunked.methods["robust"].trial_status)
+        self.assert_cdf_equal(chunked, per_trial)
+
+    def test_cdf_at_n8(self, monkeypatch):
+        cfg = small_config(n_u=8, n_t=8, n_channel_trials=3, n_error_samples=5,
+                           perturbation_sigma="zero", seed=6)
+        chunked = self.run(monkeypatch, lambda: sinr_cdf_experiment(cfg), 2)
+        per_trial = self.run(monkeypatch, lambda: sinr_cdf_experiment(cfg), 1)
+        self.assert_cdf_equal(chunked, per_trial)
+
+    @pytest.mark.parametrize("sweep,grid,workers", [
+        (power_vs_gamma_sweep, [0.0, 6.0, 12.0, 18.0], 1),
+        (power_vs_delta_sweep, [0.0, 0.01, 0.05, 0.2], 2)])
+    def test_sweep_chunks_end_partway(self, monkeypatch, sweep, grid, workers):
+        # at the byte budget a chunk holds 13 trials of a 4-point n = 3 grid
+        cfg = small_config(n_channel_trials=14, seed=9)
+        assert montecarlo._chunk_size(cfg, len(grid)) == 13
+        chunked = self.run(monkeypatch, lambda: sweep(cfg, grid, workers))
+        per_trial = self.run(monkeypatch, lambda: sweep(cfg, grid), 1)
+        # some rows are feasible in no trial, some in all, some in part
+        assert {row["feasible_trials"] for row in chunked} > {0, cfg.n_channel_trials}
+        assert repr(chunked) == repr(per_trial)
 
 
 class TestWorstCaseCheck:
