@@ -34,13 +34,16 @@ so its cost in numpy calls does not grow with the number of distinct cone
 dimensions.  Problems here are desk-scale (at most a few hundred
 variables, a few thousand cone rows).
 
-``solve_batch`` runs programs that share a cone layout through one loop as
-one block-diagonal program, member-major: one segmented kernel, one Gram
-assembly and one sparse product serve every member, while each member
-keeps its own scalars, step lengths, stopping tests and Cholesky factor.
-Every operation acts on a member's entries as that member's solo solve
-does, so each member's result is bit for bit the one :func:`solve` gives
-it alone; ``solve`` is the batch of one.
+``solve_batch`` runs all its programs through one loop as one
+block-diagonal program, member-major, whatever their sizes and cone
+layouts: one segmented kernel and one sparse product serve every member,
+and the Gram blocks of the members that share a layout stack into one
+batched product per cone class, while each member keeps its own scalars,
+step lengths, stopping tests and Cholesky factor.  A member that returns
+leaves every array in the same iteration.  Every operation acts on a
+member's entries as that member's solo solve does, so each member's
+result is bit for bit the one :func:`solve` gives it alone; ``solve`` is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -265,57 +268,83 @@ def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
 # ---------------------------------------------------------------------------
 
 
-class _ConeLayout:
-    """Row layout of the cone block of ``members`` programs that share one
-    cone structure: each member's rows hold one unit per nonnegative row,
-    then one per second-order block, and the members' rows follow one
-    another (member-major).
+class _Segments:
+    """Member-major vectors of a batch: member k holds ``sizes[k]``
+    consecutive entries, and the members of one layout group have one size.
 
-    Units come sorted by dimension, then by the size of their column support
-    in G.  Every cone kernel is one segmented pass over all rows of all
-    members, whatever the mix of dimensions: per-unit sums are
-    ``np.add.reduceat`` from each unit's head row, and per-unit scalars go
-    back to the rows through ``np.repeat(..., dims)``.  A nonnegative row is
-    a unit of dimension 1 (its head and nothing else), so no segment is
-    empty; the second-order formulas reduce to the elementwise ones there,
-    except the step length, which takes such a row as its linear case.
-    Kernels take vectors or column stacks of shape (rows, k).
-
-    ``m`` and ``degree`` count one member's rows and units.  ``classes``
-    are one member's runs of units with equal dimension and equal nonzero
-    support size, as ``(first_unit, count, dim, start)`` with ``start`` the
-    first row.  They drive the Gram assembly in :class:`_KktPlan`.
+    Per-member reductions are ``reduceat`` from each member's first entry,
+    per-member scalars go back to the entries through ``np.repeat``, and
+    dot products run as one ``np.matmul`` stack of (1, size) @ (size, 1)
+    products per group, which is the BLAS dot of each member's vectors: each
+    rounds as that member's own ``a @ b``.
     """
 
-    def __init__(self, unit_dims: np.ndarray, unit_support: np.ndarray,
-                 members: int = 1):
-        self.unit_dims, self.unit_support = unit_dims, unit_support
-        self.members = members
-        self.m_lp = int(np.count_nonzero(unit_dims == 1))
-        self.m = int(unit_dims.sum())
-        self.degree = len(unit_dims)
-        self.dims = np.tile(unit_dims, members)
+    def __init__(self, group_sizes: list[int], counts: list[int]):
+        self.sizes = np.repeat(group_sizes, counts)
+        self.bounds = [0, *itertools.accumulate(self.sizes.tolist())]
+        self.starts = np.asarray(self.bounds[:-1], dtype=np.intp)
+        self.spans = []  # (first entry, end, members) of each group
+        for size, count in zip(group_sizes, counts):
+            start = self.spans[-1][1] if self.spans else 0
+            self.spans.append((start, start + size * count, count))
+
+    def rows(self, v: np.ndarray, k: int) -> np.ndarray:
+        """Member k's entries of v."""
+        return v[self.bounds[k] : self.bounds[k + 1]]
+
+    def spread(self, values):
+        """Per-member scalars repeated over each member's entries; the one
+        scalar itself for a single member."""
+        return values[0] if len(values) == 1 else np.repeat(values, self.sizes)
+
+    def all(self, v: np.ndarray) -> np.ndarray:
+        return np.logical_and.reduceat(v, self.starts)
+
+    def max_abs(self, v: np.ndarray) -> np.ndarray:
+        """Largest absolute entry per member, per column for a column stack."""
+        return np.maximum.reduceat(np.abs(v), self.starts, axis=0)
+
+    def dots(self, a: np.ndarray, b: np.ndarray):
+        """Per-member dot products of member-major vectors."""
+        if len(self.sizes) == 1:
+            return (a @ b,)
+        return np.concatenate([
+            np.matmul(a[lo:hi].reshape(count, 1, -1), b[lo:hi].reshape(count, -1, 1))
+            .reshape(count) for lo, hi, count in self.spans])
+
+
+class _BatchLayout:
+    """Row layout of the cone blocks of a batch of programs.  ``groups``
+    lists (layout, count) pairs: ``count`` consecutive members that share
+    the :class:`_ConeLayout` ``layout``.  Each member's rows follow the
+    previous member's (member-major), and ``rows`` segments them.
+
+    Every cone kernel is one segmented pass over all rows of all members,
+    whatever the mix of dimensions: per-unit sums are ``np.add.reduceat``
+    from each unit's head row, and per-unit scalars go back to the rows
+    through ``np.repeat(..., dims)``.  A nonnegative row is a unit of
+    dimension 1 (its head and nothing else), so no segment is empty; the
+    second-order formulas reduce to the elementwise ones there, except the
+    step length, which takes such a row as its linear case.  Per-member
+    results reduce over each member's units.  Kernels take vectors or
+    column stacks of shape (rows, k).
+    """
+
+    def __init__(self, groups: list[tuple["_ConeLayout", int]]):
+        self.groups = groups
+        counts = [count for _, count in groups]
+        self.dims = np.concatenate([np.tile(layout.unit_dims, count)
+                                    for layout, count in groups])
         self.heads = np.cumsum(self.dims) - self.dims
         self.lp = np.flatnonzero(self.dims == 1)    # every member's nonnegative rows
         self.lp_rows = self.heads[self.lp]
-        self.head = np.zeros(members * self.m)
+        self.head = np.zeros(int(self.dims.sum()))
         self.head[self.heads] = 1.0
         self.jsign = (2.0 * self.head - 1.0)[:, None]  # the diagonal of J
         self.tail = (1.0 - self.head)[:, None]
-        self.classes: list[tuple[int, int, int, int]] = []
-        first = 0
-        for (dim, size), run in itertools.groupby(zip(unit_dims.tolist(),
-                                                      unit_support.tolist())):
-            count = len(list(run))
-            if size:
-                self.classes.append((first, count, dim, int(self.heads[first])))
-            first += count
-
-    def stacked(self, members: int) -> "_ConeLayout":
-        """The layout of ``members`` programs with this one's structure."""
-        if members == self.members:
-            return self
-        return _ConeLayout(self.unit_dims, self.unit_support, members)
+        units = np.repeat([layout.degree for layout, _ in groups], counts)
+        self.first_units = np.cumsum(units) - units
+        self.rows = _Segments([layout.m for layout, _ in groups], counts)
 
     @staticmethod
     def columns(u: np.ndarray) -> np.ndarray:
@@ -330,11 +359,39 @@ class _ConeLayout:
         return V.repeat(self.dims, axis=0)
 
     def member_min(self, V: np.ndarray) -> np.ndarray:
-        """The smallest entry of each member's units (rows of V), per member."""
-        return V.reshape(self.members, -1).min(axis=1, initial=np.inf)
+        """The smallest entry of each member's units (rows of the (units, k)
+        array V), per member."""
+        return np.minimum.reduceat(V, self.first_units, axis=0).min(axis=1)
 
     def identity(self) -> np.ndarray:
         return self.head.copy()
+
+
+class _ConeLayout(_BatchLayout):
+    """The cone layout of one program, which is also the batch layout of
+    that program alone.  Its rows hold one unit per nonnegative row, then
+    one per second-order block, sorted by dimension, then by the size of
+    their column support in G.
+
+    ``m`` and ``degree`` count its rows and units.  ``classes`` are its runs
+    of units with equal dimension and equal nonzero support size, as
+    ``(first_unit, count, dim, start)`` with ``start`` the first row.  They
+    drive the Gram assembly in :class:`_KktPlan`.
+    """
+
+    def __init__(self, unit_dims: np.ndarray, unit_support: np.ndarray):
+        self.unit_dims, self.unit_support = unit_dims, unit_support
+        self.m = int(unit_dims.sum())
+        self.degree = len(unit_dims)
+        super().__init__([(self, 1)])
+        self.classes: list[tuple[int, int, int, int]] = []
+        first = 0
+        for (dim, size), run in itertools.groupby(zip(unit_dims.tolist(),
+                                                      unit_support.tolist())):
+            count = len(list(run))
+            if size:
+                self.classes.append((first, count, dim, int(self.heads[first])))
+            first += count
 
 
 def _lorentz(U: np.ndarray, w0: np.ndarray, w1: np.ndarray, sign: float) -> np.ndarray:
@@ -359,7 +416,7 @@ class _Scaling:
     W z = W^-1 s = lambda.
     """
 
-    def __init__(self, layout: _ConeLayout, sz: np.ndarray):
+    def __init__(self, layout: _BatchLayout, sz: np.ndarray):
         self.layout = L = layout
         norms = np.sqrt(L.unit_sum(sz * sz * L.jsign))
         bar = sz / L.spread(norms)
@@ -371,9 +428,6 @@ class _Scaling:
         self.inv_1pw0 = 1.0 / (1.0 + self.w0)
         root = np.sqrt(eta)[:, None]
         self.unit_scale = {False: root, True: 1.0 / root}
-        # w and the units' W^-1 scales member by member, for inverse_blocks
-        self.member_w = self.w.reshape(L.members, L.m)
-        self.member_inv_scale = self.unit_scale[True].reshape(L.members, L.degree)
         self.row_scale = {inv: L.spread(v) for inv, v in self.unit_scale.items()}
         # W^2 u = 2 c v (v'u) - c J u with c = eta, v = w; W^-2 u likewise
         # with c = 1/eta, v = J w
@@ -408,17 +462,17 @@ class _Scaling:
         U = L.columns(u)
         return (two_cv * L.spread(L.unit_sum(v * U)) - cJ * U).reshape(u.shape)
 
-    def inverse_blocks(self, first: int, count: int, dim: int, start: int,
+    def inverse_blocks(self, rows: np.ndarray, units: np.ndarray, dim: int,
                        U: np.ndarray) -> np.ndarray:
-        """W^-1 applied to stacked column blocks U of shape (members x count,
-        dim, k), taken from each member's units first .. first + count - 1,
-        whose rows start at ``start``."""
-        w = self.member_w[:, start : start + count * dim].reshape(-1, dim)
-        scale = self.member_inv_scale[:, first : first + count].reshape(-1, 1, 1)
+        """W^-1 applied to stacked column blocks U of shape (count, dim, k):
+        block i belongs to unit ``units[i]``, whose rows are
+        ``rows[i * dim : (i + 1) * dim]``."""
+        w = self.w[rows].reshape(-1, dim)
+        scale = self.unit_scale[True][units].reshape(-1, 1, 1)
         return _lorentz(U, w[:, 0], w[:, 1:], -1.0) * scale
 
 
-def _jordan_product(layout: _ConeLayout, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _jordan_product(layout: _BatchLayout, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u o v: per unit (u'v, u0 v1 + v0 u1)."""
     U, V = layout.columns(u), layout.columns(v)
     out = layout.spread(U[layout.heads]) * V + layout.spread(V[layout.heads]) * U
@@ -426,7 +480,7 @@ def _jordan_product(layout: _ConeLayout, u: np.ndarray, v: np.ndarray) -> np.nda
     return out.reshape(u.shape)
 
 
-def _jordan_solve(layout: _ConeLayout, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _jordan_solve(layout: _BatchLayout, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Solve lam o w = d for w (Jordan division)."""
     L, D = layout.columns(lam), layout.columns(d)
     det = layout.unit_sum(L * L * layout.jsign)
@@ -436,7 +490,7 @@ def _jordan_solve(layout: _ConeLayout, lam: np.ndarray, d: np.ndarray) -> np.nda
     return out.reshape(d.shape)
 
 
-def _margin(layout: _ConeLayout, u: np.ndarray) -> np.ndarray:
+def _margin(layout: _BatchLayout, u: np.ndarray) -> np.ndarray:
     """Distance-like interiority measure per member, the smallest over the
     columns of u: positive iff every column is strictly inside K."""
     U = layout.columns(u)
@@ -444,7 +498,7 @@ def _margin(layout: _ConeLayout, u: np.ndarray) -> np.ndarray:
     return layout.member_min(U[layout.heads] - radius)
 
 
-def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+def _max_step(layout: _BatchLayout, u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Largest alpha per member with u + alpha du still in K, over the
     columns of the stacks u and du (each column of u strictly interior).
     Runs under the caller's ``np.errstate``."""
@@ -454,7 +508,7 @@ def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> np.ndarray:
     c2 = layout.unit_sum(dU * dU * J)
     c1 = layout.unit_sum(U * dU * J)
     c0 = np.maximum(layout.unit_sum(U * U * J), 0.0)
-    if layout.m_lp:
+    if layout.lp.size:
         # a nonnegative row leaves K where u0 + a du0 = 0: the linear case
         lp, rows = layout.lp, layout.lp_rows
         c2[lp], c1[lp], c0[lp] = 0.0, 0.5 * dU[rows], U[rows]
@@ -470,15 +524,65 @@ def _max_step(layout: _ConeLayout, u: np.ndarray, du: np.ndarray) -> np.ndarray:
     return layout.member_min(np.minimum(first, second))
 
 
-class _KktPlan:
-    """Structure of the reduced KKT systems of a batch, fixed for one solve.
+def _csr_pair(M: np.ndarray) -> tuple[tuple, tuple]:
+    """The CSR forms (data, indices, indptr) of M and of M': the arrays
+    ``scipy.sparse.csr_array(M)`` and ``csr_array(M).T.tocsr()`` hold,
+    found by one ``flatnonzero`` and one stable sort by column."""
+    rows, cols = M.shape
+    flat = np.flatnonzero(M != 0)
+    row, col = np.divmod(flat, cols)
+    data = M.ravel()[flat]
+    order = np.argsort(col, kind="stable")
 
-    ``G`` stacks the members' constraint matrices row-wise, member-major,
-    each over the same n columns; every product below works member by
-    member, as if each were alone.  G is held as one block-diagonal CSR
-    matrix, with its transpose, for the matrix-vector products: each row's
-    nonzeros sit in the same order as in the member's own CSR form, so
-    every product rounds as the member's own product.
+    def csr(data, indices, lead, size):
+        indptr = np.searchsorted(lead, np.arange(size + 1))
+        return data, indices.astype(np.int32), indptr.astype(np.int32)
+
+    return csr(data, col, row, rows), csr(data[order], row[order], col[order], cols)
+
+
+def _block_diagonal(blocks: list, cols: list[int]) -> scipy.sparse.csr_array:
+    """The block-diagonal CSR matrix of CSR blocks (data, indices, indptr)
+    with ``cols`` columns each, every row keeping its block's nonzeros in
+    their order."""
+    ends = np.cumsum([0] + [len(data) for data, _, _ in blocks[:-1]])
+    starts = np.cumsum([0] + cols[:-1])
+    data = np.concatenate([data for data, _, _ in blocks])
+    indices = np.concatenate([indices + start for (_, indices, _), start
+                              in zip(blocks, starts)])
+    indptr = np.concatenate([[0]] + [indptr[1:] + end for (_, _, indptr), end
+                                     in zip(blocks, ends)])
+    return scipy.sparse.csr_array((data, indices, indptr.astype(np.int32)),
+                                  shape=(len(indptr) - 1, sum(cols)))
+
+
+class _KktBlock:
+    """One member's share of a KKT plan, taken from its cone rows G (laid
+    out by ``layout``) once: the CSR forms of G and of G', the number of
+    variables ``n``, and per layout class the restricted blocks
+    G_k[:, support_k] of its units, stacked as (count, dim, s), with their
+    column supports (count, s)."""
+
+    def __init__(self, G: np.ndarray, layout: _ConeLayout):
+        self.csr, self.csr_t = _csr_pair(G)
+        self.n = G.shape[1]
+        self.classes = []
+        for _, units, dim, start in layout.classes:
+            rows = G[start : start + units * dim].reshape(units, dim, self.n)
+            cols = np.nonzero(np.any(rows != 0, axis=1))[1].reshape(units, -1)
+            self.classes.append((np.take_along_axis(rows, cols[:, None, :], axis=2), cols))
+
+
+class _KktPlan:
+    """Structure of the reduced KKT systems of the members of a batch that
+    still run, given as their :class:`_KktBlock`, in the order ``layout``
+    lays them out.
+
+    The plan holds the members' cone rows G as one block-diagonal CSR
+    matrix, with its transpose, for the matrix-vector products: each row
+    keeps its nonzeros in the order of the member's own CSR form, so every
+    product rounds as the member's own product.  ``x`` segments the
+    member-major variables, and ``sizes`` lists each member's n.
 
     For a member's Gram matrix G' W^-2 G: W is block diagonal over cone
     units, so W_k^-1 G_k is zero outside the column support of the unit's
@@ -487,67 +591,65 @@ class _KktPlan:
         G' W^-2 G = sum_k T_k' T_k,   T_k = W_k^-1 G_k[:, support_k].
 
     The units of one layout class share dimension and support size, so
-    their restricted blocks G_k[:, support_k] stack, over all members, into
-    one dense (members x count, dim, s) array, stored once here.  Each
-    iteration scales the stacks, takes batched Grams T_k' T_k and
-    scatter-adds them into the (members, n, n) array with one bincount over
-    the flat indices precomputed here.  Each bin receives its member's
-    terms in the member's own order, so each member's matrix is the one a
-    solo solve assembles: the arithmetic of a dense (W^-1 G)' (W^-1 G) in
-    another summation order, without forming W^-1 G.
+    their restricted blocks G_k[:, support_k] stack, over the members of
+    the layout's group, into one dense (members x count, dim, s) array.
+    Each iteration scales the stacks, takes batched Grams T_k' T_k and
+    scatter-adds them into the group's span of one flat array of every
+    member's n x n matrix, with one bincount per group over the flat
+    indices precomputed here.  Each bin
+    receives its member's terms in the member's own order, so each
+    member's matrix is the one a solo solve assembles: the arithmetic of a
+    dense (W^-1 G)' (W^-1 G) in another summation order, without forming
+    W^-1 G.
     """
 
-    def __init__(self, G: np.ndarray, layout: _ConeLayout):
-        self.n = n = G.shape[1]
-        self.members = K = layout.members
-        blocks = [scipy.sparse.csr_array(G_k) for G_k in np.split(G, K)]
-        self.G = _block_diagonal(blocks)
-        self.Gt = _block_diagonal([block.T.tocsr() for block in blocks])
-        self.stacks: list[tuple[tuple[int, int, int, int], np.ndarray]] = []
-        index = [np.zeros(0, dtype=np.intp)]
-        for cls in layout.classes:
-            first, count, dim, start = cls
-            rows = G.reshape(K, layout.m, n)[:, start : start + count * dim]
-            rows = rows.reshape(K * count, dim, n)
-            cols = np.nonzero(np.any(rows != 0, axis=1))[1].reshape(K * count, -1)
-            self.stacks.append((cls, np.take_along_axis(rows, cols[:, None, :], axis=2)))
-            flat = cols[:, :, None] * n + cols[:, None, :]
-            flat += (n * n * np.arange(K).repeat(count))[:, None, None]
-            index.append(flat.ravel())
-        self.gram_index = np.concatenate(index)
-        self.diagonal = np.diag_indices(n)
+    def __init__(self, blocks: list[_KktBlock], layout: _BatchLayout):
+        self.members = len(blocks)
+        counts = [count for _, count in layout.groups]
+        firsts = [0, *itertools.accumulate(counts)]
+        self.x = _Segments([blocks[first].n for first in firsts[:-1]], counts)
+        self.sizes = self.x.sizes.tolist()
+        self.G = _block_diagonal([block.csr for block in blocks], self.sizes)
+        self.Gt = _block_diagonal([block.csr_t for block in blocks],
+                                  layout.rows.sizes.tolist())
+        self.gram_bounds = [0, *itertools.accumulate(n * n for n in self.sizes)]
+        # per group: its class stacks, each with the span of its Gram terms
+        # in the group's list of terms, and the flat index of every term
+        # within the group's span lo .. hi of the flat array
+        self.groups = []
+        row = unit = 0
+        for (layout_g, count), first in zip(layout.groups, firsts):
+            group = blocks[first : first + count]
+            n, m, degree = group[0].n, layout_g.m, layout_g.degree
+            lo, hi = self.gram_bounds[first], self.gram_bounds[first + count]
+            members = np.arange(count)
+            stacks, index, terms = [], [np.zeros(0, dtype=np.intp)], 0
+            for c, (head, units, dim, start) in enumerate(layout_g.classes):
+                rows = (row + m * members + start)[:, None] + np.arange(units * dim)
+                unit_ids = (unit + degree * members + head)[:, None] + np.arange(units)
+                stack = np.concatenate([block.classes[c][0] for block in group])
+                cols = np.stack([block.classes[c][1] for block in group])
+                flat = cols[..., :, None] * n + cols[..., None, :]
+                flat += (n * n * members)[:, None, None, None]
+                index.append(flat.ravel())
+                stacks.append((rows.ravel(), unit_ids.ravel(), dim, stack,
+                               terms, terms + flat.size))
+                terms += flat.size
+            self.groups.append((stacks, np.concatenate(index), lo, hi))
+            row, unit = row + count * m, unit + count * degree
 
-    def gram(self, scaling: _Scaling) -> np.ndarray:
-        """Each member's G' W^-2 G, as a dense (members, n, n) array."""
-        parts = [np.zeros(0)]
-        for cls, stack in self.stacks:
-            T = scaling.inverse_blocks(*cls, stack)
-            parts.append(np.matmul(T.transpose(0, 2, 1), T).ravel())
-        size = self.members * self.n * self.n
-        flat = np.bincount(self.gram_index, weights=np.concatenate(parts), minlength=size)
-        return flat.astype(float, copy=False).reshape(self.members, self.n, self.n)
-
-
-def _block_diagonal(blocks: list) -> scipy.sparse.csr_array:
-    """The block-diagonal CSR matrix of equally shaped CSR blocks, each row
-    keeping its block's nonzeros in their order."""
-    if len(blocks) == 1:
-        return blocks[0]
-    rows, cols = blocks[0].shape
-    ends = np.cumsum([0] + [block.nnz for block in blocks[:-1]])
-    indptr = np.concatenate([[0]] + [block.indptr[1:] + end
-                                     for block, end in zip(blocks, ends)])
-    indices = np.concatenate([block.indices + k * cols for k, block in enumerate(blocks)])
-    data = np.concatenate([block.data for block in blocks])
-    return scipy.sparse.csr_array((data, indices, indptr),
-                                  shape=(len(blocks) * rows, len(blocks) * cols))
-
-
-def _column_max(members: int, *parts: np.ndarray) -> np.ndarray:
-    """Largest absolute entry of each column over the stacked parts, per
-    member: shape (members,) for vectors, (members, k) for column stacks."""
-    stacked = np.concatenate([p.reshape(members, -1, *p.shape[1:]) for p in parts], axis=1)
-    return np.abs(stacked).max(axis=1, initial=0.0)
+    def gram(self, scaling: _Scaling) -> list[np.ndarray]:
+        """Each member's G' W^-2 G, as a dense (n, n) array."""
+        flat = np.empty(self.gram_bounds[-1])
+        for stacks, index, lo, hi in self.groups:
+            weights = np.empty(len(index))
+            for rows, units, dim, stack, first, end in stacks:
+                T = scaling.inverse_blocks(rows, units, dim, stack)
+                s = T.shape[2]
+                np.matmul(T.transpose(0, 2, 1), T, out=weights[first:end].reshape(-1, s, s))
+            flat[lo:hi] = np.bincount(index, weights=weights, minlength=hi - lo)
+        return [flat[lo:hi].reshape(n, n) for lo, hi, n
+                in zip(self.gram_bounds, self.gram_bounds[1:], self.sizes)]
 
 
 class _KktSolver:
@@ -560,9 +662,7 @@ class _KktSolver:
     regularization, for one right-hand side or a stack of columns at once.
     The regularized matrix is symmetric positive definite.  It is factored
     by LAPACK ``dpotrf`` called directly, as ``scipy.linalg.cho_factor``
-    calls it.  Only the ``members`` given are factored; a member whose
-    factorization fails is listed in ``failed`` and solved for no further.
-    The other members' solves are exact zeros in dx.
+    calls it.  A member whose factorization fails is listed in ``failed``.
     """
 
     _REG = 1e-12
@@ -575,59 +675,60 @@ class _KktSolver:
     _REFINE_TOL = 1e-10
     _REFINE_PASSES = 2
 
-    def __init__(self, plan: _KktPlan, scaling: _Scaling, members=None):
+    def __init__(self, plan: _KktPlan, scaling: _Scaling):
         self.plan, self.scaling = plan, scaling
-        H = plan.gram(scaling)
-        # regularization proportional to the matrix scale so it survives the
-        # addition even when the scaled system is huge
-        peak = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
-        self.factors: dict[int, np.ndarray] = {}
+        self.factors: list[np.ndarray | None] = []
         self.failed: list[int] = []
-        for k in range(plan.members) if members is None else members:
-            H_k = H[k]
-            H_k[plan.diagonal] += self._REG * max(1.0, float(peak[k]))
-            factor, info = dpotrf(H_k, lower=False, clean=False)
-            if info == 0:
-                self.factors[k] = factor
-            else:
+        for k, H in enumerate(plan.gram(scaling)):
+            # regularization proportional to the matrix scale so it
+            # survives the addition even when the scaled system is huge
+            diagonal = H.reshape(-1)[:: len(H) + 1]
+            diagonal += self._REG * max(1.0, float(np.abs(diagonal).max()))
+            factor, info = dpotrf(H, lower=False, clean=False)
+            self.factors.append(factor if info == 0 else None)
+            if info:
                 self.failed.append(k)
 
     def _base_solve(self, rx, rz, members=None):
+        """(dx, dz, G dx), solved for the ``members`` given (all by
+        default); the other members' dx are zeros."""
         plan = self.plan
         top = rx + plan.Gt @ self.scaling.apply_sq(rz, invert=True)
         if plan.members == 1:
             dx = dpotrs(self.factors[0], top, lower=False)[0]
         else:
             dx = np.zeros_like(top)
-            shape = (plan.members, plan.n, *top.shape[1:])
-            tops, dxs = top.reshape(shape), dx.reshape(shape)
-            for k in self.factors if members is None else members:
-                dxs[k] = dpotrs(self.factors[k], tops[k], lower=False)[0]
-        dz = self.scaling.apply_sq(plan.G @ dx - rz, invert=True)
-        return dx, dz
+            for k in range(plan.members) if members is None else members:
+                plan.x.rows(dx, k)[...] = dpotrs(self.factors[k], plan.x.rows(top, k),
+                                                 lower=False)[0]
+        Gdx = plan.G @ dx
+        return dx, self.scaling.apply_sq(Gdx - rz, invert=True), Gdx
 
     def solve(self, rx, rz):
         """(dx, dz) for right-hand sides given as vectors, or as column
-        stacks of shapes (members x n, k) and (members x m, k)."""
+        stacks of shapes (variables, k) and (cone rows, k)."""
         plan, K = self.plan, self.plan.members
-        n, m = plan.n, len(rz) // K
-        dx, dz = self._base_solve(rx, rz)
-        bound = self._REFINE_TOL * _column_max(K, rx, rz)
-        pending = list(self.factors)
-        for _ in range(self._REFINE_PASSES):
+        X, Z = plan.x, self.scaling.layout.rows
+        dx, dz, Gdx = self._base_solve(rx, rz)
+        bound = self._REFINE_TOL * np.maximum(X.max_abs(rx), Z.max_abs(rz))
+        pending = list(range(K))
+        for refinement in range(self._REFINE_PASSES):
+            if refinement:
+                Gdx = plan.G @ dx
             res_x = rx - plan.Gt @ dz
-            res_z = rz - (plan.G @ dx - self.scaling.apply_sq(dz))
-            ok = (_column_max(K, res_x, res_z) <= bound).reshape(K, -1).all(axis=1)
+            res_z = rz - (Gdx - self.scaling.apply_sq(dz))
+            ok = np.maximum(X.max_abs(res_x), Z.max_abs(res_z)) <= bound
+            ok = ok.reshape(K, -1).all(axis=1)
             pending = [k for k in pending if not ok[k]]
             if not pending:
                 break
-            cx, cz = self._base_solve(res_x, res_z, pending)
+            cx, cz, _ = self._base_solve(res_x, res_z, pending)
             if len(pending) == K:
                 dx, dz = dx + cx, dz + cz
                 continue
             for k in pending:  # the other members keep their solves
-                dx[k * n : (k + 1) * n] += cx[k * n : (k + 1) * n]
-                dz[k * m : (k + 1) * m] += cz[k * m : (k + 1) * m]
+                X.rows(dx, k)[...] += X.rows(cx, k)
+                Z.rows(dz, k)[...] += Z.rows(cz, k)
         return dx, dz
 
 
@@ -690,14 +791,17 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     x0 + N w: the rows are inconsistent if E x0 misses f by more than
     feas_tol (the test :func:`residuals` applies to Zero blocks), x0 is the
     only candidate if N has no columns, and otherwise the interior point
-    runs on the cone-only program in w.
+    runs on the cone-only program in w.  A cone-only program without cone
+    rows is decided by its objective alone.
 
-    Programs whose cone-only forms share the number of variables and the
-    cone layout (unit dimensions and column-support sizes) then run as one
-    block-diagonal program through one interior-point loop, which pays the
-    per-iteration interpreter cost once for all of them.  Every step
-    length, stopping test and certificate stays per program, and every
-    floating-point operation of a member is the one its solo solve makes.
+    Every other program then runs through one interior-point loop, as one
+    block-diagonal program, whatever its size and cone layout: the loop
+    pays its per-iteration interpreter cost once for all of them.  Programs
+    that share the number of variables and the cone layout (unit dimensions
+    and column-support sizes) form a group, whose Gram blocks stack.  Every
+    step length, stopping test and certificate stays per program, every
+    floating-point operation of a member is the one its solo solve makes,
+    and a program leaves the loop as soon as it returns.
     """
     settings = settings or SolverSettings()
     solutions: list[Solution | None] = [None] * len(programs)
@@ -711,26 +815,40 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
         layout = member.layout
         key = (len(member.c), layout.unit_dims.tobytes(), layout.unit_support.tobytes())
         groups.setdefault(key, []).append(member)
+    if groups:
+        _interior_point(list(groups.values()), settings)
     for group in groups.values():
-        for member, solution in zip(group, _interior_point(group, settings)):
-            solutions[member.index] = member.lift(solution)
+        for member in group:
+            solutions[member.index] = member.lift(member.solution)
     return solutions
 
 
-@dataclass
+@dataclass(eq=False)
 class _Member:
-    """One program's cone-only form: minimize c'w + offset subject to
-    h - G w in K, with the cone rows permuted by :func:`_split_rows`.  The
-    program's x is x0 + N w, or w itself when ``N`` is None."""
+    """One program's cone-only form, minimize c'w + offset subject to
+    h - G w in K with the cone rows permuted by :func:`_split_rows` and G
+    held by ``block``, and its interior-point state.  The program's x is
+    x0 + N w, or w itself when ``N`` is None.  ``solution`` is set when the
+    member returns."""
 
     index: int
     c: np.ndarray
-    G: np.ndarray
+    block: _KktBlock
     h: np.ndarray
     layout: _ConeLayout
     offset: float = 0.0
     x0: np.ndarray | None = None
     N: np.ndarray | None = None
+    tau: float = 1.0
+    kappa: float = 1.0
+    best: Solution | None = None   # the iterate with the best merit so far
+    best_merit: float = np.inf
+    stall: int = 0                 # iterations since the merit last improved
+    solution: Solution | None = None
+
+    def __post_init__(self):
+        self.norm_c = max(1.0, float(np.max(np.abs(self.c))))
+        self.norm_h = max(1.0, float(np.max(np.abs(self.h)))) if len(self.h) else 1.0
 
     def lift(self, solution: Solution) -> Solution:
         if self.N is None:
@@ -738,46 +856,73 @@ class _Member:
         return replace(solution, x=self.x0 + self.N @ solution.x)
 
 
+def _member(index: int, c: np.ndarray, program: ConeProgram, **reduction) -> _Member:
+    G, h, layout = _split_rows(program)
+    return _Member(index, c, _KktBlock(G, layout), h, layout, **reduction)
+
+
 def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
     """The program's cone-only form as a :class:`_Member`, or its Solution
-    when the Zero rows alone decide it."""
+    when the Zero rows, or the lack of cone rows, decide it."""
     zero = np.repeat([isinstance(cone, Zero) for cone in program.cones],
                      [cone.dim for cone in program.cones])
     if not zero.any():
-        return _Member(index, program.objective, *_split_rows(program))
+        member = _member(index, program.objective, program)
+    else:
+        A, b, c = program.constraint_matrix, program.offset, program.objective
+        E, f = A[zero], b[zero]
+        U, S, Vt = np.linalg.svd(E)
+        rank = int(np.count_nonzero(S > max(E.shape) * np.finfo(float).eps * S[0]))
+        x0 = Vt[:rank].T @ ((U[:, :rank].T @ f) / S[:rank])
+        N = Vt[rank:].T
+        if np.max(np.abs(E @ x0 - f)) > settings.feas_tol:
+            return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
+        if N.shape[1] == 0:
+            if residuals(program, x0).cone_violation <= settings.feas_tol:
+                return Solution(SolveStatus.OPTIMAL, x0, float(c @ x0), 0.0, 0)
+            return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
+        G, h = A[~zero], b[~zero]
+        cones = [cone for cone in program.cones if not isinstance(cone, Zero)]
+        reduced = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
+        member = _member(index, reduced.objective, reduced,
+                         offset=float(c @ x0), x0=x0, N=N)
+    if member.layout.m:
+        return member
+    # no cone rows: every w is feasible, so the program is bounded iff c = 0
+    w = np.zeros(len(member.c))
+    if np.linalg.norm(member.c) == 0.0:
+        return member.lift(Solution(SolveStatus.OPTIMAL, w, member.offset, 0.0, 0))
+    return member.lift(Solution(SolveStatus.DUAL_INFEASIBLE, w, -np.inf, np.inf, 0))
 
-    A, b, c = program.constraint_matrix, program.offset, program.objective
-    E, f = A[zero], b[zero]
-    U, S, Vt = np.linalg.svd(E)
-    rank = int(np.count_nonzero(S > max(E.shape) * np.finfo(float).eps * S[0]))
-    x0 = Vt[:rank].T @ ((U[:, :rank].T @ f) / S[:rank])
-    N = Vt[rank:].T
-    if np.max(np.abs(E @ x0 - f)) > settings.feas_tol:
-        return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
-    if N.shape[1] == 0:
-        if residuals(program, x0).cone_violation <= settings.feas_tol:
-            return Solution(SolveStatus.OPTIMAL, x0, float(c @ x0), 0.0, 0)
-        return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
-    G, h = A[~zero], b[~zero]
-    cones = [cone for cone in program.cones if not isinstance(cone, Zero)]
-    reduced = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
-    return _Member(index, reduced.objective, *_split_rows(reduced),
-                   offset=float(c @ x0), x0=x0, N=N)
 
+class _Batch:
+    """The members an interior-point loop still runs, in layout groups,
+    with their row layout and KKT plan."""
 
-def _spread(values, size: int):
-    """Per-member scalars repeated over each member's ``size`` rows; the
-    one scalar itself for a single member."""
-    return values[0] if len(values) == 1 else np.repeat(values, size)
+    def __init__(self, groups: list[list[_Member]]):
+        self._lay_out(groups)
 
+    def _lay_out(self, groups: list[list[_Member]]):
+        self.groups = groups
+        self.members = [member for group in groups for member in group]
+        self.plan = None  # the old plan goes before the next is built
+        if self.members:
+            self.layout = _BatchLayout([(group[0].layout, len(group)) for group in groups])
+            self.plan = _KktPlan([member.block for member in self.members], self.layout)
 
-def _dots(a: np.ndarray, b: np.ndarray, members: int):
-    """Per-member dot products of member-major vectors, as numpy scalars.
-    A stack of (1, n) @ (n, 1) products runs the BLAS dot of each member's
-    vectors, so each rounds as that member's own ``a @ b``."""
-    if members == 1:
-        return (a @ b,)
-    return np.matmul(a.reshape(members, 1, -1), b.reshape(members, -1, 1)).reshape(members)
+    def drop_returned(self):
+        """Drop every member that has returned: None if none has, otherwise
+        the masks of the members that stay, of their variables and of their
+        cone rows.  The layout and the plan are rebuilt for the rest."""
+        keep = [member.solution is None for member in self.members]
+        if all(keep):
+            return None
+        masks = (np.array(keep), np.repeat(keep, self.plan.x.sizes),
+                 np.repeat(keep, self.layout.rows.sizes))
+        self._lay_out([group for group in ([member for member in group
+                                            if member.solution is None]
+                                           for group in self.groups) if group])
+        return masks
 
 
 def _step_limit(step, tau, dtau, kappa, dkappa):
@@ -786,102 +931,86 @@ def _step_limit(step, tau, dtau, kappa, dkappa):
                -kappa / dkappa if dkappa < 0 else np.inf)
 
 
-def _interior_point(group: list[_Member], settings: SolverSettings) -> list[Solution]:
-    """The interior-point loop on a group of cone-only programs that share
-    one layout, run as one member-major block program.
+def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> None:
+    """The interior-point loop on groups of cone-only programs, each group
+    sharing one layout, run as one member-major block program; sets each
+    member's ``solution``.
 
     Vectors hold the members' entries one member after another, and every
     array operation acts on each member's entries as that member's solo
     solve would.  The scalars of each member (tau, kappa, mu, step lengths,
     stopping tests, certificates, stall counts) are computed member by
     member, with the expressions and scalar types of a solo solve.  A
-    member that has returned is frozen: its entries ride along unused, with
-    zero steps, until the last member returns.  A member's ``offset`` is
-    added to the objective values the gap test compares and the Solution
-    reports: c'x0 when the program is the reduction of one with Zero rows,
-    so the gap is that of the original objective.
+    member that returns leaves the batch in the same iteration: its entries
+    leave every array and the KKT plan is rebuilt without it, so no later
+    kernel, product or factorization computes anything for it.  A member
+    whose Gram matrix cannot be factored stops where it fails, and the
+    others factor again without it.  A member's ``offset`` is added to the
+    objective values the gap test compares and the Solution reports: c'x0
+    when the program is the reduction of one with Zero rows, so the gap is
+    that of the original objective.
     """
-    K = len(group)
-    layout = group[0].layout.stacked(K)
-    n, m = len(group[0].c), layout.m
-    if m == 0:
-        return [Solution(SolveStatus.OPTIMAL, np.zeros(n), member.offset, 0.0, 0)
-                if np.linalg.norm(member.c) == 0.0 else
-                Solution(SolveStatus.DUAL_INFEASIBLE, np.zeros(n), -np.inf, np.inf, 0)
-                for member in group]
-    c = np.concatenate([member.c for member in group])
-    h = np.concatenate([member.h for member in group])
-    norm_c = [max(1.0, float(np.max(np.abs(member.c)))) for member in group]
-    norm_h = [max(1.0, float(np.max(np.abs(member.h)))) for member in group]
-    G = group[0].G if K == 1 else np.concatenate([member.G for member in group])
-    for member in group:
-        member.G = None  # the plan keeps what the loop needs of the dense rows
-    plan = _KktPlan(G, layout)
-    G, Gt = plan.G, plan.Gt
-
-    e = layout.identity()
-    x = np.zeros(K * n)
-    # the pair (s, z) as the one (K m, 2) stack the cone kernels take, and
+    batch = _Batch(groups)
+    live = batch.members
+    for member in live:
+        member.best = Solution(SolveStatus.MAX_ITERATIONS, np.zeros(len(member.c)),
+                               np.nan, np.inf, settings.max_iter)
+    c = np.concatenate([member.c for member in live])
+    h = np.concatenate([member.h for member in live])
+    e = batch.layout.identity()
+    x = np.zeros(len(c))
+    # the pair (s, z) as the one (rows, 2) stack the cone kernels take, and
     # its columns also as contiguous vectors, whose dot products round as
     # contiguous ones do
     sz = np.column_stack([e, e])
     s, z = e.copy(), e.copy()
-    tau, kappa = [1.0] * K, [1.0] * K
-    degree = layout.degree + 1
-
-    best = [Solution(SolveStatus.MAX_ITERATIONS, np.zeros(n), np.nan, np.inf,
-                     settings.max_iter)] * K
-    best_merit = [np.inf] * K
-    stall = [0] * K
-    out: list[Solution | None] = [None] * K
-    live = list(range(K))
-
-    def rows(v: np.ndarray, k: int) -> np.ndarray:
-        return v.reshape(K, -1)[k]
-
-    def per_member_all(v: np.ndarray) -> np.ndarray:
-        return v.reshape(K, -1).all(axis=1)
-
-    def per_member_max(v: np.ndarray) -> np.ndarray:
-        return np.abs(v).reshape(K, -1).max(axis=1)
+    interior = _margin(batch.layout, sz)
 
     def certificate(k: int, tol: float) -> SolveStatus | None:
         """PrimalInfeasible if member k's z is a Farkas certificate,
         DualInfeasible if its x is an improving ray, at relative tolerance
         ``tol``.  Reads the products Gx and Gtz of the current iterate."""
+        member, X, Z = live[k], batch.plan.x, batch.layout.rows
         hz = -hz_dot[k]
-        if hz > 1e-12 and np.isfinite(rows(z, k)).all():
-            if float(np.abs(rows(Gtz, k)).max()) <= tol * norm_c[k] * hz:
+        if hz > 1e-12 and np.isfinite(Z.rows(z, k)).all():
+            if float(np.abs(X.rows(Gtz, k)).max()) <= tol * member.norm_c * hz:
                 return SolveStatus.PRIMAL_INFEASIBLE
         cx = -cx_dot[k]
-        if cx > 1e-12 and np.isfinite(rows(x, k)).all() and np.isfinite(rows(s, k)).all():
-            if float(np.abs(rows(Gx, k) + rows(s, k)).max()) <= tol * norm_h[k] * cx:
+        if cx > 1e-12 and np.isfinite(X.rows(x, k)).all() and np.isfinite(Z.rows(s, k)).all():
+            if float(np.abs(Z.rows(Gx, k) + Z.rows(s, k)).max()) <= tol * member.norm_h * cx:
                 return SolveStatus.DUAL_INFEASIBLE
         return None
 
     def stop(k: int) -> None:
         """Progress has stalled: accept a modestly looser certificate if one
         is in hand, otherwise report numerical failure at the best iterate."""
+        member = live[k]
         status = certificate(k, max(1e3 * settings.feas_tol, 1e-6))
         if status is not None:
-            out[k] = _infeasible(status, best[k].x, iteration)
+            member.solution = _infeasible(status, member.best.x, iteration)
         else:
-            out[k] = Solution(SolveStatus.NUMERICAL_FAILURE, best[k].x,
-                              best[k].objective_value, best[k].duality_gap, iteration)
-        live.remove(k)
+            best = member.best
+            member.solution = Solution(SolveStatus.NUMERICAL_FAILURE, best.x,
+                                       best.objective_value, best.duality_gap, iteration)
 
     with np.errstate(all="ignore"):
         for iteration in range(settings.max_iter):
+            layout = batch.layout
+            X, Z = batch.plan.x, layout.rows
             # residuals of the homogeneous system; the two products also
             # feed the convergence tests and the certificates
-            Gx, Gtz = G @ x, Gt @ z
-            tau_n, tau_m = _spread(tau, n), _spread(tau, m)
+            Gx, Gtz = batch.plan.G @ x, batch.plan.Gt @ z
+            tau = [member.tau for member in live]
+            kappa = [member.kappa for member in live]
+            tau_n, tau_m = X.spread(tau), Z.spread(tau)
             r_dual = Gtz + c * tau_n                  # -> 0
             r_cone = Gx + s - h * tau_m               # -> 0
-            cx_dot, hz_dot, sz_dot = _dots(c, x, K), _dots(h, z, K), _dots(s, z, K)
-            r_gap = [float(cx_dot[k] + hz_dot[k] + kappa[k]) for k in range(K)]  # -> 0
-            mu = [(sz_dot[k] + tau[k] * kappa[k]) / degree for k in range(K)]
-            finite = per_member_all(np.isfinite(r_dual)) & per_member_all(np.isfinite(r_cone))
+            cx_dot, hz_dot, sz_dot = X.dots(c, x), Z.dots(h, z), Z.dots(s, z)
+            r_gap = [float(cx_dot[k] + hz_dot[k] + kappa[k])  # -> 0
+                     for k in range(len(live))]
+            mu = [(sz_dot[k] + tau[k] * kappa[k]) / (member.layout.degree + 1)
+                  for k, member in enumerate(live)]
+            finite = X.all(np.isfinite(r_dual)) & Z.all(np.isfinite(r_cone))
 
             # --- convergence tests on the de-homogenized point ---
             # the primal bound is the cone shortfall of the implied slack
@@ -890,52 +1019,69 @@ def _interior_point(group: list[_Member], settings: SolverSettings) -> list[Solu
             # iterate's magnitude
             xh, zh = x / tau_n, z / tau_m
             shortfall = -_margin(layout, h - Gx / tau_m)
-            dres = per_member_max(Gtz / tau_n + c)
-            zh_max = per_member_max(zh)
-            pobj_dot, dobj_dot = _dots(c, xh, K), _dots(h, zh, K)
-            interior = _margin(layout, sz)
-            for k in list(live):
+            dres = X.max_abs(Gtz / tau_n + c)
+            zh_max = Z.max_abs(zh)
+            pobj_dot, dobj_dot = X.dots(c, xh), Z.dots(h, zh)
+            for k, member in enumerate(live):
                 if not (finite[k] and math.isfinite(r_gap[k]) and math.isfinite(mu[k])):
                     stop(k)
                     continue
                 pres = max(shortfall[k], 0.0)
-                dual_scale = norm_c[k] * (1.0 + float(zh_max[k]))
-                pobj = float(pobj_dot[k]) + group[k].offset
-                dobj = float(-dobj_dot[k]) + group[k].offset
+                dual_scale = member.norm_c * (1.0 + float(zh_max[k]))
+                pobj = float(pobj_dot[k]) + member.offset
+                dobj = float(-dobj_dot[k]) + member.offset
                 relgap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
                 if pres <= settings.feas_tol and dres[k] <= settings.feas_tol * dual_scale \
                         and relgap <= settings.gap_tol:
-                    out[k] = Solution(SolveStatus.OPTIMAL, rows(xh, k), pobj, relgap, iteration)
-                    live.remove(k)
+                    member.solution = Solution(SolveStatus.OPTIMAL, X.rows(xh, k), pobj,
+                                               relgap, iteration)
                     continue
 
                 merit = max(pres, dres[k] / dual_scale, relgap)
-                if merit < 0.9 * best_merit[k]:
-                    best_merit[k] = merit
-                    best[k] = Solution(SolveStatus.MAX_ITERATIONS, rows(xh, k), pobj, relgap,
-                                       iteration)
-                    stall[k] = 0
+                if merit < 0.9 * member.best_merit:
+                    member.best_merit = merit
+                    member.best = Solution(SolveStatus.MAX_ITERATIONS, X.rows(xh, k),
+                                           pobj, relgap, iteration)
+                    member.stall = 0
                 else:
-                    stall[k] += 1
+                    member.stall += 1
 
                 status = certificate(k, settings.feas_tol)
                 if status is not None:
-                    out[k] = _infeasible(status, rows(xh, k), iteration)
-                    live.remove(k)
+                    member.solution = _infeasible(status, X.rows(xh, k), iteration)
                 # degenerate instances stop making progress once mu bottoms
                 # out; bail out before the scaled KKT system turns to noise
-                elif mu[k] < 1e-18 or interior[k] < 1e-40 or stall[k] >= 15:
+                elif mu[k] < 1e-18 or interior[k] < 1e-40 or member.stall >= 15:
                     stop(k)
-            if not live:
-                break
 
-            scaling = _Scaling(layout, sz)
-            lam = scaling.apply(z)
-            kkt = _KktSolver(plan, scaling, live)
-            for k in kkt.failed:
-                stop(k)
+            # returned members leave the batch; a member whose Gram matrix
+            # cannot be factored stops, and the others factor again
+            while True:
+                kkt = None  # the plan it holds goes before the next is built
+                kept = batch.drop_returned()
+                if kept is not None:
+                    live = batch.members
+                    if not live:
+                        break
+                    keep, on_x, on_z = kept
+                    layout = batch.layout
+                    X, Z = batch.plan.x, layout.rows
+                    x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
+                    s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]
+                    sz = sz[on_z]
+                    tau, kappa, r_gap, mu, cx_dot, hz_dot = (
+                        [v for v, stays in zip(values, keep) if stays]
+                        for values in (tau, kappa, r_gap, mu, cx_dot, hz_dot))
+                scaling = _Scaling(layout, sz)
+                kkt = _KktSolver(batch.plan, scaling)
+                for k in kkt.failed:
+                    stop(k)
+                if not kkt.failed:
+                    break
             if not live:
                 break
+            K = len(live)
+            lam = scaling.apply(z)
             lam_sq = _jordan_product(layout, lam, lam)
 
             # Newton steps for the homogeneous system with complementarity
@@ -943,72 +1089,75 @@ def _interior_point(group: list[_Member], settings: SolverSettings) -> list[Solu
             # tau dkappa + kappa dtau = dkappa_target.  With dst the Jordan
             # quotient of ds_target by lambda, the KKT right-hand side is
             # (-r_dual, -r_cone - W dst) and ds = W dst - W^2 dz; the column
-            # solved for (-c, h) carries d_tau.  A frozen member steps by 0.
+            # solved for (-c, h) carries d_tau.
             def cone_rhs(ds_target: np.ndarray):
                 w_dst = scaling.apply(_jordan_solve(layout, lam, ds_target))
                 return w_dst, -r_cone - w_dst
 
             def direction(w_dst, dkappa_target, x0, z0):
-                cx0, hz0 = _dots(c, x0, K), _dots(h, z0, K)
+                cx0, hz0 = X.dots(c, x0), Z.dots(h, z0)
                 dtau, dkappa = [0.0] * K, [0.0] * K
-                for k in live:
+                for k in range(K):
                     num = -r_gap[k] - dkappa_target[k] / tau[k] - (cx0[k] + hz0[k])
                     dtau[k] = num / den[k]
                     dkappa[k] = (dkappa_target[k] - kappa[k] * dtau[k]) / tau[k]
-                dx = x0 + _spread(dtau, n) * x1
-                dz = z0 + _spread(dtau, m) * z1
+                dx = x0 + X.spread(dtau) * x1
+                dz = z0 + Z.spread(dtau) * z1
                 ds = w_dst - scaling.apply_sq(dz)
                 return dx, dz, dtau, ds, dkappa
 
             # predictor, solved together with the d_tau column
             w_dst_aff, rz_aff = cone_rhs(-lam_sq)
-            X, Z = kkt.solve(np.column_stack([-c, -r_dual]), np.column_stack([h, rz_aff]))
-            x1, z1 = X[:, 0], Z[:, 0]
-            cx1, hz1 = _dots(c, x1, K), _dots(h, z1, K)
+            cols_x, cols_z = kkt.solve(np.column_stack([-c, -r_dual]),
+                                       np.column_stack([h, rz_aff]))
+            x1, z1 = cols_x[:, 0], cols_z[:, 0]
+            cx1, hz1 = X.dots(c, x1), Z.dots(h, z1)
             den = [(cx1[k] + hz1[k]) - kappa[k] / tau[k] for k in range(K)]
             _, dza, dtaua, dsa, dkappaa = direction(
-                w_dst_aff, [-tau[k] * kappa[k] for k in range(K)], X[:, 1], Z[:, 1])
+                w_dst_aff, [-tau[k] * kappa[k] for k in range(K)], cols_x[:, 1], cols_z[:, 1])
             step = _max_step(layout, sz, np.column_stack([dsa, dza]))
-            alpha_aff = [0.0] * K
-            for k in live:
-                alpha_aff[k] = min(_step_limit(step[k], tau[k], dtaua[k], kappa[k],
-                                               dkappaa[k]), 1.0)
-            a_m = _spread(alpha_aff, m)
-            sz_aff = _dots(s + a_m * dsa, z + a_m * dza, K)
+            alpha_aff = [min(_step_limit(step[k], tau[k], dtaua[k], kappa[k], dkappaa[k]), 1.0)
+                         for k in range(K)]
+            a_m = Z.spread(alpha_aff)
+            sz_aff = Z.dots(s + a_m * dsa, z + a_m * dza)
             sigma_mu, dkappa_target = [0.0] * K, [0.0] * K
-            for k in live:
+            for k in range(K):
                 a = alpha_aff[k]
                 mu_aff = (sz_aff[k] + (tau[k] + a * dtaua[k]) * (kappa[k] + a * dkappaa[k])) \
-                    / degree
+                    / (live[k].layout.degree + 1)
                 sigma = min(max((mu_aff / mu[k]) ** 3, 1e-8), 0.999)
                 sigma_mu[k] = sigma * mu[k]
                 dkappa_target[k] = -tau[k] * kappa[k] - dtaua[k] * dkappaa[k] + sigma_mu[k]
 
             # corrector
             corr = _jordan_product(layout, scaling.apply(dsa, invert=True), scaling.apply(dza))
-            w_dst, rz = cone_rhs(-lam_sq - corr + _spread(sigma_mu, m) * e)
+            w_dst, rz = cone_rhs(-lam_sq - corr + Z.spread(sigma_mu) * layout.head)
             dx, dz, dtau, ds, dkappa = direction(
                 w_dst, dkappa_target, *kkt.solve(-r_dual, rz))
 
-            finite = per_member_all(np.isfinite(dx)) & per_member_all(np.isfinite(ds))
+            finite = X.all(np.isfinite(dx)) & Z.all(np.isfinite(ds))
             dsz = np.column_stack([ds, dz])
             step = _max_step(layout, sz, dsz)
             alpha = [0.0] * K
-            for k in list(live):
+            searching = []
+            for k in range(K):
                 if not (math.isfinite(dtau[k]) and math.isfinite(dkappa[k]) and finite[k]):
                     stop(k)
                     continue
                 alpha[k] = min(0.99 * _step_limit(step[k], tau[k], dtau[k], kappa[k],
                                                   dkappa[k]), 1.0)
-                if not math.isfinite(alpha[k]):
+                if math.isfinite(alpha[k]):
+                    searching.append(k)
+                else:
                     stop(k)
                     alpha[k] = 0.0
 
             # keep iterates strictly interior despite floating-point step
-            # rounding: each member halves its own step until it is
-            searching = list(live)
+            # rounding: each member halves its own step until it is; the
+            # last pass's margins are those of the accepted iterate, which
+            # the next convergence test reads
             for _ in range(40):
-                sz_new = sz + np.reshape(_spread(alpha, m), (-1, 1)) * dsz
+                sz_new = sz + np.reshape(Z.spread(alpha), (-1, 1)) * dsz
                 inside = _margin(layout, sz_new)
                 for k in list(searching):
                     if (tau[k] + alpha[k] * dtau[k] > 0 and kappa[k] + alpha[k] * dkappa[k] > 0
@@ -1018,22 +1167,29 @@ def _interior_point(group: list[_Member], settings: SolverSettings) -> list[Solu
                         alpha[k] *= 0.5
                 if not searching:
                     break
-            for k in list(live):
+            for k, member in enumerate(live):
+                if member.solution is not None:
+                    continue
                 if k in searching or alpha[k] <= 1e-13:
                     stop(k)
                     alpha[k] = 0.0
                 else:
-                    tau[k], kappa[k] = tau[k] + alpha[k] * dtau[k], kappa[k] + alpha[k] * dkappa[k]
+                    member.tau = tau[k] + alpha[k] * dtau[k]
+                    member.kappa = kappa[k] + alpha[k] * dkappa[k]
 
-            x += _spread(alpha, n) * dx
-            sz = sz_new
+            x += X.spread(alpha) * dx
+            sz, interior = sz_new, inside
+            kept = batch.drop_returned()
+            if kept is not None:
+                live = batch.members
+                if not live:
+                    break
+                keep, on_x, on_z = kept
+                x, c, sz, h, interior = x[on_x], c[on_x], sz[on_z], h[on_z], interior[keep]
             s, z = sz[:, 0].copy(), sz[:, 1].copy()
-            if not live:
-                break
         else:
-            for k in live:
-                out[k] = best[k]
-    return out
+            for member in live:
+                member.solution = member.best
 
 
 def _infeasible(status: SolveStatus, x: np.ndarray, iteration: int) -> Solution:

@@ -41,10 +41,10 @@ within the relative tolerance SINR_TOL; otherwise it reports
 NumericalFailure.
 
 ``design_batch`` builds, solves, rescales and checks a list of requests
-of one method: the programs go to ``conic.solve_batch``, which solves each
-one bit for bit as alone, and a list of one goes to ``conic.solve``.
-``design_nominal`` and ``design_robust`` are ``design_batch`` of one
-request.
+per method: the programs of every method go to one ``conic.solve_batch``
+call, which solves each one bit for bit as alone, and a single program
+goes to ``conic.solve``.  ``design_nominal`` and ``design_robust`` are
+``design_batch`` of one request.
 
 Each method remembers the requests and results of its last list, and
 answers any of them from memory.  The key holds every input the result
@@ -54,12 +54,12 @@ kappa as a float64 (the program reads only kappa * delta) and the
 perturbation mode.  Build and solve are deterministic functions of these,
 so a hit returns what a fresh solve would return, bit for bit; inputs and
 results are frozen dataclasses over read-only arrays, so the shared result
-cannot change under a caller.  An experiment hands each method's
+cannot change under a caller.  An experiment hands every method's
 requests for a chunk of trials (every trial, and in a sweep every grid
-point) to ``design_batch`` first, so its per-trial design calls are all
-answered from memory: each method's chunk is one batched solve, and the
-nominal request that a delta sweep repeats at every point is solved once
-per trial.
+point) to one ``design_batch`` call first, so its per-trial design calls
+are all answered from memory: the whole chunk is one batched solve, and
+the nominal request that a delta sweep repeats at every point is solved
+once per trial.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from . import conic, model
 from .conic import ConeProgram, SecondOrder, Solution, SolveStatus
 from .model import ChannelSet, Precoder, QosSpec
 
+METHODS = ("nominal", "robust")
 PERTURBATION_SIGMA_MODES = ("paper", "zero")
 # a design reports Optimal only if its precoder meets every SINR target at
 # the estimates within this relative tolerance; otherwise NumericalFailure
@@ -373,8 +374,9 @@ def extract_precoder(solution: Solution, layout: ProgramLayout) -> Precoder:
 def design_nominal(channels: ChannelSet, qos: QosSpec) -> DesignResult:
     """Build, solve and extract the nominal design; non-Optimal solver
     statuses propagate in the result instead of raising.  A request that
-    the last :func:`design_batch` of this method held returns its result."""
-    return design_batch("nominal", [(channels, qos)])[0]
+    the last :func:`design_batch` list of this method held returns its
+    result."""
+    return design_batch({"nominal": [(channels, qos)]})["nominal"][0]
 
 
 def design_robust(
@@ -384,40 +386,49 @@ def design_robust(
     perturbation_sigma: str = "paper",
 ) -> DesignResult:
     """Build, solve and extract the robust design.  A request that the last
-    :func:`design_batch` of this method held returns its result."""
-    return design_batch("robust", [(channels, qos, unc, perturbation_sigma)])[0]
+    :func:`design_batch` list of this method held returns its result."""
+    return design_batch({"robust": [(channels, qos, unc, perturbation_sigma)]})["robust"][0]
 
 
-def design_batch(method: str, requests) -> list[DesignResult]:
-    """The designs of a list of requests of one method, each the result its
+def design_batch(requests: dict[str, list]) -> dict[str, list[DesignResult]]:
+    """The designs of each method's list of requests, each the result its
     own design function call gives, bit for bit.
 
-    A request is the tuple of the design function's arguments:
-    ``(channels, qos)`` for "nominal", ``(channels, qos, unc,
-    perturbation_sigma)`` for "robust".  Requests the last batch of this
-    method held are answered from memory, repeats within the list are
-    solved once, and the rest are built and solved together, one program
-    through :func:`conic.solve`, more through :func:`conic.solve_batch`.
-    The list then replaces the method's memory, unless every request was
-    answered from it.
+    ``requests`` maps a method to its list; a request is the tuple of the
+    design function's arguments: ``(channels, qos)`` for "nominal",
+    ``(channels, qos, unc, perturbation_sigma)`` for "robust".  Requests
+    the last list of their method held are answered from memory, repeats
+    within a list are solved once, and the rest, of every method, are built
+    and solved together: one program through :func:`conic.solve`, more
+    through one :func:`conic.solve_batch`.  Each method's list then
+    replaces that method's memory, unless every request of it was answered
+    from there.
     """
-    if method not in ("nominal", "robust"):
-        raise ValueError(f"unknown design method {method!r}")
-    keys = [_request_key(*request) for request in requests]
-    last = _last.get(method, {})
+    for method in requests:
+        if method not in METHODS:
+            raise ValueError(f"unknown design method {method!r}")
+    keys = {method: [_request_key(*request) for request in method_requests]
+            for method, method_requests in requests.items()}
+    last = {method: _last.get(method, {}) for method in requests}
     fresh = {}
-    for key, request in zip(keys, requests):
-        if key not in last:
-            fresh.setdefault(key, request)
-    if not fresh:
-        return [last[key] for key in keys]
-    remembered = {key: last[key] for key in keys if key in last}
-    remembered.update(zip(fresh, _design(method, list(fresh.values()))))
-    _last[method] = remembered
-    return [remembered[key] for key in keys]
+    for method, method_requests in requests.items():
+        for key, request in zip(keys[method], method_requests):
+            if key not in last[method]:
+                fresh.setdefault((method, key), request)
+    solved = dict(zip(fresh, _design([(method, request) for (method, _), request
+                                      in fresh.items()]))) if fresh else {}
+    results = {}
+    for method, method_keys in keys.items():
+        remembered = last[method]
+        if any((method, key) in solved for key in method_keys):
+            remembered = {key: solved[method, key] if (method, key) in solved
+                          else remembered[key] for key in method_keys}
+            _last[method] = remembered
+        results[method] = [remembered[key] for key in method_keys]
+    return results
 
 
-# method -> {key: result} of that method's last batch; an entry is one
+# method -> {key: result} of that method's last list; an entry is one
 # dict, read and replaced whole and never changed after, so concurrent
 # callers can at worst miss, never pair a key with another request's result
 _last: dict[str, dict[tuple, DesignResult]] = {}
@@ -432,13 +443,13 @@ def _request_key(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None
     return key + (unc.delta.tobytes(), np.float64(unc.kappa).tobytes(), perturbation_sigma)
 
 
-def _design(method: str, requests: list) -> list[DesignResult]:
-    """Solve each request's program at the noise divided by s = max_k
-    sigma_k and, in a form homogeneous in the channels, at the channels and
-    radii divided by 2^k (see :func:`_channel_exponent`); scale each
-    solution back by s 2^-k, and check it at the estimates."""
+def _design(requests: list[tuple[str, tuple]]) -> list[DesignResult]:
+    """Solve each (method, request)'s program at the noise divided by s =
+    max_k sigma_k and, in a form homogeneous in the channels, at the
+    channels and radii divided by 2^k (see :func:`_channel_exponent`);
+    scale each solution back by s 2^-k, and check it at the estimates."""
     scales, built = [], []
-    for channels, qos, *robust in requests:
+    for method, (channels, qos, *robust) in requests:
         scale = float(np.max(qos.sigma))
         unit = QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale)
         if method == "nominal" or robust[1:] == ["zero"]:  # homogeneous in the channels
@@ -455,7 +466,7 @@ def _design(method: str, requests: list) -> list[DesignResult]:
     solutions = ([conic.solve(programs[0])] if len(programs) == 1
                  else conic.solve_batch(programs))
     return [_checked(channels, qos, scale, solution, layout)
-            for (channels, qos, *_), scale, solution, (_, layout)
+            for (_, (channels, qos, *_)), scale, solution, (_, layout)
             in zip(requests, scales, solutions, built)]
 
 

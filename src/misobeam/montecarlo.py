@@ -18,19 +18,20 @@ Designs go through :func:`run_design`, the one place that maps a method
 name to its design function; SINR goes through ``model.achieved_sinr``.
 
 Trials run in chunks of consecutive trials.  A chunk draws each trial's
-channels from the trial's own Generator, hands each method's requests for
+channels from the trial's own Generator, hands every method's requests for
 every trial (and, in a sweep, every grid point) to one
 ``design.design_batch`` call, which solves them together (one batched
-interior point, each design bit for bit as alone) and remembers them, and
-then builds each trial's results through per-trial :func:`run_design`
-calls that the memory answers; the trial's error samples come afterwards
-from the same Generator.  A chunk holds the most trials whose dense
-constraint rows fit CHUNK_BYTES, so small programs are solved many trials
-at a time and an n_t = n_u = 8 program one trial at a time; ``workers``
-maps chunks, not trials, over processes.  Chunking changes no result: every
-report is bit for bit the one trial-by-trial designs give.  In a delta
-sweep the nominal request is the same at every point (it does not read
-delta), so the nominal program is solved once per trial.
+interior point for all methods, each design bit for bit as alone) and
+remembers each method's list, and then builds each trial's results
+through per-trial :func:`run_design` calls that the memory answers; the
+trial's error samples come afterwards from the same Generator.  A chunk
+holds the most trials whose dense constraint rows fit CHUNK_BYTES, so
+small programs are solved many trials at a time and an n_t = n_u = 8
+program one trial at a time; ``workers`` maps chunks, not trials, over
+processes.  Chunking changes no result: every report is bit for bit the
+one trial-by-trial designs give.  In a delta sweep the nominal request is
+the same at every point (it does not read delta), so the nominal program
+is solved once per trial.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ import numpy as np
 
 from . import design, model
 from .conic import SolveStatus
-from .design import PERTURBATION_SIGMA_MODES, UncertaintySpec
+from .design import METHODS, PERTURBATION_SIGMA_MODES, UncertaintySpec
 from .model import ChannelSet, Precoder, QosSpec
 
-METHODS = ("nominal", "robust")
 ERROR_MODES = ("boundary", "ball")
 
 
@@ -181,16 +181,17 @@ def _chunk_designs(config: ExperimentConfig, points, trials: range):
     holds one {method: result} per config in ``points``.
 
     Each trial draws its channels from its own :func:`trial_rng`, which it
-    returns so that later draws continue the trial's stream.  Each method's
-    requests for every trial and point go to one ``design.design_batch``,
-    whose memory then answers the per-trial :func:`run_design` calls."""
+    returns so that later draws continue the trial's stream.  Every
+    method's requests for every trial and point go to one
+    ``design.design_batch`` call, whose memory then answers the per-trial
+    :func:`run_design` calls."""
     drawn = []
     for trial in trials:
         rng = trial_rng(config.seed, trial)
         drawn.append((rng, model.generate_channels(config.n_u, config.n_t, rng)))
-    for method in config.methods:
-        design.design_batch(method, [_design_request(method, point, channels)
-                                     for _, channels in drawn for point in points])
+    design.design_batch({method: [_design_request(method, point, channels)
+                                  for _, channels in drawn for point in points]
+                         for method in config.methods})
     return [(rng, channels, [_design_methods(point, channels) for point in points])
             for rng, channels in drawn]
 

@@ -11,7 +11,7 @@ from misobeam.model import ChannelSet, QosSpec
 def solves(monkeypatch) -> list:
     """The program lists ``conic.solve_batch`` receives during the test, in
     order; ``conic.solve`` hands it a list of one program, and an
-    experiment one list per method and chunk of trials.
+    experiment one list, every method's programs, per chunk of trials.
 
     Each design method remembers the requests of its last list, so both
     first get a 1 x 1 request that no test repeats: the test's first design

@@ -63,8 +63,9 @@ def test_tracer_captures_design_calls_by_parameter_name():
 
 def test_delta_sweep_reports_every_design_call(solves):
     # the nominal design repeats at every grid point; the tracer must still
-    # see one design_* call per point and method, in order, while conic.solve
-    # runs once for the nominal design and the robust grid is one batch
+    # see one design_* call per point and method, in order, while the
+    # nominal design and the robust grid are one batch, so the traced
+    # conic.solve never runs
     spans, checks = load_spans(), load_bench("checks")
     grid = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16]
     config = montecarlo.ExperimentConfig(n_u=3, n_t=3, gamma_db=5.0, sigma=1.0,
@@ -76,8 +77,8 @@ def test_delta_sweep_reports_every_design_call(solves):
     calls = spans.design_calls(recorded, design)
     assert [c.method for c in calls] == ["nominal", "robust"] * len(grid)
     assert [float(c.inputs["unc"].delta[0]) for c in calls[1::2]] == grid
-    assert sum(s.name == "conic.solve" for s in recorded) == 1
-    assert [len(batch) for batch in solves] == [1, len(grid)]
+    assert sum(s.name == "conic.solve" for s in recorded) == 0
+    assert [len(batch) for batch in solves] == [1 + len(grid)]
     assert len({id(c.result) for c in calls[::2]}) == 1
     assert checks.check_sweep(table, config, grid, calls) == []
 
@@ -85,7 +86,7 @@ def test_delta_sweep_reports_every_design_call(solves):
 def test_cdf_reports_every_design_call(solves, tmp_path):
     # the cdf-n3 workload runs the cdf command under the untraced tracer;
     # the tracer must see both design calls of every trial, in trial order,
-    # while each method's designs of the run are one batch
+    # while every design of the run is in one batch
     spans, checks = load_spans(), load_bench("checks")
     trials, seed = 2, 5
     config = montecarlo.ExperimentConfig(n_u=3, n_t=3, gamma_db=5.0, sigma=1.0,
@@ -107,4 +108,4 @@ def test_cdf_reports_every_design_call(solves, tmp_path):
             np.testing.assert_array_equal(call.inputs["channels"].rows, channels.rows)
     assert checks.check_cdf(out, config, calls) == []
     assert [e for c in calls for e in checks.check_design(c)] == []
-    assert [len(batch) for batch in solves] == [trials, trials]
+    assert [len(batch) for batch in solves] == [2 * trials]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misobeam import design, model
@@ -27,6 +27,7 @@ from misobeam.conic import (
     _ConeLayout,
     _jordan_product,
     _jordan_solve,
+    _KktBlock,
     _KktPlan,
     _KktSolver,
     _margin,
@@ -460,7 +461,7 @@ class TestFlatConeKernels:
         self.rng = np.random.default_rng(31)
         G, h, self.layout = _split_rows(mixed_structure_program(self.rng))
         assert sorted(set(self.layout.dims.tolist())) == [1, 2, 3, 4, 19]
-        assert self.layout.m_lp == 3
+        assert len(self.layout.lp) == 3
 
     def points(self):
         for _ in range(5):
@@ -531,7 +532,8 @@ class TestStructuredKkt:
         G, h, layout = _split_rows(mixed_structure_program(rng))
         for _ in range(5):
             s, z = interior_point(layout, rng), interior_point(layout, rng)
-            gram = _KktPlan(G, layout).gram(_Scaling(layout, np.column_stack([s, z])))
+            scaling = _Scaling(layout, np.column_stack([s, z]))
+            gram = _KktPlan([_KktBlock(G, layout)], layout).gram(scaling)[0]
 
             W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
             # the reference is the NT scaling: W z = W^-1 s
@@ -582,7 +584,7 @@ class TestKktSolve:
             G, h, layout = _split_rows(prog)
             scaling = _Scaling(layout, np.column_stack([interior_point(layout, rng),
                                                         interior_point(layout, rng)]))
-            kkt = _KktSolver(_KktPlan(G, layout), scaling)
+            kkt = _KktSolver(_KktPlan([_KktBlock(G, layout)], layout), scaling)
             rhs = (rng.normal(size=(prog.num_vars, 2)), rng.normal(size=(layout.m, 2)))
             yield G, scaling, kkt, rhs
 
@@ -611,13 +613,14 @@ class TestKktSolve:
             H[np.diag_indices_from(H)] += _KktSolver._REG * max(1.0, np.abs(H.diagonal()).max())
             top = rx + kkt.plan.Gt @ scaling.apply_sq(rz, invert=True)
             reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), top)
-            dx, _ = kkt._base_solve(rx, rz)
+            dx = kkt._base_solve(rx, rz)[0]
             assert np.array_equal(dx, reference)
 
     def test_indefinite_gram_ends_in_numerical_failure(self, monkeypatch):
         # a Gram matrix LAPACK cannot factor stops the loop with a status,
         # never with an exception
-        monkeypatch.setattr(_KktPlan, "gram", lambda plan, scaling: -np.eye(plan.n)[None])
+        monkeypatch.setattr(_KktPlan, "gram",
+                            lambda plan, scaling: [-np.eye(n) for n in plan.sizes])
         for prog in (soc_min_norm_program(), least_norm_program(np.eye(2), np.ones(2))):
             sol = solve(prog)
             assert sol.status == SolveStatus.NUMERICAL_FAILURE
@@ -647,31 +650,47 @@ class TestSolveBatch:
     """Every member of a batch is solved bit for bit as it is alone."""
 
     @settings(deadline=None, max_examples=25)
-    @given(n=st.integers(1, 3), members=st.lists(st.tuples(
-               st.sampled_from(["nominal", "paper", "zero"]), st.integers(0, 50),
-               st.sampled_from([0.0, 5.0, 15.0, 30.0]),
+    @given(members=st.lists(st.tuples(
+               st.sampled_from(["nominal", "paper", "zero"]), st.integers(1, 3),
+               st.integers(0, 50), st.sampled_from([0.0, 5.0, 15.0, 30.0]),
                st.sampled_from([0.0, 0.005, 0.03, 0.2])), min_size=2, max_size=6),
-           zero_row_at=st.none() | st.integers(0, 6))
-    def test_members_match_solo_solves(self, n, members, zero_row_at):
-        # same-size designs share a layout unless delta = 0 moves the robust
-        # pattern; a Zero-row program has its own group
-        programs = [design_program(kind, n, *draw) for kind, *draw in members]
-        if zero_row_at is not None:
-            rng = np.random.default_rng(zero_row_at)
-            programs.insert(zero_row_at, projection_program(
-                rng.normal(size=3), rng.normal(size=3), float(rng.normal())))
+           zero_row_at=st.integers(0, 6))
+    @example(members=[("nominal", 1, 0, 5.0, 0.0), ("paper", 2, 1, 5.0, 0.03),
+                      ("zero", 3, 2, 15.0, 0.005), ("paper", 2, 3, 5.0, 0.2)],
+             zero_row_at=2)
+    def test_members_match_solo_solves(self, members, zero_row_at):
+        # one loop runs every member: designs of both methods and modes, of
+        # different sizes (and so layouts), and a program with Zero rows
+        programs = [design_program(kind, *draw) for kind, *draw in members]
+        rng = np.random.default_rng(zero_row_at)
+        programs.insert(min(zero_row_at, len(programs)), projection_program(
+            rng.normal(size=3), rng.normal(size=3), float(rng.normal())))
         for batched, program in zip(solve_batch(programs), programs):
             assert_same_solution(batched, solve(program))
 
-    def test_statuses_mix_in_one_group(self):
+    def test_statuses_mix_in_one_group(self, monkeypatch):
         # one layout, Optimal and PrimalInfeasible members ending at
-        # different iterations
+        # different iterations; each iteration's Gram assembly sees only
+        # the members that have not returned
         programs = [design_program("paper", 3, 7, 5.0, delta)
                     for delta in (0.005, 0.01, 0.02, 0.04, 0.08, 0.16)]
+        gram, members = _KktPlan.gram, []
+
+        def counted(plan, scaling):
+            members.append(plan.members)
+            return gram(plan, scaling)
+
+        monkeypatch.setattr(_KktPlan, "gram", counted)
         solutions = solve_batch(programs)
         assert {s.status for s in solutions} == {SolveStatus.OPTIMAL,
                                                  SolveStatus.PRIMAL_INFEASIBLE}
-        assert len({s.iterations for s in solutions}) > 1
+        iterations = [s.iterations for s in solutions]
+        assert len(set(iterations)) > 1
+        # a member returns in the convergence test of iteration i, so the
+        # Gram assemblies of iterations 0 .. i - 1 include it
+        assert members == [sum(i < last for last in iterations)
+                           for i in range(max(iterations))]
+        assert members[-1] < members[0]
         for batched, program in zip(solutions, programs):
             assert_same_solution(batched, solve(program))
 
@@ -686,7 +705,7 @@ class TestSolveBatch:
             H = gram(plan, scaling)
             calls.append(plan.members)
             if plan.members == 3 and calls.count(3) == 3:
-                H[1] = -np.eye(plan.n)
+                H[1] = -np.eye(plan.sizes[1])
             return H
 
         monkeypatch.setattr(_KktPlan, "gram", broken)

@@ -191,17 +191,20 @@ class TestBatchMemo:
         return (a["channels"], a["qos"], UncertaintySpec(delta=[delta] * 3),
                 a["perturbation_sigma"])
 
+    def robust_batch(self, deltas):
+        return design_batch({"robust": [self.robust_request(d) for d in deltas]})["robust"]
+
     def test_every_member_is_answered_from_memory(self, solves):
-        batch = design_batch("robust", [self.robust_request(d) for d in self.DELTAS])
+        batch = self.robust_batch(self.DELTAS)
         assert [len(programs) for programs in solves] == [len(self.DELTAS)]
         for delta, result in zip(self.DELTAS, batch):
             assert design_robust(*self.robust_request(delta)) is result
-        again = design_batch("robust", [self.robust_request(d) for d in self.DELTAS[::-1]])
+        again = self.robust_batch(self.DELTAS[::-1])
         assert all(a is b for a, b in zip(again, batch[::-1]))
         assert len(solves) == 1
 
     def test_members_equal_solo_designs(self, solves):
-        batch = design_batch("robust", [self.robust_request(d) for d in self.DELTAS])
+        batch = self.robust_batch(self.DELTAS)
         for delta, result in zip(self.DELTAS, batch):
             program, _ = build_robust(*self.robust_request(delta))
             alone = conic.solve(program)
@@ -210,7 +213,7 @@ class TestBatchMemo:
             assert result.solution.x.tobytes() == alone.x.tobytes()
 
     def test_request_outside_the_batch_solves_afresh(self, solves):
-        batch = design_batch("robust", [self.robust_request(d) for d in self.DELTAS])
+        batch = self.robust_batch(self.DELTAS)
         other = design_robust(*self.robust_request(0.03))
         assert [len(programs) for programs in solves] == [len(self.DELTAS), 1]
         assert all(other is not result for result in batch)
@@ -220,14 +223,25 @@ class TestBatchMemo:
 
     def test_repeats_in_a_list_solve_once(self, solves):
         request = (MEMO_BASE["channels"], MEMO_BASE["qos"])
-        results = design_batch("nominal", [request] * 4)
+        results = design_batch({"nominal": [request] * 4})["nominal"]
         assert [len(programs) for programs in solves] == [1]
         assert all(result is results[0] for result in results)
         assert design_nominal(*request) is results[0]
 
+    def test_methods_share_one_solve(self, solves):
+        # both methods' lists are one solve, and each fills its method's memory
+        nominal = (MEMO_BASE["channels"], MEMO_BASE["qos"])
+        results = design_batch({"nominal": [nominal],
+                                "robust": [self.robust_request(d) for d in self.DELTAS]})
+        assert [len(programs) for programs in solves] == [1 + len(self.DELTAS)]
+        assert design_nominal(*nominal) is results["nominal"][0]
+        for delta, result in zip(self.DELTAS, results["robust"]):
+            assert design_robust(*self.robust_request(delta)) is result
+        assert len(solves) == 1
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown design method"):
-            design_batch("sdp", [])
+            design_batch({"sdp": []})
 
 
 class TestUncertaintySpec:

@@ -186,11 +186,11 @@ class TestDeltaSweepDesigns:
 
     def test_nominal_solved_once_per_trial(self, solves):
         # the three trials are one chunk: one batch of each trial's nominal
-        # request, then one batch of every trial's robust grid
+        # request and every trial's robust grid
         cfg = small_config(n_channel_trials=3, seed=77)
         power_vs_delta_sweep(cfg, self.GRID)
-        assert [len(batch) for batch in solves] == [cfg.n_channel_trials,
-                                                    cfg.n_channel_trials * len(self.GRID)]
+        assert [len(batch) for batch in solves] == [cfg.n_channel_trials
+                                                    + cfg.n_channel_trials * len(self.GRID)]
 
     def test_table_matches_direct_solves(self):
         cfg = small_config(n_channel_trials=3, seed=78)

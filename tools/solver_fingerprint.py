@@ -10,14 +10,15 @@ on a 2-core host the grid's digest is ``4b9cb08b...6f59`` with OpenBLAS
 unpinned and ``3bbdfefe...e6bc`` with OPENBLAS_NUM_THREADS=1.
 
     PYTHONPATH=src python tools/solver_fingerprint.py                # one solve per design
-    PYTHONPATH=src python tools/solver_fingerprint.py --batch        # grouped batches
+    PYTHONPATH=src python tools/solver_fingerprint.py --batch        # one batch
     PYTHONPATH=src python tools/solver_fingerprint.py --experiments  # experiment reports
 
 The grid: n_t = n_u in {1, 2, 3, 4, 6, 8}, channel seeds 0-2, targets 0,
 10, 20 and 30 dB, sigma in {1e-6, 1, 1e3}; the nominal design, and the
 robust design at delta 0.015 in both perturbation modes.  ``--batch``
-solves each size's requests of one method and mode as one
-``design.design_batch`` list and must print the digest of the solo run.
+hands the whole grid, every method, mode and size, to one
+``design.design_batch`` call, which solves it in one interior-point loop,
+and must print the digest of the solo run.
 
 ``--experiments`` instead prints one SHA-256 over the reports of the
 fixed-seed experiments in EXPERIMENTS: a cdf, a gamma sweep and a delta
@@ -44,7 +45,7 @@ KINDS = (("nominal", None), ("robust", "paper"), ("robust", "zero"))
 
 
 def grid():
-    """(size, method, request) for every design, in digest order."""
+    """(method, request) for every design, in digest order."""
     for n in SIZES:
         unc = design.UncertaintySpec(delta=[DELTA] * n)
         for method, mode in KINDS:
@@ -55,7 +56,7 @@ def grid():
                         qos = model.QosSpec.from_db([gamma_db] * n, [sigma] * n)
                         request = ((channels, qos) if method == "nominal"
                                    else (channels, qos, unc, mode))
-                        yield (n, method, mode), method, request
+                        yield method, request
 
 
 # (experiment, n_t = n_u, trials, grid) at 5 dB, sigma 1, delta 0.015, seed 11
@@ -90,20 +91,22 @@ def experiments_digest() -> tuple[int, str]:
 
 
 def solve(batch: bool) -> list:
+    designs = list(grid())
     if not batch:
         return [design.design_nominal(*request) if method == "nominal"
-                else design.design_robust(*request) for _, method, request in grid()]
-    groups = collections.defaultdict(list)
-    for group, method, request in grid():
-        groups[group, method].append(request)
-    return [result for (_, method), requests in groups.items()
-            for result in design.design_batch(method, requests)]
+                else design.design_robust(*request) for method, request in designs]
+    requests = collections.defaultdict(list)
+    for method, request in designs:
+        requests[method].append(request)
+    results = {method: iter(batch) for method, batch
+               in design.design_batch(requests).items()}
+    return [next(results[method]) for method, _ in designs]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--batch", action="store_true",
-                        help="solve each size, method and mode as one batch")
+                        help="solve the whole grid as one batch")
     parser.add_argument("--experiments", action="store_true",
                         help="fingerprint fixed-seed cdf and sweep reports instead")
     args = parser.parse_args()
