@@ -39,8 +39,8 @@ block-diagonal program, member-major, whatever their sizes and cone
 layouts: one segmented kernel and one sparse product serve every member,
 and the Gram blocks of the members that share a layout stack into one
 batched product per cone class, while each member keeps its own scalars,
-step lengths, stopping tests and Cholesky factor.  A member that returns
-leaves every array in the same iteration.  Every operation acts on a
+step lengths, stopping tests and Cholesky factor.  Returned members leave
+every array right after the convergence tests.  Every operation acts on a
 member's entries as that member's solo solve does, so each member's
 result is bit for bit the one :func:`solve` gives it alone; ``solve`` is
 the batch of one.
@@ -662,7 +662,8 @@ class _KktSolver:
     regularization, for one right-hand side or a stack of columns at once.
     The regularized matrix is symmetric positive definite.  It is factored
     by LAPACK ``dpotrf`` called directly, as ``scipy.linalg.cho_factor``
-    calls it.  A member whose factorization fails is listed in ``failed``.
+    calls it.  Members are listed in ``factored``, or in ``failed`` when
+    their factorization fails; the solves skip those.
     """
 
     _REG = 1e-12
@@ -677,7 +678,8 @@ class _KktSolver:
 
     def __init__(self, plan: _KktPlan, scaling: _Scaling):
         self.plan, self.scaling = plan, scaling
-        self.factors: list[np.ndarray | None] = []
+        self.factors: list[np.ndarray] = []
+        self.factored: list[int] = []
         self.failed: list[int] = []
         for k, H in enumerate(plan.gram(scaling)):
             # regularization proportional to the matrix scale so it
@@ -685,20 +687,20 @@ class _KktSolver:
             diagonal = H.reshape(-1)[:: len(H) + 1]
             diagonal += self._REG * max(1.0, float(np.abs(diagonal).max()))
             factor, info = dpotrf(H, lower=False, clean=False)
-            self.factors.append(factor if info == 0 else None)
-            if info:
-                self.failed.append(k)
+            self.factors.append(factor)
+            (self.failed if info else self.factored).append(k)
 
     def _base_solve(self, rx, rz, members=None):
-        """(dx, dz, G dx), solved for the ``members`` given (all by
-        default); the other members' dx are zeros."""
+        """(dx, dz, G dx), solved for the ``members`` given (by default
+        every member that factored); the other members' dx are zeros."""
         plan = self.plan
         top = rx + plan.Gt @ self.scaling.apply_sq(rz, invert=True)
-        if plan.members == 1:
+        members = self.factored if members is None else members
+        if len(members) == plan.members == 1:
             dx = dpotrs(self.factors[0], top, lower=False)[0]
         else:
             dx = np.zeros_like(top)
-            for k in range(plan.members) if members is None else members:
+            for k in members:
                 plan.x.rows(dx, k)[...] = dpotrs(self.factors[k], plan.x.rows(top, k),
                                                  lower=False)[0]
         Gdx = plan.G @ dx
@@ -711,7 +713,7 @@ class _KktSolver:
         X, Z = plan.x, self.scaling.layout.rows
         dx, dz, Gdx = self._base_solve(rx, rz)
         bound = self._REFINE_TOL * np.maximum(X.max_abs(rx), Z.max_abs(rz))
-        pending = list(range(K))
+        pending = self.factored
         for refinement in range(self._REFINE_PASSES):
             if refinement:
                 Gdx = plan.G @ dx
@@ -801,7 +803,8 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     and column-support sizes) form a group, whose Gram blocks stack.  Every
     step length, stopping test and certificate stays per program, every
     floating-point operation of a member is the one its solo solve makes,
-    and a program leaves the loop as soon as it returns.
+    and a program leaves the loop at the first convergence test after it
+    returns.
     """
     settings = settings or SolverSettings()
     solutions: list[Solution | None] = [None] * len(programs)
@@ -917,7 +920,7 @@ class _Batch:
         keep = [member.solution is None for member in self.members]
         if all(keep):
             return None
-        masks = (np.array(keep), np.repeat(keep, self.plan.x.sizes),
+        masks = (keep, np.repeat(keep, self.plan.x.sizes),
                  np.repeat(keep, self.layout.rows.sizes))
         self._lay_out([group for group in ([member for member in group
                                             if member.solution is None]
@@ -940,15 +943,16 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
     array operation acts on each member's entries as that member's solo
     solve would.  The scalars of each member (tau, kappa, mu, step lengths,
     stopping tests, certificates, stall counts) are computed member by
-    member, with the expressions and scalar types of a solo solve.  A
-    member that returns leaves the batch in the same iteration: its entries
-    leave every array and the KKT plan is rebuilt without it, so no later
-    kernel, product or factorization computes anything for it.  A member
-    whose Gram matrix cannot be factored stops where it fails, and the
-    others factor again without it.  A member's ``offset`` is added to the
-    objective values the gap test compares and the Solution reports: c'x0
-    when the program is the reduction of one with Zero rows, so the gap is
-    that of the original objective.
+    member, with the expressions and scalar types of a solo solve.
+    Members leave at one point per iteration, right after the convergence
+    tests: the entries of every returned member leave every array and the
+    KKT plan is rebuilt without them.  A member that stops later, because
+    its Gram matrix cannot be factored or its step search fails, takes no
+    step and leaves at the next iteration's compaction, so the Gram
+    matrices are assembled and factored once per iteration.  A member's
+    ``offset`` is added to the objective values the gap test compares and
+    the Solution reports: c'x0 when the program is the reduction of one
+    with Zero rows, so the gap is that of the original objective.
     """
     batch = _Batch(groups)
     live = batch.members
@@ -1023,6 +1027,8 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             zh_max = Z.max_abs(zh)
             pobj_dot, dobj_dot = X.dots(c, xh), Z.dots(h, zh)
             for k, member in enumerate(live):
+                if member.solution is not None:  # stopped late last iteration
+                    continue
                 if not (finite[k] and math.isfinite(r_gap[k]) and math.isfinite(mu[k])):
                     stop(k)
                     continue
@@ -1054,32 +1060,25 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
                 elif mu[k] < 1e-18 or interior[k] < 1e-40 or member.stall >= 15:
                     stop(k)
 
-            # returned members leave the batch; a member whose Gram matrix
-            # cannot be factored stops, and the others factor again
-            while True:
-                kkt = None  # the plan it holds goes before the next is built
-                kept = batch.drop_returned()
-                if kept is not None:
-                    live = batch.members
-                    if not live:
-                        break
-                    keep, on_x, on_z = kept
-                    layout = batch.layout
-                    X, Z = batch.plan.x, layout.rows
-                    x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
-                    s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]
-                    sz = sz[on_z]
-                    tau, kappa, r_gap, mu, cx_dot, hz_dot = (
-                        [v for v, stays in zip(values, keep) if stays]
-                        for values in (tau, kappa, r_gap, mu, cx_dot, hz_dot))
-                scaling = _Scaling(layout, sz)
-                kkt = _KktSolver(batch.plan, scaling)
-                for k in kkt.failed:
-                    stop(k)
-                if not kkt.failed:
+            kkt = None  # the plan it holds goes before the next is built
+            kept = batch.drop_returned()
+            if kept is not None:
+                live = batch.members
+                if not live:
                     break
-            if not live:
-                break
+                keep, on_x, on_z = kept
+                layout = batch.layout
+                X, Z = batch.plan.x, layout.rows
+                x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
+                s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]
+                sz = sz[on_z]
+                tau, kappa, r_gap, mu, cx_dot, hz_dot = (
+                    [v for v, stays in zip(values, keep) if stays]
+                    for values in (tau, kappa, r_gap, mu, cx_dot, hz_dot))
+            scaling = _Scaling(layout, sz)
+            kkt = _KktSolver(batch.plan, scaling)
+            for k in kkt.failed:  # takes no step, and leaves next iteration
+                stop(k)
             K = len(live)
             lam = scaling.apply(z)
             lam_sq = _jordan_product(layout, lam, lam)
@@ -1140,7 +1139,9 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             step = _max_step(layout, sz, dsz)
             alpha = [0.0] * K
             searching = []
-            for k in range(K):
+            for k, member in enumerate(live):
+                if member.solution is not None:  # its factorization failed
+                    continue
                 if not (math.isfinite(dtau[k]) and math.isfinite(dkappa[k]) and finite[k]):
                     stop(k)
                     continue
@@ -1179,17 +1180,11 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
 
             x += X.spread(alpha) * dx
             sz, interior = sz_new, inside
-            kept = batch.drop_returned()
-            if kept is not None:
-                live = batch.members
-                if not live:
-                    break
-                keep, on_x, on_z = kept
-                x, c, sz, h, interior = x[on_x], c[on_x], sz[on_z], h[on_z], interior[keep]
             s, z = sz[:, 0].copy(), sz[:, 1].copy()
         else:
             for member in live:
-                member.solution = member.best
+                if member.solution is None:
+                    member.solution = member.best
 
 
 def _infeasible(status: SolveStatus, x: np.ndarray, iteration: int) -> Solution:

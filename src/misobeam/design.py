@@ -40,26 +40,26 @@ Optimal only if its precoder meets every SINR target at the estimates
 within the relative tolerance SINR_TOL; otherwise it reports
 NumericalFailure.
 
-``design_batch`` builds, solves, rescales and checks a list of requests
-per method: the programs of every method go to one ``conic.solve_batch``
-call, which solves each one bit for bit as alone, and a single program
-goes to ``conic.solve``.  ``design_nominal`` and ``design_robust`` are
-``design_batch`` of one request.
+``design_batch`` builds, solves, rescales and checks one list of
+(method, request) pairs: the programs of every method go to one
+``conic.solve_batch`` call, which solves each one bit for bit as alone,
+and a single program goes to ``conic.solve``.  ``design_nominal`` and
+``design_robust`` are ``design_batch`` of one pair.
 
-Each method remembers the requests and results of its last list, and
-answers any of them from memory.  The key holds every input the result
+One memory holds the requests and results of the last list that solved
+anything, and answers any of them.  The key holds every input the result
 depends on, as the caller gave it: the channel rows (shape and bytes), the
 bytes of gamma and sigma and, for the robust design, the bytes of delta,
 kappa as a float64 (the program reads only kappa * delta) and the
-perturbation mode.  Build and solve are deterministic functions of these,
-so a hit returns what a fresh solve would return, bit for bit; inputs and
-results are frozen dataclasses over read-only arrays, so the shared result
-cannot change under a caller.  An experiment hands every method's
-requests for a chunk of trials (every trial, and in a sweep every grid
-point) to one ``design_batch`` call first, so its per-trial design calls
-are all answered from memory: the whole chunk is one batched solve, and
-the nominal request that a delta sweep repeats at every point is solved
-once per trial.
+perturbation mode, so a nominal and a robust key never match.  Build and
+solve are deterministic functions of these, so a hit returns what a fresh
+solve would return, bit for bit; inputs and results are frozen dataclasses
+over read-only arrays, so the shared result cannot change under a caller.
+An experiment hands every method's requests for a chunk of trials (every
+trial, and in a sweep every grid point) to one ``design_batch`` call
+first, so its per-trial design calls are all answered from memory: the
+whole chunk is one batched solve, and the nominal request that a delta
+sweep repeats at every point is solved once per trial.
 """
 
 from __future__ import annotations
@@ -374,9 +374,8 @@ def extract_precoder(solution: Solution, layout: ProgramLayout) -> Precoder:
 def design_nominal(channels: ChannelSet, qos: QosSpec) -> DesignResult:
     """Build, solve and extract the nominal design; non-Optimal solver
     statuses propagate in the result instead of raising.  A request that
-    the last :func:`design_batch` list of this method held returns its
-    result."""
-    return design_batch({"nominal": [(channels, qos)]})["nominal"][0]
+    the last solving :func:`design_batch` call held returns its result."""
+    return design_batch([("nominal", (channels, qos))])[0]
 
 
 def design_robust(
@@ -386,52 +385,45 @@ def design_robust(
     perturbation_sigma: str = "paper",
 ) -> DesignResult:
     """Build, solve and extract the robust design.  A request that the last
-    :func:`design_batch` list of this method held returns its result."""
-    return design_batch({"robust": [(channels, qos, unc, perturbation_sigma)]})["robust"][0]
+    solving :func:`design_batch` call held returns its result."""
+    return design_batch([("robust", (channels, qos, unc, perturbation_sigma))])[0]
 
 
-def design_batch(requests: dict[str, list]) -> dict[str, list[DesignResult]]:
-    """The designs of each method's list of requests, each the result its
+def design_batch(requests: list[tuple[str, tuple]]) -> list[DesignResult]:
+    """The design of each ``(method, request)`` pair, each the result its
     own design function call gives, bit for bit.
 
-    ``requests`` maps a method to its list; a request is the tuple of the
-    design function's arguments: ``(channels, qos)`` for "nominal",
-    ``(channels, qos, unc, perturbation_sigma)`` for "robust".  Requests
-    the last list of their method held are answered from memory, repeats
-    within a list are solved once, and the rest, of every method, are built
-    and solved together: one program through :func:`conic.solve`, more
-    through one :func:`conic.solve_batch`.  Each method's list then
-    replaces that method's memory, unless every request of it was answered
-    from there.
+    A request is the tuple of the design function's arguments:
+    ``(channels, qos)`` for "nominal", ``(channels, qos, unc,
+    perturbation_sigma)`` for "robust".  Requests the last solving call
+    held are answered from memory, repeats within the list are solved once,
+    and the rest, of every method, are built and solved together: one
+    program through :func:`conic.solve`, more through one
+    :func:`conic.solve_batch`.  A call that solves anything then replaces
+    the memory with its own list.
     """
-    for method in requests:
+    global _last
+    for method, _ in requests:
         if method not in METHODS:
             raise ValueError(f"unknown design method {method!r}")
-    keys = {method: [_request_key(*request) for request in method_requests]
-            for method, method_requests in requests.items()}
-    last = {method: _last.get(method, {}) for method in requests}
+    keys = [_request_key(*request) for _, request in requests]
+    remembered = _last
     fresh = {}
-    for method, method_requests in requests.items():
-        for key, request in zip(keys[method], method_requests):
-            if key not in last[method]:
-                fresh.setdefault((method, key), request)
-    solved = dict(zip(fresh, _design([(method, request) for (method, _), request
-                                      in fresh.items()]))) if fresh else {}
-    results = {}
-    for method, method_keys in keys.items():
-        remembered = last[method]
-        if any((method, key) in solved for key in method_keys):
-            remembered = {key: solved[method, key] if (method, key) in solved
-                          else remembered[key] for key in method_keys}
-            _last[method] = remembered
-        results[method] = [remembered[key] for key in method_keys]
-    return results
+    for key, request in zip(keys, requests):
+        if key not in remembered:
+            fresh.setdefault(key, request)
+    if fresh:
+        solved = dict(zip(fresh, _design(list(fresh.values()))))
+        remembered = {key: solved[key] if key in solved else remembered[key] for key in keys}
+        _last = remembered
+    return [remembered[key] for key in keys]
 
 
-# method -> {key: result} of that method's last list; an entry is one
-# dict, read and replaced whole and never changed after, so concurrent
+# {key: result} of the last call that solved anything.  A nominal key has
+# four entries and a robust key seven, so the methods never collide.  The
+# dict is read and replaced whole and never changed after, so concurrent
 # callers can at worst miss, never pair a key with another request's result
-_last: dict[str, dict[tuple, DesignResult]] = {}
+_last: dict[tuple, DesignResult] = {}
 
 
 def _request_key(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = None,

@@ -20,18 +20,18 @@ name to its design function; SINR goes through ``model.achieved_sinr``.
 Trials run in chunks of consecutive trials.  A chunk draws each trial's
 channels from the trial's own Generator, hands every method's requests for
 every trial (and, in a sweep, every grid point) to one
-``design.design_batch`` call, which solves them together (one batched
-interior point for all methods, each design bit for bit as alone) and
-remembers each method's list, and then builds each trial's results
-through per-trial :func:`run_design` calls that the memory answers; the
-trial's error samples come afterwards from the same Generator.  A chunk
-holds the most trials whose dense constraint rows fit CHUNK_BYTES, so
-small programs are solved many trials at a time and an n_t = n_u = 8
-program one trial at a time; ``workers`` maps chunks, not trials, over
-processes.  Chunking changes no result: every report is bit for bit the
-one trial-by-trial designs give.  In a delta sweep the nominal request is
-the same at every point (it does not read delta), so the nominal program
-is solved once per trial.
+``design.design_batch`` call as one flat list of (method, request) pairs,
+which solves them together (one batched interior point for all methods,
+each design bit for bit as alone) and remembers the list, and then builds
+each trial's results through per-trial :func:`run_design` calls that the
+memory answers; the trial's error samples come afterwards from the same
+Generator.  A chunk holds the most trials whose dense constraint rows fit
+CHUNK_BYTES, so small programs are solved many trials at a time and an
+n_t = n_u = 8 program one trial at a time; ``workers`` maps chunks, not
+trials, over processes.  Chunking changes no result: every report is bit
+for bit the one trial-by-trial designs give.  In a delta sweep the nominal
+request is the same at every point (it does not read delta), so the
+nominal program is solved once per trial.
 """
 
 from __future__ import annotations
@@ -155,10 +155,6 @@ def run_design(method: str, config: ExperimentConfig,
     return design.design_robust(*request)
 
 
-def _design_methods(config: ExperimentConfig, channels: ChannelSet):
-    return {method: run_design(method, config, channels) for method in config.methods}
-
-
 # bytes of dense constraint rows one chunk of trials may hold.  A chunk of
 # two cdf trials ran 1.18x as fast as two solo trials at n_t = n_u = 6
 # (1.03 MB a trial), 1.09x at n = 7 (1.87 MB) and 1.04x at n = 8 (3.15 MB),
@@ -182,17 +178,19 @@ def _chunk_designs(config: ExperimentConfig, points, trials: range):
 
     Each trial draws its channels from its own :func:`trial_rng`, which it
     returns so that later draws continue the trial's stream.  Every
-    method's requests for every trial and point go to one
-    ``design.design_batch`` call, whose memory then answers the per-trial
-    :func:`run_design` calls."""
+    method's requests for every trial and point go, method by method, to
+    one ``design.design_batch`` call, whose memory then answers the
+    per-trial :func:`run_design` calls, point by point and method by
+    method within a point."""
     drawn = []
     for trial in trials:
         rng = trial_rng(config.seed, trial)
         drawn.append((rng, model.generate_channels(config.n_u, config.n_t, rng)))
-    design.design_batch({method: [_design_request(method, point, channels)
-                                  for _, channels in drawn for point in points]
-                         for method in config.methods})
-    return [(rng, channels, [_design_methods(point, channels) for point in points])
+    design.design_batch([(method, _design_request(method, point, channels))
+                         for method in config.methods
+                         for _, channels in drawn for point in points])
+    return [(rng, channels, [{method: run_design(method, point, channels)
+                              for method in config.methods} for point in points])
             for rng, channels in drawn]
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from misobeam import conic, design
-from misobeam.design import UncertaintySpec
 from misobeam.model import ChannelSet, QosSpec
 
 
@@ -13,13 +12,12 @@ def solves(monkeypatch) -> list:
     order; ``conic.solve`` hands it a list of one program, and an
     experiment one list, every method's programs, per chunk of trials.
 
-    Each design method remembers the requests of its last list, so both
-    first get a 1 x 1 request that no test repeats: the test's first design
-    request is then never answered from an earlier test's list.
+    The design memory holds the requests of the last list that solved
+    anything, so a 1 x 1 request that no test repeats first replaces it:
+    the test's first design request is then never answered from an earlier
+    test's list.
     """
-    one, qos = ChannelSet([[0.5 + 0.25j]]), QosSpec(gamma=[0.5], sigma=[0.75])
-    design.design_nominal(one, qos)
-    design.design_robust(one, qos, UncertaintySpec(delta=[0.0625]))
+    design.design_nominal(ChannelSet([[0.5 + 0.25j]]), QosSpec(gamma=[0.5], sigma=[0.75]))
     solved, solve_batch = [], conic.solve_batch
 
     def counted(programs, settings=None):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from misobeam import design, model
+from misobeam import conic, design, model
 from misobeam.conic import (
     ConeProgram,
     ConeProgramError,
@@ -712,6 +712,39 @@ class TestSolveBatch:
         solutions = solve_batch(programs)
         assert solutions[1].status == SolveStatus.NUMERICAL_FAILURE
         assert solutions[1].iterations == 2
+        # the Gram matrices are assembled and factored once per iteration:
+        # no member factors again after member 1 fails
+        assert len(calls) == max(s.iterations for s in solutions)
+        for k in (0, 2):
+            assert_same_solution(solutions[k], alone[k])
+
+    def test_failed_step_ends_one_member(self, monkeypatch):
+        # member 1's combined step in the third iteration is 0: it ends in
+        # NumericalFailure there, takes no step, leaves the batch before
+        # the next Gram assembly, and the others run on unchanged
+        programs = [design_program("zero", 2, seed, 5.0, 0.01) for seed in range(3)]
+        alone = [solve(program) for program in programs]
+        gram, members = _KktPlan.gram, []
+        max_step, steps = conic._max_step, []
+
+        def counted(plan, scaling):
+            members.append(plan.members)
+            return gram(plan, scaling)
+
+        def stalled(layout, u, du):
+            step = max_step(layout, u, du)
+            steps.append(len(step))
+            if len(steps) == 6:  # the predictor's and the combined step per iteration
+                step[1] = 0.0
+            return step
+
+        monkeypatch.setattr(_KktPlan, "gram", counted)
+        monkeypatch.setattr(conic, "_max_step", stalled)
+        solutions = solve_batch(programs)
+        assert steps[5] == 3
+        assert solutions[1].status == SolveStatus.NUMERICAL_FAILURE
+        assert solutions[1].iterations == 2
+        assert members[:4] == [3, 3, 3, 2]
         for k in (0, 2):
             assert_same_solution(solutions[k], alone[k])
 

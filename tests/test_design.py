@@ -192,7 +192,7 @@ class TestBatchMemo:
                 a["perturbation_sigma"])
 
     def robust_batch(self, deltas):
-        return design_batch({"robust": [self.robust_request(d) for d in deltas]})["robust"]
+        return design_batch([("robust", self.robust_request(d)) for d in deltas])
 
     def test_every_member_is_answered_from_memory(self, solves):
         batch = self.robust_batch(self.DELTAS)
@@ -223,25 +223,25 @@ class TestBatchMemo:
 
     def test_repeats_in_a_list_solve_once(self, solves):
         request = (MEMO_BASE["channels"], MEMO_BASE["qos"])
-        results = design_batch({"nominal": [request] * 4})["nominal"]
+        results = design_batch([("nominal", request)] * 4)
         assert [len(programs) for programs in solves] == [1]
         assert all(result is results[0] for result in results)
         assert design_nominal(*request) is results[0]
 
     def test_methods_share_one_solve(self, solves):
-        # both methods' lists are one solve, and each fills its method's memory
+        # both methods' requests are one solve, and one memory holds them
         nominal = (MEMO_BASE["channels"], MEMO_BASE["qos"])
-        results = design_batch({"nominal": [nominal],
-                                "robust": [self.robust_request(d) for d in self.DELTAS]})
+        results = design_batch([("nominal", nominal)]
+                               + [("robust", self.robust_request(d)) for d in self.DELTAS])
         assert [len(programs) for programs in solves] == [1 + len(self.DELTAS)]
-        assert design_nominal(*nominal) is results["nominal"][0]
-        for delta, result in zip(self.DELTAS, results["robust"]):
+        assert design_nominal(*nominal) is results[0]
+        for delta, result in zip(self.DELTAS, results[1:]):
             assert design_robust(*self.robust_request(delta)) is result
         assert len(solves) == 1
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown design method"):
-            design_batch({"sdp": []})
+            design_batch([("sdp", ())])
 
 
 class TestUncertaintySpec:

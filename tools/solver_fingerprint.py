@@ -5,9 +5,10 @@ total iteration count and one SHA-256 over every design's status,
 iteration count and ``x`` bytes, in grid order.  Two versions of the
 solver that print the same digest give the same designs, bit for bit.
 The digests depend on the BLAS library and its thread count (threaded
-BLAS sums in another order), so compare two trees under one environment:
-on a 2-core host the grid's digest is ``4b9cb08b...6f59`` with OpenBLAS
-unpinned and ``3bbdfefe...e6bc`` with OPENBLAS_NUM_THREADS=1.
+BLAS sums in another order), so the tool pins one BLAS thread before
+numpy loads, as ``bench/run.py`` does.  With OpenBLAS on x86-64 the grid
+prints ``3bbdfefe...e6bc`` solo and with ``--batch``, and
+``--experiments`` prints ``e6175fd6...233c``.
 
     PYTHONPATH=src python tools/solver_fingerprint.py                # one solve per design
     PYTHONPATH=src python tools/solver_fingerprint.py --batch        # one batch
@@ -32,9 +33,13 @@ from __future__ import annotations
 import argparse
 import collections
 import hashlib
+import os
 import time
 
-from misobeam import design, model, montecarlo
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+
+from misobeam import design, model, montecarlo  # noqa: E402
 
 SIZES = (1, 2, 3, 4, 6, 8)
 SEEDS = (0, 1, 2)
@@ -92,15 +97,10 @@ def experiments_digest() -> tuple[int, str]:
 
 def solve(batch: bool) -> list:
     designs = list(grid())
-    if not batch:
-        return [design.design_nominal(*request) if method == "nominal"
-                else design.design_robust(*request) for method, request in designs]
-    requests = collections.defaultdict(list)
-    for method, request in designs:
-        requests[method].append(request)
-    results = {method: iter(batch) for method, batch
-               in design.design_batch(requests).items()}
-    return [next(results[method]) for method, _ in designs]
+    if batch:
+        return design.design_batch(designs)
+    return [design.design_nominal(*request) if method == "nominal"
+            else design.design_robust(*request) for method, request in designs]
 
 
 def main() -> None:
