@@ -32,13 +32,10 @@ they build the program for sigma / s with s = max_k sigma_k and scale the
 solution back by s.  Both programs, in both perturbation modes, are
 homogeneous of degree 1 in (B, tau, y, t, rho, sigma), so this is exact,
 and it keeps the solver's data near 1 whatever unit the caller measures
-noise in; at s = 1 nothing is scaled.  The nominal and "zero"-mode robust
-programs are likewise homogeneous in (channels, radii, 1 / B), so when the
-channels' largest entry is far from 1 they are solved at a power-of-two
-channel scale near 1 (see ``_channel_exponent``).  A design reports
-Optimal only if its precoder meets every SINR target at the estimates
-within the relative tolerance SINR_TOL; otherwise it reports
-NumericalFailure.
+noise in; at s = 1 nothing is scaled.  Channels and radii keep the
+caller's unit.  A design reports Optimal only if its precoder meets every
+SINR target at the estimates within the relative tolerance SINR_TOL (a
+NaN SINR meets none); otherwise it reports NumericalFailure.
 
 ``design_batch`` builds, solves, rescales and checks one list of
 (method, request) pairs: the programs of every method go to one
@@ -437,20 +434,12 @@ def _request_key(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None
 
 def _design(requests: list[tuple[str, tuple]]) -> list[DesignResult]:
     """Solve each (method, request)'s program at the noise divided by s =
-    max_k sigma_k and, in a form homogeneous in the channels, at the
-    channels and radii divided by 2^k (see :func:`_channel_exponent`);
-    scale each solution back by s 2^-k, and check it at the estimates."""
+    max_k sigma_k, scale each solution back by s, and check it at the
+    estimates."""
     scales, built = [], []
     for method, (channels, qos, *robust) in requests:
         scale = float(np.max(qos.sigma))
         unit = QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale)
-        if method == "nominal" or robust[1:] == ["zero"]:  # homogeneous in the channels
-            k = _channel_exponent(channels)
-            if k:
-                channels = ChannelSet(channels.rows * 2.0 ** -k)
-                if robust:
-                    robust[0] = replace(robust[0], delta=robust[0].delta * 2.0 ** -k)
-                scale *= 2.0 ** -k
         scales.append(scale)
         built.append(build_nominal(channels, unit) if method == "nominal"
                      else build_robust(channels, unit, *robust))
@@ -460,23 +449,6 @@ def _design(requests: list[tuple[str, tuple]]) -> list[DesignResult]:
     return [_checked(channels, qos, scale, solution, layout)
             for (_, (channels, qos, *_)), scale, solution, (_, layout)
             in zip(requests, scales, solutions, built)]
-
-
-def _channel_exponent(channels: ChannelSet) -> int:
-    """k = floor(log2 max_ij |h_ij|) when |k| > 4, else 0.
-
-    The nominal program and the "zero"-mode robust program are homogeneous
-    in (channels, radii, 1 / precoder), so designing for the channels and
-    radii divided by 2^k and multiplying the precoder by 2^-k gives the
-    design at the caller's scale, and a power of two rounds nothing.  It
-    keeps the solver's channel data near 1: the "zero" design of
-    ``generate_channels(3, 3, 25)`` with channels and radii times 100 once
-    ended in NumericalFailure where times 1 is Optimal.  Within |k| <= 4
-    nothing is scaled, so designs at the default channel scale keep their
-    bytes."""
-    _, exponent = np.frexp(np.max(np.abs(channels.rows)))
-    k = int(exponent) - 1
-    return k if abs(k) > 4 else 0
 
 
 def _checked(channels: ChannelSet, qos: QosSpec, scale: float, solution: Solution,
@@ -491,7 +463,7 @@ def _checked(channels: ChannelSet, qos: QosSpec, scale: float, solution: Solutio
                             status=solution.status, solution=solution)
     precoder = extract_precoder(solution, layout)
     sinr = model.achieved_sinr(channels, precoder, qos.sigma)
-    if np.any(sinr < qos.gamma * (1.0 - SINR_TOL)):
+    if not np.all(sinr >= qos.gamma * (1.0 - SINR_TOL)):  # a NaN SINR meets nothing
         return DesignResult(precoder=None, power=float("nan"),
                             status=SolveStatus.NUMERICAL_FAILURE, solution=solution)
     return DesignResult(precoder=precoder, power=model.transmit_power(precoder),

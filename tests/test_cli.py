@@ -341,6 +341,18 @@ class TestDesignCommand:
         assert rows[1][1] == "PrimalInfeasible"
         assert "PrimalInfeasible" in result.output
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_sinr_exits_two_with_numerical_failure(self, runner, tmp_path):
+        # scaled back to sigma = 1e-170 the SINR is 0 / 0; such a design
+        # once printed status=Optimal with power 0 and exited 0
+        cfg = write(tmp_path, "tiny.cfg", "n_t = 3\nn_u = 3\ngamma_db = 5\n"
+                    "sigma = 1e-170\ndelta = 0.015\nkappa = 1\nseed = 7\n")
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["design", cfg, "--method", "nominal",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert read_csv(out / "summary.csv")[1][1] == "NumericalFailure"
+
     def test_outdir_env_var(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envout"))
         cfg = write(tmp_path, "s.cfg", SCALAR_CONFIG)

@@ -124,6 +124,16 @@ class TestSolveAnalytic:
         prog = ConeProgram(1, [-1.0], [[-1.0]], [0.0], [Nonnegative(1)])
         assert solve(prog).status == SolveStatus.DUAL_INFEASIBLE
 
+    def test_variable_no_cone_row_touches(self):
+        # x2 leaves a zero on the Gram diagonal, so the KKT regularisation
+        # must shift that entry by more than a multiple of itself
+        A, b, cones = [[-1.0, 0.0]], [-1.0], [Nonnegative(1)]
+        sol = solve(ConeProgram(2, [1.0, 0.0], A, b, cones))
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-6)
+        unbounded = solve(ConeProgram(2, [1.0, 1.0], A, b, cones))
+        assert unbounded.status == SolveStatus.DUAL_INFEASIBLE
+
     def test_max_iterations_status_not_exception(self):
         sol = solve(soc_min_norm_program(), SolverSettings(max_iter=1))
         assert sol.status == SolveStatus.MAX_ITERATIONS
@@ -610,7 +620,8 @@ class TestKktSolve:
         rng = np.random.default_rng(13)
         for G, scaling, kkt, (rx, rz) in self.systems(rng):
             H = kkt.plan.gram(scaling)[0]
-            H[np.diag_indices_from(H)] += _KktSolver._REG * max(1.0, np.abs(H.diagonal()).max())
+            d = H.diagonal()
+            H[np.diag_indices_from(H)] += _KktSolver._REG * np.where(d > 0, d, 1.0)
             top = rx + kkt.plan.Gt @ scaling.apply_sq(rz, invert=True)
             reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), top)
             dx = kkt._base_solve(rx, rz)[0]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from misobeam import conic, model
+from misobeam import conic, model, montecarlo
 from misobeam.conic import SecondOrder, Solution, SolveStatus
 from misobeam.design import (
     ProgramLayout,
@@ -536,19 +536,42 @@ def test_convergence_pinned(method, n, seed, gamma_db, sigma, delta, status, ite
     assert abs(result.solution.iterations - iterations) <= 1
 
 
-@pytest.mark.xfail(strict=True, reason="robust design ends in NumericalFailure at "
-                   "radii between 1e-9 and 1e-6 (ROADMAP item 1)")
-@pytest.mark.parametrize("n", [3, 8])
-@pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-6])
-def test_tiny_radius_robust_design_is_optimal(n, delta):
-    """Radius 0 and radii from 1e-5 up are Optimal on these channels, and
-    so is n = 1 at every radius; in between, the solver stalls after 25-30
-    iterations in both perturbation modes."""
-    channels = model.generate_channels(n, n, 0)
-    qos = QosSpec.from_db([5.0] * n, [1.0] * n)
-    for mode in ("paper", "zero"):
-        result = design_robust(channels, qos, UncertaintySpec(delta=[delta] * n), mode)
-        assert result.status == SolveStatus.OPTIMAL
+def regression_corpus():
+    """(name, (method, request), status) for designs that once ended in
+    NumericalFailure, all at 5 dB and sigma 1: tiny radii on
+    generate_channels(n, n, 0), nominal n = 3 designs and delta-sweep
+    robust designs on trial_rng(seed, trial) channels."""
+    corpus = []
+    for n in (3, 8):
+        channels = model.generate_channels(n, n, 0)
+        qos = QosSpec.from_db([5.0] * n, [1.0] * n)
+        for delta in (1e-9, 1e-7, 1e-6, 1e-5, 3e-5):
+            for mode in ("paper", "zero"):
+                request = (channels, qos, UncertaintySpec(delta=[delta] * n), mode)
+                corpus.append((f"n={n} delta={delta} {mode}", ("robust", request),
+                               SolveStatus.OPTIMAL))
+    qos = QosSpec.from_db([5.0] * 3, [1.0] * 3)
+    for seed, trial in ((51830, 0), (52112, 0), (52283, 0), (52327, 1), (52358, 1)):
+        channels = model.generate_channels(3, 3, montecarlo.trial_rng(seed, trial))
+        corpus.append((f"nominal {seed}/{trial}", ("nominal", (channels, qos)),
+                       SolveStatus.OPTIMAL))
+    # the sweep of 52198 is Optimal at delta 0.01 and PrimalInfeasible from 0.04
+    for seed, delta, status in ((52053, 0.04, SolveStatus.OPTIMAL),
+                                (52198, 0.02, SolveStatus.PRIMAL_INFEASIBLE)):
+        channels = model.generate_channels(3, 3, montecarlo.trial_rng(seed, 0))
+        request = (channels, qos, UncertaintySpec(delta=[delta] * 3), "paper")
+        corpus.append((f"sweep {seed} delta={delta}", ("robust", request), status))
+    return corpus
+
+
+def test_regression_corpus_meets_its_statuses():
+    """Each of these ended in NumericalFailure while the KKT regularisation
+    shifted every diagonal entry by 1e-12 times the largest one, which
+    swamped the small entries near the end of the path."""
+    corpus = regression_corpus()
+    results = design_batch([request for _, request, _ in corpus])
+    statuses = {name: result.status for (name, _, _), result in zip(corpus, results)}
+    assert statuses == {name: status for name, _, status in corpus}
 
 
 def test_large_sigma_nominal_is_scaled_unit_design():
@@ -575,8 +598,8 @@ def test_design_does_not_depend_on_units(seed, method, log_scale, log_c, log_spr
     """Noise times s and channels and radii times c (c = 1 for the "paper"
     mode, which is not homogeneous in the channels) leave the status as it
     is and scale the power by (s / c)^2.  The example ended in
-    NumericalFailure after 30 iterations where c = 1 is Optimal, until the
-    design divided the channels by a power of two near their scale."""
+    NumericalFailure after 30 iterations where c = 1 is Optimal, while the
+    KKT regularisation shifted every diagonal entry by one amount."""
     channels = model.generate_channels(3, 3, seed)
     spread = 10.0 ** np.array(log_spread)
     s, c = 10.0 ** log_scale, 1.0 if method == "paper" else 10.0 ** log_c
@@ -593,28 +616,6 @@ def test_design_does_not_depend_on_units(seed, method, log_scale, log_c, log_spr
     assert unit.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE)
     if unit.status == SolveStatus.OPTIMAL:
         assert scaled.power * (c / s) ** 2 == pytest.approx(unit.power, rel=1e-6)
-
-
-@pytest.mark.parametrize("method", ["nominal", "zero"])
-@pytest.mark.parametrize("log2_c", [-10, 10])
-def test_far_channel_scale_is_designed_near_one(method, log2_c):
-    # max |h_ij| of this draw lies in [1, 2), so channels and radii times
-    # c = 2^(+-10) are divided back by exactly c: the same program, the
-    # same iterations, and the precoder times 1 / c, bit for bit
-    channels = model.generate_channels(3, 3, 0)
-    assert 1.0 <= np.abs(channels.rows).max() < 2.0
-    qos = QosSpec.from_db([5.0] * 3, [1.0] * 3)
-
-    def run(c):
-        if method == "nominal":
-            return design_nominal(ChannelSet(c * channels.rows), qos)
-        return design_robust(ChannelSet(c * channels.rows), qos,
-                             UncertaintySpec(delta=[c * 0.015] * 3), method)
-
-    unit, scaled = run(1.0), run(2.0 ** log2_c)
-    assert unit.status == scaled.status == SolveStatus.OPTIMAL
-    assert scaled.solution.iterations == unit.solution.iterations
-    assert (scaled.precoder.matrix * 2.0 ** log2_c).tobytes() == unit.precoder.matrix.tobytes()
 
 
 def test_paper_mode_power_depends_on_the_noise_unit():
@@ -651,3 +652,19 @@ def test_optimal_requires_every_target_met(solves, monkeypatch, factor, status):
     assert result.solution.status == SolveStatus.OPTIMAL
     assert result.status == status
     assert (result.precoder is None) == (status != SolveStatus.OPTIMAL)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [1e-170, 1e160])
+def test_nan_sinr_is_not_a_met_target(sigma):
+    # the solver is Optimal at the unit noise, but scaled back to these
+    # noise units the SINR underflows to 0 / 0 or overflows to inf - inf;
+    # a NaN compares False with its target and must not pass the check
+    channels = model.generate_channels(3, 3, 7)
+    qos = QosSpec.from_db([5.0] * 3, [sigma] * 3)
+    result = design_nominal(channels, qos)
+    assert result.solution.status == SolveStatus.OPTIMAL
+    precoder = extract_precoder(result.solution, build_nominal(channels, qos)[1])
+    assert np.isnan(model.achieved_sinr(channels, precoder, qos.sigma)).any()
+    assert result.status == SolveStatus.NUMERICAL_FAILURE
+    assert result.precoder is None

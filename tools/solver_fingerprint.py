@@ -7,8 +7,8 @@ solver that print the same digest give the same designs, bit for bit.
 The digests depend on the BLAS library and its thread count (threaded
 BLAS sums in another order), so the tool pins one BLAS thread before
 numpy loads, as ``bench/run.py`` does.  With OpenBLAS on x86-64 the grid
-prints ``3bbdfefe...e6bc`` solo and with ``--batch``, and
-``--experiments`` prints ``e6175fd6...233c``.
+prints ``1f75976e...e08e`` solo and with ``--batch``, and
+``--experiments`` prints ``cc99581a...5fc1``.
 
     PYTHONPATH=src python tools/solver_fingerprint.py                # one solve per design
     PYTHONPATH=src python tools/solver_fingerprint.py --batch        # one batch
