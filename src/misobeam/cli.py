@@ -10,6 +10,7 @@ failure.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -27,6 +28,12 @@ from .model import ChannelSet
 from .montecarlo import ExperimentConfig
 
 OUTDIR_ENV = "MISOBEAM_OUTDIR"
+# a user who sets one of these chooses the command's BLAS thread count
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# (package, runtime thread setter) of the OpenBLAS builds that the numpy and
+# scipy wheels bundle in <package>.libs
+_BLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),
+                 ("scipy", "scipy_openblas_set_num_threads"))
 
 # config key -> (ExperimentConfig field, value kind), in manifest order;
 # the explicit channel rows are no config field
@@ -346,9 +353,40 @@ def _design_or_exit(run: _Run, path: Path, header):
     return estimates, result
 
 
+def _pin_blas() -> None:
+    """Run this process on one BLAS thread, unless one of
+    _BLAS_THREAD_VARIABLES is set.  Threaded BLAS sums in another order, so
+    the thread count changes the last digits of written numbers, and at
+    these sizes threads cost more time than they save.  The variables act
+    only before numpy loads, so the pin calls the runtime setters of the
+    bundled OpenBLAS libraries; where a library or setter is missing,
+    nothing changes."""
+    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        return
+    for package, setter in _BLAS_SETTERS:
+        libs = Path(sys.modules[package].__file__).parent.with_name(package + ".libs")
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            try:
+                set_threads = getattr(ctypes.CDLL(str(path)), setter)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 class _Commands(click.Group):
     """Command group whose usage errors exit 1, like config errors; exit
-    code 2 is reserved for infeasible designs and solver failures."""
+    code 2 is reserved for infeasible designs and solver failures.
+
+    Run from a command line (``misobeam`` or ``python -m misobeam``, which
+    pass no argument list), it first pins one BLAS thread (:func:`_pin_blas`);
+    an in-process call with its own argument list keeps the caller's
+    setting."""
+
+    def main(self, args=None, **extra):
+        if args is None:
+            _pin_blas()
+        return super().main(args, **extra)
 
     def invoke(self, ctx):
         try:

@@ -21,11 +21,13 @@ cone-only program in w.  Each iteration's Newton system is reduced to
 G' W^-2 G.  The cone rows are kept in CSR form for matrix-vector products,
 and the Gram matrix is assembled cone by cone from dense blocks restricted
 to the columns each cone touches, so the work follows the constraint
-matrix's nonzeros rather than its full size.  The reduced matrix is
-positive definite and is factored densely by Cholesky.  Each iteration
-runs two solves with the factorization: the predictor's right-hand side
-together with the column that carries the step in tau, then the
-corrector.  Iterative refinement runs only while a solve's residual is
+matrix's nonzeros rather than its full size.  Each program's nonzero
+pattern is read once, when the program becomes a loop member: it orders
+the cones and gives the CSR forms and the Gram column supports.  The
+reduced matrix is positive definite and is factored densely by Cholesky.
+Each iteration runs two solves with the factorization: the predictor's
+right-hand side together with the column that carries the step in tau,
+then the corrector.  Iterative refinement runs only while a solve's residual is
 large against its right-hand side.
 
 The cone algebra (scaling, Jordan products, step lengths) is one segmented
@@ -331,7 +333,6 @@ class _BatchLayout:
     """
 
     def __init__(self, groups: list[tuple["_ConeLayout", int]]):
-        self.groups = groups
         counts = [count for _, count in groups]
         self.dims = np.concatenate([np.tile(layout.unit_dims, count)
                                     for layout, count in groups])
@@ -367,11 +368,11 @@ class _BatchLayout:
         return self.head.copy()
 
 
-class _ConeLayout(_BatchLayout):
-    """The cone layout of one program, which is also the batch layout of
-    that program alone.  Its rows hold one unit per nonnegative row, then
-    one per second-order block, sorted by dimension, then by the size of
-    their column support in G.
+class _ConeLayout:
+    """The cone layout of one program.  Its rows hold one unit per
+    nonnegative row, then one per second-order block, sorted by dimension,
+    then by the size of their column support in G.  A batch lays out its
+    members' rows with :class:`_BatchLayout`.
 
     ``m`` and ``degree`` count its rows and units.  ``classes`` are its runs
     of units with equal dimension and equal nonzero support size, as
@@ -383,27 +384,14 @@ class _ConeLayout(_BatchLayout):
         self.unit_dims, self.unit_support = unit_dims, unit_support
         self.m = int(unit_dims.sum())
         self.degree = len(unit_dims)
-        super().__init__([(self, 1)])
         self.classes: list[tuple[int, int, int, int]] = []
-        first = 0
+        first = start = 0
         for (dim, size), run in itertools.groupby(zip(unit_dims.tolist(),
                                                       unit_support.tolist())):
             count = len(list(run))
             if size:
-                self.classes.append((first, count, dim, int(self.heads[first])))
-            first += count
-
-
-def _lorentz(U: np.ndarray, w0: np.ndarray, w1: np.ndarray, sign: float) -> np.ndarray:
-    """V(w) U for sign = 1, or V(Jw) U = V(w)^-1 U for sign = -1, block by
-    block, for stacked column blocks U of shape (count, dim, k)."""
-    u0, u1 = U[:, 0], U[:, 1:]
-    dot = np.einsum("nd,ndk->nk", w1, u1)
-    coef = sign * u0 + dot / (1.0 + w0)[:, None]
-    res = np.empty_like(U)
-    res[:, 0] = w0[:, None] * u0 + sign * dot
-    res[:, 1:] = u1 + w1[:, :, None] * coef[:, None]
-    return res
+                self.classes.append((first, count, dim, start))
+            first, start = first + count, start + count * dim
 
 
 class _Scaling:
@@ -468,8 +456,15 @@ class _Scaling:
         block i belongs to unit ``units[i]``, whose rows are
         ``rows[i * dim : (i + 1) * dim]``."""
         w = self.w[rows].reshape(-1, dim)
-        scale = self.unit_scale[True][units].reshape(-1, 1, 1)
-        return _lorentz(U, w[:, 0], w[:, 1:], -1.0) * scale
+        w0, w1 = w[:, 0], w[:, 1:]
+        u0, u1 = U[:, 0], U[:, 1:]
+        # V(w)^-1 = V(Jw), block by block
+        dot = np.einsum("nd,ndk->nk", w1, u1)
+        coef = dot / (1.0 + w0)[:, None] - u0
+        res = np.empty_like(U)
+        res[:, 0] = w0[:, None] * u0 - dot
+        res[:, 1:] = u1 + w1[:, :, None] * coef[:, None]
+        return res * self.unit_scale[True][units].reshape(-1, 1, 1)
 
 
 def _jordan_product(layout: _BatchLayout, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -524,12 +519,13 @@ def _max_step(layout: _BatchLayout, u: np.ndarray, du: np.ndarray) -> np.ndarray
     return layout.member_min(np.minimum(first, second))
 
 
-def _csr_pair(M: np.ndarray) -> tuple[tuple, tuple]:
+def _csr_pair(M: np.ndarray, nonzero: np.ndarray) -> tuple[tuple, tuple]:
     """The CSR forms (data, indices, indptr) of M and of M': the arrays
     ``scipy.sparse.csr_array(M)`` and ``csr_array(M).T.tocsr()`` hold,
-    found by one ``flatnonzero`` and one stable sort by column."""
+    found from M's pattern ``nonzero`` (M != 0) by one ``flatnonzero`` and
+    one stable sort by column."""
     rows, cols = M.shape
-    flat = np.flatnonzero(M != 0)
+    flat = np.flatnonzero(nonzero)
     row, col = np.divmod(flat, cols)
     data = M.ravel()[flat]
     order = np.argsort(col, kind="stable")
@@ -556,33 +552,17 @@ def _block_diagonal(blocks: list, cols: list[int]) -> scipy.sparse.csr_array:
                                   shape=(len(indptr) - 1, sum(cols)))
 
 
-class _KktBlock:
-    """One member's share of a KKT plan, taken from its cone rows G (laid
-    out by ``layout``) once: the CSR forms of G and of G', the number of
-    variables ``n``, and per layout class the restricted blocks
-    G_k[:, support_k] of its units, stacked as (count, dim, s), with their
-    column supports (count, s)."""
-
-    def __init__(self, G: np.ndarray, layout: _ConeLayout):
-        self.csr, self.csr_t = _csr_pair(G)
-        self.n = G.shape[1]
-        self.classes = []
-        for _, units, dim, start in layout.classes:
-            rows = G[start : start + units * dim].reshape(units, dim, self.n)
-            cols = np.nonzero(np.any(rows != 0, axis=1))[1].reshape(units, -1)
-            self.classes.append((np.take_along_axis(rows, cols[:, None, :], axis=2), cols))
-
-
 class _KktPlan:
-    """Structure of the reduced KKT systems of the members of a batch that
-    still run, given as their :class:`_KktBlock`, in the order ``layout``
-    lays them out.
+    """The members an interior-point loop still runs, as groups of members
+    that share a cone layout, with their row layout and the structure of
+    their reduced KKT systems.  ``live`` lists the members in order,
+    ``members`` counts them, ``layout`` lays out their cone rows and ``x``
+    segments their variables, with ``sizes`` each member's n.
 
     The plan holds the members' cone rows G as one block-diagonal CSR
     matrix, with its transpose, for the matrix-vector products: each row
     keeps its nonzeros in the order of the member's own CSR form, so every
-    product rounds as the member's own product.  ``x`` segments the
-    member-major variables, and ``sizes`` lists each member's n.
+    product rounds as the member's own product.
 
     For a member's Gram matrix G' W^-2 G: W is block diagonal over cone
     units, so W_k^-1 G_k is zero outside the column support of the unit's
@@ -603,45 +583,60 @@ class _KktPlan:
     W^-1 G.
     """
 
-    def __init__(self, blocks: list[_KktBlock], layout: _BatchLayout):
-        self.members = len(blocks)
-        counts = [count for _, count in layout.groups]
-        firsts = [0, *itertools.accumulate(counts)]
-        self.x = _Segments([blocks[first].n for first in firsts[:-1]], counts)
+    def __init__(self, groups: list[list["_Member"]]):
+        self.groups = groups
+        self.live = [member for group in groups for member in group]
+        self.members = len(self.live)
+        counts = [len(group) for group in groups]
+        self.layout = _BatchLayout([(group[0].layout, count)
+                                    for group, count in zip(groups, counts)])
+        self.x = _Segments([len(group[0].c) for group in groups], counts)
         self.sizes = self.x.sizes.tolist()
-        self.G = _block_diagonal([block.csr for block in blocks], self.sizes)
-        self.Gt = _block_diagonal([block.csr_t for block in blocks],
-                                  layout.rows.sizes.tolist())
+        self.G = _block_diagonal([member.csr for member in self.live], self.sizes)
+        self.Gt = _block_diagonal([member.csr_t for member in self.live],
+                                  self.layout.rows.sizes.tolist())
         self.gram_bounds = [0, *itertools.accumulate(n * n for n in self.sizes)]
         # per group: its class stacks, each with the span of its Gram terms
         # in the group's list of terms, and the flat index of every term
         # within the group's span lo .. hi of the flat array
-        self.groups = []
-        row = unit = 0
-        for (layout_g, count), first in zip(layout.groups, firsts):
-            group = blocks[first : first + count]
-            n, m, degree = group[0].n, layout_g.m, layout_g.degree
+        self.gram_groups = []
+        row = unit = first = 0
+        for group in groups:
+            count, layout = len(group), group[0].layout
+            n, m, degree = len(group[0].c), layout.m, layout.degree
             lo, hi = self.gram_bounds[first], self.gram_bounds[first + count]
             members = np.arange(count)
             stacks, index, terms = [], [np.zeros(0, dtype=np.intp)], 0
-            for c, (head, units, dim, start) in enumerate(layout_g.classes):
+            for c, (head, units, dim, start) in enumerate(layout.classes):
                 rows = (row + m * members + start)[:, None] + np.arange(units * dim)
                 unit_ids = (unit + degree * members + head)[:, None] + np.arange(units)
-                stack = np.concatenate([block.classes[c][0] for block in group])
-                cols = np.stack([block.classes[c][1] for block in group])
+                stack = np.concatenate([member.classes[c][0] for member in group])
+                cols = np.stack([member.classes[c][1] for member in group])
                 flat = cols[..., :, None] * n + cols[..., None, :]
                 flat += (n * n * members)[:, None, None, None]
                 index.append(flat.ravel())
                 stacks.append((rows.ravel(), unit_ids.ravel(), dim, stack,
                                terms, terms + flat.size))
                 terms += flat.size
-            self.groups.append((stacks, np.concatenate(index), lo, hi))
-            row, unit = row + count * m, unit + count * degree
+            self.gram_groups.append((stacks, np.concatenate(index), lo, hi))
+            row, unit, first = row + count * m, unit + count * degree, first + count
+
+    def survivors(self):
+        """None if no member has returned; otherwise the groups of the
+        members that have not, for the next plan, and the masks of those
+        members, of their variables and of their cone rows."""
+        keep = [member.solution is None for member in self.live]
+        if all(keep):
+            return None
+        groups = [group for group in ([member for member in group if member.solution is None]
+                                      for group in self.groups) if group]
+        return groups, (keep, np.repeat(keep, self.sizes),
+                        np.repeat(keep, self.layout.rows.sizes))
 
     def gram(self, scaling: _Scaling) -> list[np.ndarray]:
         """Each member's G' W^-2 G, as a dense (n, n) array."""
         flat = np.empty(self.gram_bounds[-1])
-        for stacks, index, lo, hi in self.groups:
+        for stacks, index, lo, hi in self.gram_groups:
             weights = np.empty(len(index))
             for rows, units, dim, stack, first, end in stacks:
                 T = scaling.inverse_blocks(rows, units, dim, stack)
@@ -747,39 +742,6 @@ def _row_ranges(starts: np.ndarray, dims: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, dims) + np.arange(int(dims.sum()))
 
 
-def _split_rows(program: ConeProgram):
-    """Permute the cone rows into (G, h) and lay them out.
-
-    The cone block holds one unit per nonnegative row (SecondOrder(1)
-    included) and one per second-order block, stably sorted by dimension
-    and then by the number of columns the unit's rows touch; see
-    :class:`_ConeLayout`.  Zero blocks are skipped: :func:`solve` removes
-    their rows first, so only zero-dimension ones get here.
-    """
-    unit_starts: list[int] = []
-    unit_dims: list[int] = []
-    start = 0
-    for cone in program.cones:
-        if isinstance(cone, SecondOrder) and cone.dim > 1:
-            unit_starts.append(start)
-            unit_dims.append(cone.dim)
-        elif not isinstance(cone, Zero):
-            unit_starts.extend(range(start, start + cone.dim))
-            unit_dims.extend([1] * cone.dim)
-        start += cone.dim
-    A, b = program.constraint_matrix, program.offset
-    starts = np.asarray(unit_starts, dtype=np.intp)
-    dims = np.asarray(unit_dims, dtype=np.intp)
-    support = np.zeros(len(dims), dtype=np.intp)
-    if len(dims):
-        touched = A[_row_ranges(starts, dims)] != 0
-        unit_rows = np.cumsum(dims) - dims
-        support = np.logical_or.reduceat(touched, unit_rows, axis=0).sum(axis=1)
-    order = np.lexsort((support, dims))
-    cone_rows = _row_ranges(starts[order], dims[order])
-    return A[cone_rows], b[cone_rows], _ConeLayout(dims[order], support[order])
-
-
 def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Solution:
     """Solve the cone program; never raises for infeasible/unbounded inputs.
 
@@ -836,14 +798,18 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
 @dataclass(eq=False)
 class _Member:
     """One program's cone-only form, minimize c'w + offset subject to
-    h - G w in K with the cone rows permuted by :func:`_split_rows` and G
-    held by ``block``, and its interior-point state.  The program's x is
-    x0 + N w, or w itself when ``N`` is None.  ``solution`` is set when the
-    member returns."""
+    h - G w in K with the cone rows permuted as ``layout`` lays them out,
+    and its interior-point state.  G is held as the CSR forms of G and G'
+    and, per layout class, as the restricted blocks G_k[:, support_k] of
+    its units, stacked as (count, dim, s), with their column supports
+    (count, s).  The program's x is x0 + N w, or w itself when ``N`` is
+    None.  ``solution`` is set when the member returns."""
 
     index: int
     c: np.ndarray
-    block: _KktBlock
+    csr: tuple
+    csr_t: tuple
+    classes: list
     h: np.ndarray
     layout: _ConeLayout
     offset: float = 0.0
@@ -867,8 +833,39 @@ class _Member:
 
 
 def _member(index: int, c: np.ndarray, program: ConeProgram, **reduction) -> _Member:
-    G, h, layout = _split_rows(program)
-    return _Member(index, c, _KktBlock(G, layout), h, layout, **reduction)
+    """A program without Zero rows as a :class:`_Member`, from one pass
+    over its nonzero pattern.
+
+    The cone block holds one unit per nonnegative row (SecondOrder(1)
+    included) and one per second-order block, stably sorted by dimension
+    and then by the number of columns the unit's rows touch; see
+    :class:`_ConeLayout`.  Each unit's column cover, the columns its rows
+    touch, gives that number and the column supports of the layout
+    classes, and the permuted pattern gives the CSR forms.
+    """
+    unit_dims: list[int] = []
+    for cone in program.cones:  # Zero blocks have no rows here
+        if isinstance(cone, SecondOrder) and cone.dim > 1:
+            unit_dims.append(cone.dim)
+        else:
+            unit_dims.extend([1] * cone.dim)
+    A, b = program.constraint_matrix, program.offset
+    dims = np.asarray(unit_dims, dtype=np.intp)
+    starts = np.cumsum(dims) - dims
+    nonzero = A != 0
+    cover = np.logical_or.reduceat(nonzero, starts, axis=0)
+    support = cover.sum(axis=1)
+    order = np.lexsort((support, dims))
+    cone_rows = _row_ranges(starts[order], dims[order])
+    G, cover = A[cone_rows], cover[order]
+    layout = _ConeLayout(dims[order], support[order])
+    classes = []
+    for first, units, dim, start in layout.classes:
+        rows = G[start : start + units * dim].reshape(units, dim, -1)
+        cols = np.nonzero(cover[first : first + units])[1].reshape(units, -1)
+        classes.append((np.take_along_axis(rows, cols[:, None, :], axis=2), cols))
+    return _Member(index, c, *_csr_pair(G, nonzero[cone_rows]), classes, b[cone_rows],
+                   layout, **reduction)
 
 
 def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
@@ -905,36 +902,6 @@ def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
     return member.lift(Solution(SolveStatus.DUAL_INFEASIBLE, w, -np.inf, np.inf, 0))
 
 
-class _Batch:
-    """The members an interior-point loop still runs, in layout groups,
-    with their row layout and KKT plan."""
-
-    def __init__(self, groups: list[list[_Member]]):
-        self._lay_out(groups)
-
-    def _lay_out(self, groups: list[list[_Member]]):
-        self.groups = groups
-        self.members = [member for group in groups for member in group]
-        self.plan = None  # the old plan goes before the next is built
-        if self.members:
-            self.layout = _BatchLayout([(group[0].layout, len(group)) for group in groups])
-            self.plan = _KktPlan([member.block for member in self.members], self.layout)
-
-    def drop_returned(self):
-        """Drop every member that has returned: None if none has, otherwise
-        the masks of the members that stay, of their variables and of their
-        cone rows.  The layout and the plan are rebuilt for the rest."""
-        keep = [member.solution is None for member in self.members]
-        if all(keep):
-            return None
-        masks = (keep, np.repeat(keep, self.plan.x.sizes),
-                 np.repeat(keep, self.layout.rows.sizes))
-        self._lay_out([group for group in ([member for member in group
-                                            if member.solution is None]
-                                           for group in self.groups) if group])
-        return masks
-
-
 def _step_limit(step, tau, dtau, kappa, dkappa):
     """The largest step toward the cone boundary, tau = 0 or kappa = 0."""
     return min(step, -tau / dtau if dtau < 0 else np.inf,
@@ -952,36 +919,37 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
     stopping tests, certificates, stall counts) are computed member by
     member, with the expressions and scalar types of a solo solve.
     Members leave at one point per iteration, right after the convergence
-    tests: the entries of every returned member leave every array and the
-    KKT plan is rebuilt without them.  A member that stops later, because
-    its Gram matrix cannot be factored or its step search fails, takes no
-    step and leaves at the next iteration's compaction, so the Gram
-    matrices are assembled and factored once per iteration.  A member's
+    tests: the entries of every returned member leave every array, and the
+    next :class:`_KktPlan` is built from the members that stay.  A member
+    that stops later, because its Gram matrix cannot be factored or its
+    step search fails, takes no step and leaves at the next iteration's
+    compaction, so the Gram matrices are assembled and factored once per
+    iteration.  A member's
     ``offset`` is added to the objective values the gap test compares and
     the Solution reports: c'x0 when the program is the reduction of one
     with Zero rows, so the gap is that of the original objective.
     """
-    batch = _Batch(groups)
-    live = batch.members
+    plan = _KktPlan(groups)
+    live = plan.live
     for member in live:
         member.best = Solution(SolveStatus.MAX_ITERATIONS, np.zeros(len(member.c)),
                                np.nan, np.inf, settings.max_iter)
     c = np.concatenate([member.c for member in live])
     h = np.concatenate([member.h for member in live])
-    e = batch.layout.identity()
+    e = plan.layout.identity()
     x = np.zeros(len(c))
     # the pair (s, z) as the one (rows, 2) stack the cone kernels take, and
     # its columns also as contiguous vectors, whose dot products round as
     # contiguous ones do
     sz = np.column_stack([e, e])
     s, z = e.copy(), e.copy()
-    interior = _margin(batch.layout, sz)
+    interior = _margin(plan.layout, sz)
 
     def certificate(k: int, tol: float) -> SolveStatus | None:
         """PrimalInfeasible if member k's z is a Farkas certificate,
         DualInfeasible if its x is an improving ray, at relative tolerance
         ``tol``.  Reads the products Gx and Gtz of the current iterate."""
-        member, X, Z = live[k], batch.plan.x, batch.layout.rows
+        member, X, Z = live[k], plan.x, plan.layout.rows
         hz = -hz_dot[k]
         if hz > 1e-12 and np.isfinite(Z.rows(z, k)).all():
             if float(np.abs(X.rows(Gtz, k)).max()) <= tol * member.norm_c * hz:
@@ -1006,11 +974,11 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
 
     with np.errstate(all="ignore"):
         for iteration in range(settings.max_iter):
-            layout = batch.layout
-            X, Z = batch.plan.x, layout.rows
+            layout = plan.layout
+            X, Z = plan.x, layout.rows
             # residuals of the homogeneous system; the two products also
             # feed the convergence tests and the certificates
-            Gx, Gtz = batch.plan.G @ x, batch.plan.Gt @ z
+            Gx, Gtz = plan.G @ x, plan.Gt @ z
             tau = [member.tau for member in live]
             kappa = [member.kappa for member in live]
             tau_n, tau_m = X.spread(tau), Z.spread(tau)
@@ -1067,15 +1035,16 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
                 elif mu[k] < 1e-18 or interior[k] < 1e-40 or member.stall >= 15:
                     stop(k)
 
-            kkt = None  # the plan it holds goes before the next is built
-            kept = batch.drop_returned()
+            kkt = None  # it holds the plan
+            kept = plan.survivors()
             if kept is not None:
-                live = batch.members
-                if not live:
+                groups, (keep, on_x, on_z) = kept
+                plan = None  # the old plan goes before the next is built
+                if not groups:
                     break
-                keep, on_x, on_z = kept
-                layout = batch.layout
-                X, Z = batch.plan.x, layout.rows
+                plan = _KktPlan(groups)
+                live, layout = plan.live, plan.layout
+                X, Z = plan.x, layout.rows
                 x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
                 s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]
                 sz = sz[on_z]
@@ -1083,7 +1052,7 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
                     [v for v, stays in zip(values, keep) if stays]
                     for values in (tau, kappa, r_gap, mu, cx_dot, hz_dot))
             scaling = _Scaling(layout, sz)
-            kkt = _KktSolver(batch.plan, scaling)
+            kkt = _KktSolver(plan, scaling)
             for k in kkt.failed:  # takes no step, and leaves next iteration
                 stop(k)
             K = len(live)

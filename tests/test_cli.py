@@ -607,3 +607,58 @@ def test_python_m_misobeam_runs_the_cli():
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().endswith(f"version {__version__}")
+
+
+def test_command_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the command pins one BLAS thread unless a thread variable is set, so
+    # an unset environment writes the bytes OPENBLAS_NUM_THREADS=1 writes;
+    # threaded BLAS sums in another order, which shows at n = 8
+    config = write(tmp_path, "n8.cfg", "n_t = 8\nn_u = 8\ngamma_db = 5\nsigma = 1\n"
+                                       "delta = 0.015\ntrials = 2\nseed = 3\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {name: value for name, value in os.environ.items()
+            if name not in cli._BLAS_THREAD_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    written = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(written)}"
+        result = subprocess.run([sys.executable, "-m", "misobeam", "cdf", config,
+                                 "--out", str(out)], capture_output=True, text=True,
+                                env=dict(base, **threads), timeout=300)
+        assert result.returncode == 0, result.stderr
+        written.append((out / "cdf.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_only_a_command_line_pins_blas(runner, monkeypatch):
+    # an in-process call with its own arguments keeps the caller's BLAS
+    # threads; a command line, which passes none, pins them
+    pinned = []
+    monkeypatch.setattr(cli, "_pin_blas", lambda: pinned.append(True))
+    assert runner.invoke(main, ["--version"]).exit_code == 0
+    assert pinned == []
+    monkeypatch.setattr(sys, "argv", ["misobeam", "--version"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert pinned == [True]
+
+
+def test_blas_pin_yields_to_thread_variables(monkeypatch):
+    loaded = []
+
+    class NoSetter:  # a library without the setter is left alone
+        def __init__(self, path):
+            loaded.append(path)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", NoSetter)
+    for name in cli._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    cli._pin_blas()
+    found = len(loaded)
+    for name in cli._BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "2")
+        cli._pin_blas()
+        monkeypatch.delenv(name)
+    assert len(loaded) == found

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,16 +25,16 @@ from misobeam.conic import (
     validate,
 )
 from misobeam.conic import (
+    _BatchLayout,
     _ConeLayout,
     _jordan_product,
     _jordan_solve,
-    _KktBlock,
     _KktPlan,
     _KktSolver,
     _margin,
     _max_step,
+    _reduce,
     _Scaling,
-    _split_rows,
 )
 
 
@@ -373,18 +374,27 @@ def projection_program(a, x0, beta):
     return ConeProgram(n + 1, c, A, b, [Nonnegative(n), Zero(1), SecondOrder(n + 1)])
 
 
+def split(program):
+    """The cone rows G of a program as the solver permutes them, dense
+    (rebuilt from the CSR form of the program's loop member), and the KKT
+    plan of that member alone, whose ``layout`` the cone kernels take."""
+    member = _reduce(0, program, SolverSettings())
+    G = scipy.sparse.csr_array(member.csr, shape=(member.layout.m, len(member.c)))
+    return G.toarray(), _KktPlan([[member]])
+
+
 def unit_spans(layout):
     """(first row, dimension) of each cone unit, one unit at a time."""
     spans, start = [], 0
     for dim in layout.dims.tolist():
         spans.append((start, dim))
         start += dim
-    assert start == layout.m
+    assert start == len(layout.head)
     return spans
 
 
 def interior_point(layout, rng):
-    u = np.empty(layout.m)
+    u = np.empty(len(layout.head))
     for start, dim in unit_spans(layout):
         tail = rng.normal(size=dim - 1)
         u[start + 1 : start + dim] = tail
@@ -409,7 +419,7 @@ def nt_scaling_inverse(s, z):
 
 def block_diagonal(layout, block_of):
     """The m x m block-diagonal matrix with block_of(rows) on each unit."""
-    M = np.zeros((layout.m, layout.m))
+    M = np.zeros((len(layout.head),) * 2)
     for start, dim in unit_spans(layout):
         rows = slice(start, start + dim)
         M[rows, rows] = block_of(rows)
@@ -469,7 +479,7 @@ class TestFlatConeKernels:
 
     def setup_method(self):
         self.rng = np.random.default_rng(31)
-        G, h, self.layout = _split_rows(mixed_structure_program(self.rng))
+        self.layout = split(mixed_structure_program(self.rng))[1].layout
         assert sorted(set(self.layout.dims.tolist())) == [1, 2, 3, 4, 19]
         assert len(self.layout.lp) == 3
 
@@ -485,8 +495,8 @@ class TestFlatConeKernels:
             W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
             W = np.linalg.inv(W_inv)
             assert_close(scaling.apply(z), W_inv @ s)  # lambda = W z = W^-1 s
-            for u in (self.rng.normal(size=layout.m),
-                      self.rng.normal(size=(layout.m, 2))):
+            m = len(layout.head)
+            for u in (self.rng.normal(size=m), self.rng.normal(size=(m, 2))):
                 for invert, M in ((False, W), (True, W_inv)):
                     assert_close(scaling.apply(u, invert), M @ u)
                     assert_close(scaling.apply_sq(u, invert), M @ M @ u)
@@ -502,7 +512,7 @@ class TestFlatConeKernels:
         layout = self.layout
         spans = unit_spans(layout)
         for s, z in self.points():
-            ds, dz = self.rng.normal(size=(2, layout.m))
+            ds, dz = self.rng.normal(size=(2, len(layout.head)))
             reference = min(block_step(u[a : a + d], du[a : a + d])
                             for u, du in ((s, ds), (z, dz)) for a, d in spans)
             with np.errstate(all="ignore"):  # as the solver loop calls it
@@ -524,7 +534,7 @@ class TestFlatConeKernels:
         # subtracts nearly equal numbers.  Every entry is chosen so that the
         # coefficients c2, c1, c0 are exact in floating point: the only
         # rounding left is the formula's own
-        layout = _ConeLayout(np.array([4]), np.array([1]))
+        layout = _BatchLayout([(_ConeLayout(np.array([4]), np.array([1])), 1)])
         u = np.array([5.0 + 2.0**-24, 3.0, 4.0, 0.0])
         du = np.array([0.0, 3.0, 4.0, 1.0])
         exact = exact_block_step(u, du)
@@ -539,11 +549,12 @@ class TestFlatConeKernels:
 class TestStructuredKkt:
     def test_gram_matches_dense_reference(self):
         rng = np.random.default_rng(2024)
-        G, h, layout = _split_rows(mixed_structure_program(rng))
+        G, plan = split(mixed_structure_program(rng))
+        layout = plan.layout
         for _ in range(5):
             s, z = interior_point(layout, rng), interior_point(layout, rng)
             scaling = _Scaling(layout, np.column_stack([s, z]))
-            gram = _KktPlan([_KktBlock(G, layout)], layout).gram(scaling)[0]
+            gram = plan.gram(scaling)[0]
 
             W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
             # the reference is the NT scaling: W z = W^-1 s
@@ -553,12 +564,31 @@ class TestStructuredKkt:
             reference = scaled.T @ scaled
             assert np.abs(gram - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    def test_csr_forms_are_scipys(self):
+        # a batch's products round as its members' solo products because
+        # each member's CSR rows keep one order, scipy's: no explicit
+        # zeros (all-zero rows, delta 0) and columns ascending in each row
+        rng = np.random.default_rng(41)
+        programs = [mixed_structure_program(rng), random_feasible_socp(rng)]
+        for n in (1, 3, 8):
+            programs.append(design_program("nominal", n, 0, 5.0, 0.0))
+            programs += [design_program(kind, n, 0, 5.0, delta)
+                         for kind in ("paper", "zero") for delta in (0.0, 0.015)]
+        for program in programs:
+            G, plan = split(program)
+            member = plan.live[0]
+            reference = scipy.sparse.csr_array(G)
+            for ours, theirs in ((member.csr, reference),
+                                 (member.csr_t, reference.T.tocsr())):
+                for a, b in zip(ours, (theirs.data, theirs.indices, theirs.indptr)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_one_pass_square_scaling_matches_two_applies(self):
         rng = np.random.default_rng(7)
-        G, h, layout = _split_rows(mixed_structure_program(rng))
+        layout = split(mixed_structure_program(rng))[1].layout
         scaling = _Scaling(layout, np.column_stack([interior_point(layout, rng),
                                                     interior_point(layout, rng)]))
-        u = rng.normal(size=layout.m)
+        u = rng.normal(size=len(layout.head))
         for invert in (False, True):
             twice = scaling.apply(scaling.apply(u, invert), invert)
             np.testing.assert_allclose(scaling.apply_sq(u, invert), twice,
@@ -591,11 +621,12 @@ def kkt_programs(rng):
 class TestKktSolve:
     def systems(self, rng):
         for prog in kkt_programs(rng):
-            G, h, layout = _split_rows(prog)
+            G, plan = split(prog)
+            layout = plan.layout
             scaling = _Scaling(layout, np.column_stack([interior_point(layout, rng),
                                                         interior_point(layout, rng)]))
-            kkt = _KktSolver(_KktPlan([_KktBlock(G, layout)], layout), scaling)
-            rhs = (rng.normal(size=(prog.num_vars, 2)), rng.normal(size=(layout.m, 2)))
+            kkt = _KktSolver(plan, scaling)
+            rhs = (rng.normal(size=(prog.num_vars, 2)), rng.normal(size=(len(G), 2)))
             yield G, scaling, kkt, rhs
 
     def test_two_columns_equal_two_solves(self):

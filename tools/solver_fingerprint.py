@@ -99,8 +99,7 @@ def solve(batch: bool) -> list:
     designs = list(grid())
     if batch:
         return design.design_batch(designs)
-    return [design.design_nominal(*request) if method == "nominal"
-            else design.design_robust(*request) for method, request in designs]
+    return [design.design_batch([pair])[0] for pair in designs]
 
 
 def main() -> None:
