@@ -40,18 +40,21 @@ variables, a few thousand cone rows).
 block-diagonal program, member-major, whatever their sizes and cone
 layouts: one segmented kernel and one sparse product serve every member,
 and the Gram blocks of the members that share a layout stack into one
-batched product per cone class, while each member keeps its own scalars,
-step lengths, stopping tests and Cholesky factor.  Returned members leave
-every array right after the convergence tests.  Every operation acts on a
-member's entries as that member's solo solve does, so each member's
-result is bit for bit the one :func:`solve` gives it alone; ``solve`` is
-the batch of one.
+batched product per cone class, while each member keeps its own step
+lengths, stopping tests and Cholesky factor.  Each per-member scalar of
+the loop (tau, kappa, mu, step lengths, stall counts) is one array with an
+entry per member.  Returned members leave every array, under one mask,
+right after the convergence tests.  Every operation acts on a member's
+entries as that member's solo solve does, so each member's result is bit
+for bit the one :func:`solve` gives it alone; ``solve`` is the batch of
+one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -135,11 +138,23 @@ class SolveStatus(str, Enum):
 @dataclass(frozen=True)
 class SolverSettings:
     """Stopping tolerances.  Defaults are tight enough that downstream
-    design-level tolerances (1e-4 .. 1e-3) are free of solver noise."""
+    design-level tolerances (1e-4 .. 1e-3) are free of solver noise.  A
+    tolerance must be a finite number > 0 and ``max_iter`` an integer
+    >= 1; other values raise ValueError."""
 
     feas_tol: float = 1e-8
     gap_tol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        for name in ("feas_tol", "gap_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        max_iter = self.max_iter
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
+                or max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -275,10 +290,12 @@ class _Segments:
     consecutive entries, and the members of one layout group have one size.
 
     Per-member reductions are ``reduceat`` from each member's first entry,
-    per-member scalars go back to the entries through ``np.repeat``, and
-    dot products run as one ``np.matmul`` stack of (1, size) @ (size, 1)
-    products per group, which is the BLAS dot of each member's vectors: each
-    rounds as that member's own ``a @ b``.
+    arrays of per-member values go back to the entries through
+    ``np.repeat``, and dot products run as one ``np.matmul`` stack of
+    (1, size) @ (size, 1) products per group, which is the BLAS dot of each
+    member's vectors: each rounds as that member's own ``a @ b``.  A batch
+    of one skips the repeat and the stack: ``spread`` gives its one value
+    and ``dots`` one ``a @ b``.
     """
 
     def __init__(self, group_sizes: list[int], counts: list[int]):
@@ -294,9 +311,9 @@ class _Segments:
         """Member k's entries of v."""
         return v[self.bounds[k] : self.bounds[k + 1]]
 
-    def spread(self, values):
-        """Per-member scalars repeated over each member's entries; the one
-        scalar itself for a single member."""
+    def spread(self, values: np.ndarray):
+        """Per-member values repeated over each member's entries; the one
+        value itself for a single member."""
         return values[0] if len(values) == 1 else np.repeat(values, self.sizes)
 
     def all(self, v: np.ndarray) -> np.ndarray:
@@ -306,10 +323,10 @@ class _Segments:
         """Largest absolute entry per member, per column for a column stack."""
         return np.maximum.reduceat(np.abs(v), self.starts, axis=0)
 
-    def dots(self, a: np.ndarray, b: np.ndarray):
-        """Per-member dot products of member-major vectors."""
+    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-member dot products of member-major vectors, as an array."""
         if len(self.sizes) == 1:
-            return (a @ b,)
+            return np.array([a @ b])
         return np.concatenate([
             np.matmul(a[lo:hi].reshape(count, 1, -1), b[lo:hi].reshape(count, -1, 1))
             .reshape(count) for lo, hi, count in self.spans])
@@ -621,17 +638,14 @@ class _KktPlan:
             self.gram_groups.append((stacks, np.concatenate(index), lo, hi))
             row, unit, first = row + count * m, unit + count * degree, first + count
 
-    def survivors(self):
-        """None if no member has returned; otherwise the groups of the
-        members that have not, for the next plan, and the masks of those
-        members, of their variables and of their cone rows."""
-        keep = [member.solution is None for member in self.live]
-        if all(keep):
-            return None
-        groups = [group for group in ([member for member in group if member.solution is None]
-                                      for group in self.groups) if group]
-        return groups, (keep, np.repeat(keep, self.sizes),
-                        np.repeat(keep, self.layout.rows.sizes))
+    def survivors(self, keep: np.ndarray):
+        """The groups of the members that the mask ``keep`` marks, for the
+        next plan, and the masks of their variables and of their cone
+        rows."""
+        stays = iter(keep.tolist())  # in member order, as the groups list them
+        groups = [[member for member in group if next(stays)] for group in self.groups]
+        return ([group for group in groups if group], np.repeat(keep, self.sizes),
+                np.repeat(keep, self.layout.rows.sizes))
 
     def gram(self, scaling: _Scaling) -> list[np.ndarray]:
         """Each member's G' W^-2 G, as a dense (n, n) array."""
@@ -661,8 +675,8 @@ class _KktSolver:
     own digits, where one shift for the whole diagonal would swamp them.
     The regularized matrix is symmetric positive definite.  It is factored
     by LAPACK ``dpotrf`` called directly, as ``scipy.linalg.cho_factor``
-    calls it.  Members are listed in ``factored``, or in ``failed`` when
-    their factorization fails; the solves skip those.
+    calls it.  Members are listed in ``factored``, or marked in the mask
+    ``failed`` when their factorization fails; the solves skip those.
     """
 
     # 1e-14, 1e-13 and 1e-12 give the same statuses and iteration count on
@@ -682,7 +696,7 @@ class _KktSolver:
         self.plan, self.scaling = plan, scaling
         self.factors: list[np.ndarray] = []
         self.factored: list[int] = []
-        self.failed: list[int] = []
+        self.failed = np.zeros(plan.members, dtype=bool)
         for k, H in enumerate(plan.gram(scaling)):
             # a variable that no cone row touches has a zero diagonal
             # entry, which a relative shift would leave singular
@@ -690,7 +704,10 @@ class _KktSolver:
             diagonal += self._REG * np.where(diagonal > 0, diagonal, 1.0)
             factor, info = dpotrf(H, lower=False, clean=False)
             self.factors.append(factor)
-            (self.failed if info else self.factored).append(k)
+            if info:
+                self.failed[k] = True
+            else:
+                self.factored.append(k)
 
     def _base_solve(self, rx, rz, members=None):
         """(dx, dz, G dx), solved for the ``members`` given (by default
@@ -798,12 +815,14 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
 @dataclass(eq=False)
 class _Member:
     """One program's cone-only form, minimize c'w + offset subject to
-    h - G w in K with the cone rows permuted as ``layout`` lays them out,
-    and its interior-point state.  G is held as the CSR forms of G and G'
-    and, per layout class, as the restricted blocks G_k[:, support_k] of
-    its units, stacked as (count, dim, s), with their column supports
-    (count, s).  The program's x is x0 + N w, or w itself when ``N`` is
-    None.  ``solution`` is set when the member returns."""
+    h - G w in K with the cone rows permuted as ``layout`` lays them out.
+    G is held as the CSR forms of G and G' and, per layout class, as the
+    restricted blocks G_k[:, support_k] of its units, stacked as
+    (count, dim, s), with their column supports (count, s).  The program's
+    x is x0 + N w, or w itself when ``N`` is None.  The interior-point
+    loop keeps the member's iterate and scalars in its own arrays; it
+    sets ``best``, the Solution at the iterate of best merit so far, and
+    ``solution`` when the member returns."""
 
     index: int
     c: np.ndarray
@@ -815,16 +834,8 @@ class _Member:
     offset: float = 0.0
     x0: np.ndarray | None = None
     N: np.ndarray | None = None
-    tau: float = 1.0
-    kappa: float = 1.0
     best: Solution | None = None   # the iterate with the best merit so far
-    best_merit: float = np.inf
-    stall: int = 0                 # iterations since the merit last improved
     solution: Solution | None = None
-
-    def __post_init__(self):
-        self.norm_c = max(1.0, float(np.max(np.abs(self.c))))
-        self.norm_h = max(1.0, float(np.max(np.abs(self.h)))) if len(self.h) else 1.0
 
     def lift(self, solution: Solution) -> Solution:
         if self.N is None:
@@ -883,11 +894,11 @@ def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
         x0 = Vt[:rank].T @ ((U[:, :rank].T @ f) / S[:rank])
         N = Vt[rank:].T
         if np.max(np.abs(E @ x0 - f)) > settings.feas_tol:
-            return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
+            return _infeasible(x0, 0, primal=True)
         if N.shape[1] == 0:
             if residuals(program, x0).cone_violation <= settings.feas_tol:
                 return Solution(SolveStatus.OPTIMAL, x0, float(c @ x0), 0.0, 0)
-            return _infeasible(SolveStatus.PRIMAL_INFEASIBLE, x0, 0)
+            return _infeasible(x0, 0, primal=True)
         G, h = A[~zero], b[~zero]
         cones = [cone for cone in program.cones if not isinstance(cone, Zero)]
         reduced = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
@@ -903,9 +914,10 @@ def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
 
 
 def _step_limit(step, tau, dtau, kappa, dkappa):
-    """The largest step toward the cone boundary, tau = 0 or kappa = 0."""
-    return min(step, -tau / dtau if dtau < 0 else np.inf,
-               -kappa / dkappa if dkappa < 0 else np.inf)
+    """The largest step per member toward the cone boundary, tau = 0 or
+    kappa = 0.  Runs under the caller's ``np.errstate``."""
+    return np.minimum(np.minimum(step, np.where(dtau < 0, -tau / dtau, np.inf)),
+                      np.where(dkappa < 0, -kappa / dkappa, np.inf))
 
 
 def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> None:
@@ -915,27 +927,36 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
 
     Vectors hold the members' entries one member after another, and every
     array operation acts on each member's entries as that member's solo
-    solve would.  The scalars of each member (tau, kappa, mu, step lengths,
-    stopping tests, certificates, stall counts) are computed member by
-    member, with the expressions and scalar types of a solo solve.
+    solve would.  Each per-member quantity (tau, kappa, mu, step lengths,
+    stopping tests, certificates, stall counts) is one array with an entry
+    per member, computed by the expression a solo solve evaluates, in the
+    same order; only sigma's cube is taken member by member, because
+    numpy's array power can round otherwise than its scalar power.
     Members leave at one point per iteration, right after the convergence
-    tests: the entries of every returned member leave every array, and the
-    next :class:`_KktPlan` is built from the members that stay.  A member
-    that stops later, because its Gram matrix cannot be factored or its
-    step search fails, takes no step and leaves at the next iteration's
-    compaction, so the Gram matrices are assembled and factored once per
-    iteration.  A member's
-    ``offset`` is added to the objective values the gap test compares and
-    the Solution reports: c'x0 when the program is the reduction of one
-    with Zero rows, so the gap is that of the original objective.
+    tests: one mask drops every returned member's entries from every
+    array, and the next :class:`_KktPlan` is built from the members that
+    stay.  A member that stops later, because its Gram matrix cannot be
+    factored or its step search fails, takes no step and leaves at the
+    next iteration's compaction, so the Gram matrices are assembled and
+    factored once per iteration.  A member's ``offset`` is added to the
+    objective values the gap test compares and the Solution reports: c'x0
+    when the program is the reduction of one with Zero rows, so the gap is
+    that of the original objective.
     """
     plan = _KktPlan(groups)
-    live = plan.live
+    live, X, Z = plan.live, plan.x, plan.layout.rows
     for member in live:
         member.best = Solution(SolveStatus.MAX_ITERATIONS, np.zeros(len(member.c)),
                                np.nan, np.inf, settings.max_iter)
     c = np.concatenate([member.c for member in live])
     h = np.concatenate([member.h for member in live])
+    norm_c, norm_h = np.maximum(1.0, X.max_abs(c)), np.maximum(1.0, Z.max_abs(h))
+    offset = np.array([member.offset for member in live])
+    degree = np.array([member.layout.degree + 1.0 for member in live])
+    tau, kappa = np.ones(plan.members), np.ones(plan.members)
+    best_merit = np.full(plan.members, np.inf)  # the merit of each member's best
+    stall = np.zeros(plan.members, dtype=int)   # iterations since it improved
+    done = np.zeros(plan.members, dtype=bool)   # the member has its solution
     e = plan.layout.identity()
     x = np.zeros(len(c))
     # the pair (s, z) as the one (rows, 2) stack the cone kernels take, and
@@ -945,117 +966,106 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
     s, z = e.copy(), e.copy()
     interior = _margin(plan.layout, sz)
 
-    def certificate(k: int, tol: float) -> SolveStatus | None:
-        """PrimalInfeasible if member k's z is a Farkas certificate,
-        DualInfeasible if its x is an improving ray, at relative tolerance
-        ``tol``.  Reads the products Gx and Gtz of the current iterate."""
-        member, X, Z = live[k], plan.x, plan.layout.rows
-        hz = -hz_dot[k]
-        if hz > 1e-12 and np.isfinite(Z.rows(z, k)).all():
-            if float(np.abs(X.rows(Gtz, k)).max()) <= tol * member.norm_c * hz:
-                return SolveStatus.PRIMAL_INFEASIBLE
-        cx = -cx_dot[k]
-        if cx > 1e-12 and np.isfinite(X.rows(x, k)).all() and np.isfinite(Z.rows(s, k)).all():
-            if float(np.abs(Z.rows(Gx, k) + Z.rows(s, k)).max()) <= tol * member.norm_h * cx:
-                return SolveStatus.DUAL_INFEASIBLE
-        return None
+    def certificates(tol: float):
+        """Masks of the members whose z is a Farkas certificate of primal
+        infeasibility, and of the others whose x is an improving ray, at
+        relative tolerance ``tol``.  Reads the products Gx and Gtz of the
+        current iterate."""
+        hz, cx = -hz_dot, -cx_dot
+        primal = (hz > 1e-12) & Z.all(np.isfinite(z)) & (X.max_abs(Gtz) <= tol * norm_c * hz)
+        dual = (cx > 1e-12) & X.all(np.isfinite(x)) & Z.all(np.isfinite(s)) \
+            & (Z.max_abs(Gx + s) <= tol * norm_h * cx)
+        return primal, dual & ~primal
 
-    def stop(k: int) -> None:
-        """Progress has stalled: accept a modestly looser certificate if one
-        is in hand, otherwise report numerical failure at the best iterate."""
-        member = live[k]
-        status = certificate(k, max(1e3 * settings.feas_tol, 1e-6))
-        if status is not None:
-            member.solution = _infeasible(status, member.best.x, iteration)
-        else:
-            best = member.best
-            member.solution = Solution(SolveStatus.NUMERICAL_FAILURE, best.x,
-                                       best.objective_value, best.duality_gap, iteration)
+    def stop(members: np.ndarray) -> None:
+        """Progress has stalled for the masked members: each accepts a
+        modestly looser certificate if one is in hand, otherwise reports
+        numerical failure at its best iterate."""
+        if not members.any():
+            return
+        primal, dual = certificates(max(1e3 * settings.feas_tol, 1e-6))
+        for k in np.flatnonzero(members):
+            best = live[k].best
+            if primal[k] or dual[k]:
+                live[k].solution = _infeasible(best.x, iteration, primal=primal[k])
+            else:
+                live[k].solution = Solution(SolveStatus.NUMERICAL_FAILURE, best.x,
+                                            best.objective_value, best.duality_gap, iteration)
+        done[members] = True
 
     with np.errstate(all="ignore"):
         for iteration in range(settings.max_iter):
             layout = plan.layout
-            X, Z = plan.x, layout.rows
             # residuals of the homogeneous system; the two products also
             # feed the convergence tests and the certificates
             Gx, Gtz = plan.G @ x, plan.Gt @ z
-            tau = [member.tau for member in live]
-            kappa = [member.kappa for member in live]
             tau_n, tau_m = X.spread(tau), Z.spread(tau)
             r_dual = Gtz + c * tau_n                  # -> 0
             r_cone = Gx + s - h * tau_m               # -> 0
-            cx_dot, hz_dot, sz_dot = X.dots(c, x), Z.dots(h, z), Z.dots(s, z)
-            r_gap = [float(cx_dot[k] + hz_dot[k] + kappa[k])  # -> 0
-                     for k in range(len(live))]
-            mu = [(sz_dot[k] + tau[k] * kappa[k]) / (member.layout.degree + 1)
-                  for k, member in enumerate(live)]
-            finite = X.all(np.isfinite(r_dual)) & Z.all(np.isfinite(r_cone))
+            cx_dot, hz_dot = X.dots(c, x), Z.dots(h, z)
+            r_gap = cx_dot + hz_dot + kappa           # -> 0
+            mu = (Z.dots(s, z) + tau * kappa) / degree
+            finite = X.all(np.isfinite(r_dual)) & Z.all(np.isfinite(r_cone)) \
+                & np.isfinite(r_gap) & np.isfinite(mu)
 
             # --- convergence tests on the de-homogenized point ---
             # the primal bound is the cone shortfall of the implied slack
             # h - G xh, absolute so that the residuals() audit holds
             # verbatim; dual feasibility is judged relative to the dual
-            # iterate's magnitude
+            # iterate's magnitude.  A member that stopped late last
+            # iteration is not tested.
             xh, zh = x / tau_n, z / tau_m
-            shortfall = -_margin(layout, h - Gx / tau_m)
+            pres = np.maximum(-_margin(layout, h - Gx / tau_m), 0.0)
             dres = X.max_abs(Gtz / tau_n + c)
-            zh_max = Z.max_abs(zh)
-            pobj_dot, dobj_dot = X.dots(c, xh), Z.dots(h, zh)
-            for k, member in enumerate(live):
-                if member.solution is not None:  # stopped late last iteration
-                    continue
-                if not (finite[k] and math.isfinite(r_gap[k]) and math.isfinite(mu[k])):
-                    stop(k)
-                    continue
-                pres = max(shortfall[k], 0.0)
-                dual_scale = member.norm_c * (1.0 + float(zh_max[k]))
-                pobj = float(pobj_dot[k]) + member.offset
-                dobj = float(-dobj_dot[k]) + member.offset
-                relgap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
-                if pres <= settings.feas_tol and dres[k] <= settings.feas_tol * dual_scale \
-                        and relgap <= settings.gap_tol:
-                    member.solution = Solution(SolveStatus.OPTIMAL, X.rows(xh, k), pobj,
-                                               relgap, iteration)
-                    continue
-
-                merit = max(pres, dres[k] / dual_scale, relgap)
-                if merit < 0.9 * member.best_merit:
-                    member.best_merit = merit
-                    member.best = Solution(SolveStatus.MAX_ITERATIONS, X.rows(xh, k),
-                                           pobj, relgap, iteration)
-                    member.stall = 0
-                else:
-                    member.stall += 1
-
-                status = certificate(k, settings.feas_tol)
-                if status is not None:
-                    member.solution = _infeasible(status, X.rows(xh, k), iteration)
-                # degenerate instances stop making progress once mu bottoms
-                # out; bail out before the scaled KKT system turns to noise
-                elif mu[k] < 1e-18 or interior[k] < 1e-40 or member.stall >= 15:
-                    stop(k)
+            dual_scale = norm_c * (1.0 + Z.max_abs(zh))
+            pobj = X.dots(c, xh) + offset
+            dobj = -Z.dots(h, zh) + offset
+            relgap = np.abs(pobj - dobj) / np.maximum(np.maximum(1.0, np.abs(pobj)),
+                                                      np.abs(dobj))
+            tested = ~done & finite
+            optimal = tested & (pres <= settings.feas_tol) \
+                & (dres <= settings.feas_tol * dual_scale) & (relgap <= settings.gap_tol)
+            for k in np.flatnonzero(optimal):
+                live[k].solution = Solution(SolveStatus.OPTIMAL, X.rows(xh, k), float(pobj[k]),
+                                            float(relgap[k]), iteration)
+            tested &= ~optimal
+            # fmax: a NaN dual or gap term is passed over, not propagated
+            merit = np.fmax(np.fmax(pres, dres / dual_scale), relgap)
+            improved = tested & (merit < 0.9 * best_merit)
+            best_merit = np.where(improved, merit, best_merit)
+            stall = np.where(improved, 0, stall + 1)
+            for k in np.flatnonzero(improved):
+                live[k].best = Solution(SolveStatus.MAX_ITERATIONS, X.rows(xh, k),
+                                        float(pobj[k]), float(relgap[k]), iteration)
+            primal, dual = certificates(settings.feas_tol)
+            infeasible = tested & (primal | dual)
+            for k in np.flatnonzero(infeasible):
+                live[k].solution = _infeasible(X.rows(xh, k), iteration, primal=primal[k])
+            done |= optimal | infeasible
+            # degenerate instances stop making progress once mu bottoms
+            # out; bail out before the scaled KKT system turns to noise
+            stop(~done & (~finite | (mu < 1e-18) | (interior < 1e-40) | (stall >= 15)))
 
             kkt = None  # it holds the plan
-            kept = plan.survivors()
-            if kept is not None:
-                groups, (keep, on_x, on_z) = kept
-                plan = None  # the old plan goes before the next is built
-                if not groups:
+            if done.any():
+                if done.all():
                     break
+                keep = ~done
+                groups, on_x, on_z = plan.survivors(keep)
+                plan = None  # the old plan goes before the next is built
                 plan = _KktPlan(groups)
                 live, layout = plan.live, plan.layout
                 X, Z = plan.x, layout.rows
                 x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
                 s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]
                 sz = sz[on_z]
-                tau, kappa, r_gap, mu, cx_dot, hz_dot = (
-                    [v for v, stays in zip(values, keep) if stays]
-                    for values in (tau, kappa, r_gap, mu, cx_dot, hz_dot))
+                (tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, offset, degree,
+                 best_merit, stall, done) = (values[keep] for values in (
+                    tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, offset, degree,
+                    best_merit, stall, done))
             scaling = _Scaling(layout, sz)
             kkt = _KktSolver(plan, scaling)
-            for k in kkt.failed:  # takes no step, and leaves next iteration
-                stop(k)
-            K = len(live)
+            stop(kkt.failed)  # they take no step, and leave next iteration
             lam = scaling.apply(z)
             lam_sq = _jordan_product(layout, lam, lam)
 
@@ -1070,12 +1080,9 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
                 return w_dst, -r_cone - w_dst
 
             def direction(w_dst, dkappa_target, x0, z0):
-                cx0, hz0 = X.dots(c, x0), Z.dots(h, z0)
-                dtau, dkappa = [0.0] * K, [0.0] * K
-                for k in range(K):
-                    num = -r_gap[k] - dkappa_target[k] / tau[k] - (cx0[k] + hz0[k])
-                    dtau[k] = num / den[k]
-                    dkappa[k] = (dkappa_target[k] - kappa[k] * dtau[k]) / tau[k]
+                num = -r_gap - dkappa_target / tau - (X.dots(c, x0) + Z.dots(h, z0))
+                dtau = num / den
+                dkappa = (dkappa_target - kappa * dtau) / tau
                 dx = x0 + X.spread(dtau) * x1
                 dz = z0 + Z.spread(dtau) * z1
                 ds = w_dst - scaling.apply_sq(dz)
@@ -1086,23 +1093,17 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             cols_x, cols_z = kkt.solve(np.column_stack([-c, -r_dual]),
                                        np.column_stack([h, rz_aff]))
             x1, z1 = cols_x[:, 0], cols_z[:, 0]
-            cx1, hz1 = X.dots(c, x1), Z.dots(h, z1)
-            den = [(cx1[k] + hz1[k]) - kappa[k] / tau[k] for k in range(K)]
-            _, dza, dtaua, dsa, dkappaa = direction(
-                w_dst_aff, [-tau[k] * kappa[k] for k in range(K)], cols_x[:, 1], cols_z[:, 1])
+            den = (X.dots(c, x1) + Z.dots(h, z1)) - kappa / tau
+            _, dza, dtaua, dsa, dkappaa = direction(w_dst_aff, -tau * kappa,
+                                                    cols_x[:, 1], cols_z[:, 1])
             step = _max_step(layout, sz, np.column_stack([dsa, dza]))
-            alpha_aff = [min(_step_limit(step[k], tau[k], dtaua[k], kappa[k], dkappaa[k]), 1.0)
-                         for k in range(K)]
+            alpha_aff = np.minimum(_step_limit(step, tau, dtaua, kappa, dkappaa), 1.0)
             a_m = Z.spread(alpha_aff)
-            sz_aff = Z.dots(s + a_m * dsa, z + a_m * dza)
-            sigma_mu, dkappa_target = [0.0] * K, [0.0] * K
-            for k in range(K):
-                a = alpha_aff[k]
-                mu_aff = (sz_aff[k] + (tau[k] + a * dtaua[k]) * (kappa[k] + a * dkappaa[k])) \
-                    / (live[k].layout.degree + 1)
-                sigma = min(max((mu_aff / mu[k]) ** 3, 1e-8), 0.999)
-                sigma_mu[k] = sigma * mu[k]
-                dkappa_target[k] = -tau[k] * kappa[k] - dtaua[k] * dkappaa[k] + sigma_mu[k]
+            mu_aff = (Z.dots(s + a_m * dsa, z + a_m * dza)
+                      + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / degree
+            cube = np.array([ratio ** 3 for ratio in mu_aff / mu])  # scalar powers
+            sigma_mu = np.minimum(np.maximum(cube, 1e-8), 0.999) * mu
+            dkappa_target = -tau * kappa - dtaua * dkappaa + sigma_mu
 
             # corrector
             corr = _jordan_product(layout, scaling.apply(dsa, invert=True), scaling.apply(dza))
@@ -1110,59 +1111,40 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             dx, dz, dtau, ds, dkappa = direction(
                 w_dst, dkappa_target, *kkt.solve(-r_dual, rz))
 
-            finite = X.all(np.isfinite(dx)) & Z.all(np.isfinite(ds))
             dsz = np.column_stack([ds, dz])
             step = _max_step(layout, sz, dsz)
-            alpha = [0.0] * K
-            searching = []
-            for k, member in enumerate(live):
-                if member.solution is not None:  # its factorization failed
-                    continue
-                if not (math.isfinite(dtau[k]) and math.isfinite(dkappa[k]) and finite[k]):
-                    stop(k)
-                    continue
-                alpha[k] = min(0.99 * _step_limit(step[k], tau[k], dtau[k], kappa[k],
-                                                  dkappa[k]), 1.0)
-                if math.isfinite(alpha[k]):
-                    searching.append(k)
-                else:
-                    stop(k)
-                    alpha[k] = 0.0
+            alpha = np.minimum(0.99 * _step_limit(step, tau, dtau, kappa, dkappa), 1.0)
+            stop(~done & ~(X.all(np.isfinite(dx)) & Z.all(np.isfinite(ds)) & np.isfinite(dtau)
+                           & np.isfinite(dkappa) & np.isfinite(alpha)))
+            alpha = np.where(done, 0.0, alpha)
 
             # keep iterates strictly interior despite floating-point step
             # rounding: each member halves its own step until it is; the
             # last pass's margins are those of the accepted iterate, which
             # the next convergence test reads
+            searching = ~done
             for _ in range(40):
                 sz_new = sz + np.reshape(Z.spread(alpha), (-1, 1)) * dsz
                 inside = _margin(layout, sz_new)
-                for k in list(searching):
-                    if (tau[k] + alpha[k] * dtau[k] > 0 and kappa[k] + alpha[k] * dkappa[k] > 0
-                            and inside[k] > 0):
-                        searching.remove(k)
-                    else:
-                        alpha[k] *= 0.5
-                if not searching:
+                searching &= ~((tau + alpha * dtau > 0) & (kappa + alpha * dkappa > 0)
+                               & (inside > 0))
+                alpha = np.where(searching, alpha * 0.5, alpha)
+                if not searching.any():
                     break
-            for k, member in enumerate(live):
-                if member.solution is not None:
-                    continue
-                if k in searching or alpha[k] <= 1e-13:
-                    stop(k)
-                    alpha[k] = 0.0
-                else:
-                    member.tau = tau[k] + alpha[k] * dtau[k]
-                    member.kappa = kappa[k] + alpha[k] * dkappa[k]
+            stop(searching | ~done & (alpha <= 1e-13))
+            alpha = np.where(done, 0.0, alpha)
+            tau, kappa = tau + alpha * dtau, kappa + alpha * dkappa
 
             x += X.spread(alpha) * dx
             sz, interior = sz_new, inside
             s, z = sz[:, 0].copy(), sz[:, 1].copy()
         else:
-            for member in live:
-                if member.solution is None:
-                    member.solution = member.best
+            for k in np.flatnonzero(~done):
+                live[k].solution = replace(live[k].best, iterations=settings.max_iter)
 
 
-def _infeasible(status: SolveStatus, x: np.ndarray, iteration: int) -> Solution:
-    value = np.nan if status == SolveStatus.PRIMAL_INFEASIBLE else -np.inf
-    return Solution(status, x, value, np.inf, iteration)
+def _infeasible(x: np.ndarray, iteration: int, primal: bool) -> Solution:
+    """The PrimalInfeasible Solution at x, or else the DualInfeasible one."""
+    if primal:
+        return Solution(SolveStatus.PRIMAL_INFEASIBLE, x, np.nan, np.inf, iteration)
+    return Solution(SolveStatus.DUAL_INFEASIBLE, x, -np.inf, np.inf, iteration)

@@ -2,8 +2,14 @@
 
 import pytest
 
-from misobeam import conic, design
+from misobeam import cli, conic, design
 from misobeam.model import ChannelSet, QosSpec
+
+# The suite runs on one BLAS thread, as the misobeam command does, unless a
+# thread variable is set: threaded BLAS sums in another order, so results at
+# n = 8 round otherwise, and at these sizes threads cost more time than
+# they save.
+cli._pin_blas()
 
 
 @pytest.fixture

@@ -136,8 +136,20 @@ class TestSolveAnalytic:
         assert unbounded.status == SolveStatus.DUAL_INFEASIBLE
 
     def test_max_iterations_status_not_exception(self):
-        sol = solve(soc_min_norm_program(), SolverSettings(max_iter=1))
-        assert sol.status == SolveStatus.MAX_ITERATIONS
+        # the count is the iterations run, not that of the best iterate
+        for max_iter in (1, 3):
+            sol = solve(soc_min_norm_program(), SolverSettings(max_iter=max_iter))
+            assert sol.status == SolveStatus.MAX_ITERATIONS
+            assert sol.iterations == max_iter
+
+    @pytest.mark.parametrize("field, value", [
+        ("feas_tol", 0.0), ("feas_tol", -1.0), ("feas_tol", np.nan), ("feas_tol", np.inf),
+        ("feas_tol", "1e-8"), ("gap_tol", 0.0), ("gap_tol", np.nan), ("gap_tol", -np.inf),
+        ("max_iter", 0), ("max_iter", -1), ("max_iter", 2.5), ("max_iter", True),
+        ("max_iter", "200")])
+    def test_settings_reject_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverSettings(**{field: value})
 
     def test_equality_rows_only(self):
         # x1 + x2 = 1 and no cone rows: any feasible x is optimal for c = 0,
@@ -789,6 +801,27 @@ class TestSolveBatch:
         assert members[:4] == [3, 3, 3, 2]
         for k in (0, 2):
             assert_same_solution(solutions[k], alone[k])
+
+    @pytest.mark.parametrize("max_iter", [200, 8, 3])
+    def test_every_status_in_one_batch(self, max_iter):
+        # Optimal, DualInfeasible and PrimalInfeasible members, and at the
+        # smaller budgets MaxIterations ones, each as its solo solve
+        programs = [soc_min_norm_program(),
+                    ConeProgram(1, [-1.0], [[-1.0]], [0.0], [Nonnegative(1)]),
+                    design_program("paper", 3, 7, 5.0, 0.16),
+                    design_program("paper", 3, 7, 5.0, 0.005),
+                    design_program("nominal", 2, 0, 5.0, 0.0)]
+        options = SolverSettings(max_iter=max_iter)
+        solutions = solve_batch(programs, options)
+        ended = {SolveStatus.OPTIMAL, SolveStatus.DUAL_INFEASIBLE,
+                 SolveStatus.PRIMAL_INFEASIBLE}
+        expected = {200: ended, 8: ended | {SolveStatus.MAX_ITERATIONS},
+                    3: {SolveStatus.MAX_ITERATIONS}}
+        assert {s.status for s in solutions} == expected[max_iter]
+        for batched, program in zip(solutions, programs):
+            assert_same_solution(batched, solve(program, options))
+            if batched.status == SolveStatus.MAX_ITERATIONS:
+                assert batched.iterations == max_iter
 
     def test_empty_batch(self):
         assert solve_batch([]) == []
