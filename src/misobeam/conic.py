@@ -41,10 +41,11 @@ block-diagonal program, member-major, whatever their sizes and cone
 layouts: one segmented kernel and one sparse product serve every member,
 and the Gram blocks of the members that share a layout stack into one
 batched product per cone class, while each member keeps its own step
-lengths, stopping tests and Cholesky factor.  Each per-member scalar of
-the loop (tau, kappa, mu, step lengths, stall counts) is one array with an
-entry per member.  Returned members leave every array, under one mask,
-right after the convergence tests.  Every operation acts on a member's
+lengths, stopping tests and Cholesky factor.  Each per-member quantity
+of the loop (tau, kappa, mu, step lengths, stall counts, status, best
+iterate) is one array with an entry per member.  Returned members leave
+every array, under one mask, right after the convergence tests, where
+their Solutions are built.  Every operation acts on a member's
 entries as that member's solo solve does, so each member's result is bit
 for bit the one :func:`solve` gives it alone; ``solve`` is the batch of
 one.
@@ -675,8 +676,8 @@ class _KktSolver:
     own digits, where one shift for the whole diagonal would swamp them.
     The regularized matrix is symmetric positive definite.  It is factored
     by LAPACK ``dpotrf`` called directly, as ``scipy.linalg.cho_factor``
-    calls it.  Members are listed in ``factored``, or marked in the mask
-    ``failed`` when their factorization fails; the solves skip those.
+    calls it.  The mask ``failed`` marks the members whose factorization
+    fails; the solves skip them.
     """
 
     # 1e-14, 1e-13 and 1e-12 give the same statuses and iteration count on
@@ -695,7 +696,6 @@ class _KktSolver:
     def __init__(self, plan: _KktPlan, scaling: _Scaling):
         self.plan, self.scaling = plan, scaling
         self.factors: list[np.ndarray] = []
-        self.factored: list[int] = []
         self.failed = np.zeros(plan.members, dtype=bool)
         for k, H in enumerate(plan.gram(scaling)):
             # a variable that no cone row touches has a zero diagonal
@@ -704,22 +704,20 @@ class _KktSolver:
             diagonal += self._REG * np.where(diagonal > 0, diagonal, 1.0)
             factor, info = dpotrf(H, lower=False, clean=False)
             self.factors.append(factor)
-            if info:
-                self.failed[k] = True
-            else:
-                self.factored.append(k)
+            self.failed[k] = info != 0
 
     def _base_solve(self, rx, rz, members=None):
-        """(dx, dz, G dx), solved for the ``members`` given (by default
-        every member that factored); the other members' dx are zeros."""
+        """(dx, dz, G dx), solved for the members the mask ``members``
+        marks (by default every member that factored); the other members'
+        dx are zeros."""
         plan = self.plan
         top = rx + plan.Gt @ self.scaling.apply_sq(rz, invert=True)
-        members = self.factored if members is None else members
-        if len(members) == plan.members == 1:
+        members = ~self.failed if members is None else members
+        if plan.members == 1 and members[0]:
             dx = dpotrs(self.factors[0], top, lower=False)[0]
         else:
             dx = np.zeros_like(top)
-            for k in members:
+            for k in np.flatnonzero(members).tolist():
                 plan.x.rows(dx, k)[...] = dpotrs(self.factors[k], plan.x.rows(top, k),
                                                  lower=False)[0]
         Gdx = plan.G @ dx
@@ -732,24 +730,22 @@ class _KktSolver:
         X, Z = plan.x, self.scaling.layout.rows
         dx, dz, Gdx = self._base_solve(rx, rz)
         bound = self._REFINE_TOL * np.maximum(X.max_abs(rx), Z.max_abs(rz))
-        pending = self.factored
+        pending = ~self.failed
         for refinement in range(self._REFINE_PASSES):
             if refinement:
                 Gdx = plan.G @ dx
             res_x = rx - plan.Gt @ dz
             res_z = rz - (Gdx - self.scaling.apply_sq(dz))
             ok = np.maximum(X.max_abs(res_x), Z.max_abs(res_z)) <= bound
-            ok = ok.reshape(K, -1).all(axis=1)
-            pending = [k for k in pending if not ok[k]]
-            if not pending:
+            pending &= ~ok.reshape(K, -1).all(axis=1)
+            if not pending.any():
                 break
             cx, cz, _ = self._base_solve(res_x, res_z, pending)
-            if len(pending) == K:
-                dx, dz = dx + cx, dz + cz
-                continue
-            for k in pending:  # the other members keep their solves
-                X.rows(dx, k)[...] += X.rows(cx, k)
-                Z.rows(dz, k)[...] += Z.rows(cz, k)
+            # in place: the other members keep their solves, -0.0 included;
+            # a member's entries are contiguous in C order
+            for S, d, c in ((X, dx, cx), (Z, dz, cz)):
+                on = np.repeat(pending, S.sizes * (d.size // len(d))).reshape(d.shape)
+                np.add(d, c, out=d, where=on)
         return dx, dz
 
 
@@ -805,10 +801,7 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
         key = (len(member.c), layout.unit_dims.tobytes(), layout.unit_support.tobytes())
         groups.setdefault(key, []).append(member)
     if groups:
-        _interior_point(list(groups.values()), settings)
-    for group in groups.values():
-        for member in group:
-            solutions[member.index] = member.lift(member.solution)
+        _interior_point(list(groups.values()), settings, solutions)
     return solutions
 
 
@@ -820,9 +813,8 @@ class _Member:
     restricted blocks G_k[:, support_k] of its units, stacked as
     (count, dim, s), with their column supports (count, s).  The program's
     x is x0 + N w, or w itself when ``N`` is None.  The interior-point
-    loop keeps the member's iterate and scalars in its own arrays; it
-    sets ``best``, the Solution at the iterate of best merit so far, and
-    ``solution`` when the member returns."""
+    loop keeps the member's iterate, scalars and result in its own
+    arrays."""
 
     index: int
     c: np.ndarray
@@ -834,8 +826,6 @@ class _Member:
     offset: float = 0.0
     x0: np.ndarray | None = None
     N: np.ndarray | None = None
-    best: Solution | None = None   # the iterate with the best merit so far
-    solution: Solution | None = None
 
     def lift(self, solution: Solution) -> Solution:
         if self.N is None:
@@ -893,12 +883,11 @@ def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
         rank = int(np.count_nonzero(S > max(E.shape) * np.finfo(float).eps * S[0]))
         x0 = Vt[:rank].T @ ((U[:, :rank].T @ f) / S[:rank])
         N = Vt[rank:].T
-        if np.max(np.abs(E @ x0 - f)) > settings.feas_tol:
-            return _infeasible(x0, 0, primal=True)
-        if N.shape[1] == 0:
-            if residuals(program, x0).cone_violation <= settings.feas_tol:
+        inconsistent = np.max(np.abs(E @ x0 - f)) > settings.feas_tol
+        if inconsistent or N.shape[1] == 0:  # the Zero rows decide the program
+            if not inconsistent and residuals(program, x0).cone_violation <= settings.feas_tol:
                 return Solution(SolveStatus.OPTIMAL, x0, float(c @ x0), 0.0, 0)
-            return _infeasible(x0, 0, primal=True)
+            return Solution(SolveStatus.PRIMAL_INFEASIBLE, x0, np.nan, np.inf, 0)
         G, h = A[~zero], b[~zero]
         cones = [cone for cone in program.cones if not isinstance(cone, Zero)]
         reduced = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
@@ -920,34 +909,41 @@ def _step_limit(step, tau, dtau, kappa, dkappa):
                       np.where(dkappa < 0, -kappa / dkappa, np.inf))
 
 
-def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> None:
+# the objective value and duality gap a Farkas certificate reports
+_CERTIFIED = {SolveStatus.PRIMAL_INFEASIBLE: (np.nan, np.inf),
+              SolveStatus.DUAL_INFEASIBLE: (-np.inf, np.inf)}
+
+
+def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
+                    solutions: list[Solution | None]) -> None:
     """The interior-point loop on groups of cone-only programs, each group
-    sharing one layout, run as one member-major block program; sets each
-    member's ``solution``.
+    sharing one layout, run as one member-major block program; writes each
+    member's Solution into ``solutions`` at the member's index.
 
     Vectors hold the members' entries one member after another, and every
     array operation acts on each member's entries as that member's solo
     solve would.  Each per-member quantity (tau, kappa, mu, step lengths,
     stopping tests, certificates, stall counts) is one array with an entry
     per member, computed by the expression a solo solve evaluates, in the
-    same order; only sigma's cube is taken member by member, because
-    numpy's array power can round otherwise than its scalar power.
-    Members leave at one point per iteration, right after the convergence
-    tests: one mask drops every returned member's entries from every
-    array, and the next :class:`_KktPlan` is built from the members that
-    stay.  A member that stops later, because its Gram matrix cannot be
-    factored or its step search fails, takes no step and leaves at the
-    next iteration's compaction, so the Gram matrices are assembled and
-    factored once per iteration.  A member's ``offset`` is added to the
-    objective values the gap test compares and the Solution reports: c'x0
-    when the program is the reduction of one with Zero rows, so the gap is
-    that of the original objective.
+    same order; only sigma's cube is taken member by member, because numpy's
+    array power can round otherwise than its scalar power.  Each member's
+    result is arrays too: its status and the iteration it returned at, which
+    ``finish`` sets, and its best iterate (x, objective and gap at the best
+    merit so far; x alone at a certificate, whose objective and gap
+    ``_CERTIFIED`` gives).  Members leave at one point per iteration, right
+    after the convergence tests: ``leave`` builds their Solutions and one
+    mask drops their entries from every array; the next :class:`_KktPlan` is
+    built from the members that stay, and after the loop the rest leave the
+    same way.  A member that stops later, because its Gram matrix cannot be
+    factored or its step search fails, takes no step and leaves at the next
+    iteration's compaction, so the Gram matrices are assembled and factored
+    once per iteration.  A member's ``offset`` is added to the objective
+    values the gap test compares and the Solution reports: c'x0 when the
+    program is the reduction of one with Zero rows, so the gap is that of
+    the original objective.
     """
     plan = _KktPlan(groups)
     live, X, Z = plan.live, plan.x, plan.layout.rows
-    for member in live:
-        member.best = Solution(SolveStatus.MAX_ITERATIONS, np.zeros(len(member.c)),
-                               np.nan, np.inf, settings.max_iter)
     c = np.concatenate([member.c for member in live])
     h = np.concatenate([member.h for member in live])
     norm_c, norm_h = np.maximum(1.0, X.max_abs(c)), np.maximum(1.0, Z.max_abs(h))
@@ -956,9 +952,13 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
     tau, kappa = np.ones(plan.members), np.ones(plan.members)
     best_merit = np.full(plan.members, np.inf)  # the merit of each member's best
     stall = np.zeros(plan.members, dtype=int)   # iterations since it improved
-    done = np.zeros(plan.members, dtype=bool)   # the member has its solution
+    done = np.zeros(plan.members, dtype=bool)   # the member has its status
+    # from a list: np.full would store each status as a truncated str
+    status = np.array([SolveStatus.MAX_ITERATIONS] * plan.members, dtype=object)
+    returned_at = np.full(plan.members, settings.max_iter)
+    best_obj, best_gap = np.full(plan.members, np.nan), np.full(plan.members, np.inf)
     e = plan.layout.identity()
-    x = np.zeros(len(c))
+    x, best_x = np.zeros(len(c)), np.zeros(len(c))
     # the pair (s, z) as the one (rows, 2) stack the cone kernels take, and
     # its columns also as contiguous vectors, whose dot products round as
     # contiguous ones do
@@ -977,6 +977,12 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             & (Z.max_abs(Gx + s) <= tol * norm_h * cx)
         return primal, dual & ~primal
 
+    def finish(members: np.ndarray, outcome: SolveStatus) -> None:
+        """The masked members return with status ``outcome`` now."""
+        status[members] = outcome
+        returned_at[members] = iteration
+        done[members] = True
+
     def stop(members: np.ndarray) -> None:
         """Progress has stalled for the masked members: each accepts a
         modestly looser certificate if one is in hand, otherwise reports
@@ -984,14 +990,16 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
         if not members.any():
             return
         primal, dual = certificates(max(1e3 * settings.feas_tol, 1e-6))
+        finish(members & primal, SolveStatus.PRIMAL_INFEASIBLE)
+        finish(members & dual, SolveStatus.DUAL_INFEASIBLE)
+        finish(members & ~(primal | dual), SolveStatus.NUMERICAL_FAILURE)
+
+    def leave(members: np.ndarray) -> None:
+        """Stores the masked members' Solutions, in their programs' variables."""
         for k in np.flatnonzero(members):
-            best = live[k].best
-            if primal[k] or dual[k]:
-                live[k].solution = _infeasible(best.x, iteration, primal=primal[k])
-            else:
-                live[k].solution = Solution(SolveStatus.NUMERICAL_FAILURE, best.x,
-                                            best.objective_value, best.duality_gap, iteration)
-        done[members] = True
+            objective, gap = _CERTIFIED.get(status[k], (best_obj[k], best_gap[k]))
+            solutions[live[k].index] = live[k].lift(Solution(
+                status[k], X.rows(best_x, k), float(objective), float(gap), int(returned_at[k])))
 
     with np.errstate(all="ignore"):
         for iteration in range(settings.max_iter):
@@ -1025,23 +1033,21 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             tested = ~done & finite
             optimal = tested & (pres <= settings.feas_tol) \
                 & (dres <= settings.feas_tol * dual_scale) & (relgap <= settings.gap_tol)
-            for k in np.flatnonzero(optimal):
-                live[k].solution = Solution(SolveStatus.OPTIMAL, X.rows(xh, k), float(pobj[k]),
-                                            float(relgap[k]), iteration)
             tested &= ~optimal
             # fmax: a NaN dual or gap term is passed over, not propagated
             merit = np.fmax(np.fmax(pres, dres / dual_scale), relgap)
             improved = tested & (merit < 0.9 * best_merit)
             best_merit = np.where(improved, merit, best_merit)
             stall = np.where(improved, 0, stall + 1)
-            for k in np.flatnonzero(improved):
-                live[k].best = Solution(SolveStatus.MAX_ITERATIONS, X.rows(xh, k),
-                                        float(pobj[k]), float(relgap[k]), iteration)
             primal, dual = certificates(settings.feas_tol)
-            infeasible = tested & (primal | dual)
-            for k in np.flatnonzero(infeasible):
-                live[k].solution = _infeasible(X.rows(xh, k), iteration, primal=primal[k])
-            done |= optimal | infeasible
+            primal, dual = tested & primal, tested & dual
+            better = optimal | improved
+            best_x = np.where(X.spread(better | primal | dual), xh, best_x)
+            best_obj = np.where(better, pobj, best_obj)
+            best_gap = np.where(better, relgap, best_gap)
+            finish(optimal, SolveStatus.OPTIMAL)
+            finish(primal, SolveStatus.PRIMAL_INFEASIBLE)
+            finish(dual, SolveStatus.DUAL_INFEASIBLE)
             # degenerate instances stop making progress once mu bottoms
             # out; bail out before the scaled KKT system turns to noise
             stop(~done & (~finite | (mu < 1e-18) | (interior < 1e-40) | (stall >= 15)))
@@ -1050,6 +1056,7 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             if done.any():
                 if done.all():
                     break
+                leave(done)
                 keep = ~done
                 groups, on_x, on_z = plan.survivors(keep)
                 plan = None  # the old plan goes before the next is built
@@ -1058,11 +1065,12 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
                 X, Z = plan.x, layout.rows
                 x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
                 s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]
-                sz = sz[on_z]
+                sz, best_x = sz[on_z], best_x[on_x]
                 (tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, offset, degree,
-                 best_merit, stall, done) = (values[keep] for values in (
+                 best_merit, stall, done, status, returned_at, best_obj,
+                 best_gap) = (values[keep] for values in (
                     tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, offset, degree,
-                    best_merit, stall, done))
+                    best_merit, stall, done, status, returned_at, best_obj, best_gap))
             scaling = _Scaling(layout, sz)
             kkt = _KktSolver(plan, scaling)
             stop(kkt.failed)  # they take no step, and leave next iteration
@@ -1138,13 +1146,4 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings) -> No
             x += X.spread(alpha) * dx
             sz, interior = sz_new, inside
             s, z = sz[:, 0].copy(), sz[:, 1].copy()
-        else:
-            for k in np.flatnonzero(~done):
-                live[k].solution = replace(live[k].best, iterations=settings.max_iter)
-
-
-def _infeasible(x: np.ndarray, iteration: int, primal: bool) -> Solution:
-    """The PrimalInfeasible Solution at x, or else the DualInfeasible one."""
-    if primal:
-        return Solution(SolveStatus.PRIMAL_INFEASIBLE, x, np.nan, np.inf, iteration)
-    return Solution(SolveStatus.DUAL_INFEASIBLE, x, -np.inf, np.inf, iteration)
+    leave(np.ones(plan.members, dtype=bool))

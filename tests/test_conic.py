@@ -693,6 +693,9 @@ def design_program(kind, n, seed, gamma_db, delta):
 
 
 def assert_same_solution(batched, alone):
+    # a numpy string equals the enum member it was made from, so the type
+    # is checked as well
+    assert type(batched.status) is SolveStatus
     assert batched.status == alone.status
     assert batched.iterations == alone.iterations
     assert np.array_equal(batched.objective_value, alone.objective_value, equal_nan=True)
@@ -799,6 +802,46 @@ class TestSolveBatch:
         assert solutions[1].status == SolveStatus.NUMERICAL_FAILURE
         assert solutions[1].iterations == 2
         assert members[:4] == [3, 3, 3, 2]
+        for k in (0, 2):
+            assert_same_solution(solutions[k], alone[k])
+
+    @pytest.mark.parametrize("iteration, status", [
+        (5, SolveStatus.PRIMAL_INFEASIBLE), (3, SolveStatus.NUMERICAL_FAILURE)])
+    def test_stalled_member_reports_its_best_iterate(self, monkeypatch, iteration, status):
+        # member 1 (PrimalInfeasible after 7 iterations alone) takes a zero
+        # combined step in the given iteration and stops there: with the
+        # looser certificate by then, without it before.  Its x, and for
+        # NumericalFailure its objective and gap, are those of its best
+        # iterate, which the MaxIterations solve that ends with the same
+        # convergence test reports; the others run on as they do alone
+        programs = [design_program("paper", 3, 7, 5.0, delta) for delta in (0.005, 0.16, 0.02)]
+        alone = [solve(program) for program in programs]
+        best = solve(programs[1], SolverSettings(max_iter=iteration + 1))
+        max_step, steps = conic._max_step, []
+
+        def stalled(layout, u, du):
+            step = max_step(layout, u, du)
+            steps.append(len(step))
+            if len(steps) == 2 * iteration + 2:  # two steps per iteration
+                step[1] = 0.0
+            return step
+
+        monkeypatch.setattr(conic, "_max_step", stalled)
+        solutions = solve_batch(programs)
+        assert steps[2 * iteration + 1] == 3
+        stopped = solutions[1]
+        assert type(stopped.status) is SolveStatus
+        assert stopped.status == status
+        assert stopped.iterations == iteration
+        assert stopped.x.tobytes() == best.x.tobytes()
+        if status == SolveStatus.PRIMAL_INFEASIBLE:
+            assert np.isnan(stopped.objective_value)
+            assert stopped.duality_gap == np.inf
+        else:
+            assert best.status == SolveStatus.MAX_ITERATIONS
+            assert stopped.objective_value == best.objective_value
+            assert stopped.duality_gap == best.duality_gap
+            assert np.isfinite(stopped.duality_gap)
         for k in (0, 2):
             assert_same_solution(solutions[k], alone[k])
 
