@@ -22,8 +22,14 @@ G' W^-2 G.  The cone rows are kept in CSR form for matrix-vector products,
 and the Gram matrix is assembled cone by cone from dense blocks restricted
 to the columns each cone touches, so the work follows the constraint
 matrix's nonzeros rather than its full size.  Each program's nonzero
-pattern is read once, when the program becomes a loop member: it orders
-the cones and gives the CSR forms and the Gram column supports.  The
+pattern is read once per process: the first program with a pattern (its
+cone dimensions, shape and A != 0) has it analysed, which orders the
+cones and gives the CSR index arrays, the Gram column supports and one
+member's Gram scatter index, and every program with that pattern, in the
+same call or a later one, only gathers its values at the places the
+analysis names.  The key is the exact mask, so a zero in the data (a
+radius or kappa of 0, an exact-zero channel entry) makes its own pattern,
+and a cached analysis gives the bits a fresh one gives.  The
 reduced matrix is positive definite and is factored densely by Cholesky.
 Each iteration runs two solves with the factorization: the predictor's
 right-hand side together with the column that carries the step in tau,
@@ -39,13 +45,15 @@ variables, a few thousand cone rows).
 ``solve_batch`` runs all its programs through one loop as one
 block-diagonal program, member-major, whatever their sizes and cone
 layouts: one segmented kernel and one sparse product serve every member,
-and the Gram blocks of the members that share a layout stack into one
+and the Gram blocks of the members that share a pattern stack into one
 batched product per cone class, while each member keeps its own step
 lengths, stopping tests and Cholesky factor.  Each per-member quantity
 of the loop (tau, kappa, mu, step lengths, stall counts, status, best
 iterate) is one array with an entry per member.  Returned members leave
 every array, under one mask, right after the convergence tests, where
-their Solutions are built.  Every operation acts on a member's
+their Solutions are built; the next KKT plan is put together from the
+cached patterns and the members' stacked values, so a compaction slices
+arrays and derives no structure.  Every operation acts on a member's
 entries as that member's solo solve does, so each member's result is bit
 for bit the one :func:`solve` gives it alone; ``solve`` is the batch of
 one.
@@ -53,6 +61,7 @@ one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -288,7 +297,7 @@ def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
 
 class _Segments:
     """Member-major vectors of a batch: member k holds ``sizes[k]``
-    consecutive entries, and the members of one layout group have one size.
+    consecutive entries, and the members of one group have one size.
 
     Per-member reductions are ``reduceat`` from each member's first entry,
     arrays of per-member values go back to the entries through
@@ -324,10 +333,11 @@ class _Segments:
         """Largest absolute entry per member, per column for a column stack."""
         return np.maximum.reduceat(np.abs(v), self.starts, axis=0)
 
-    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-member dot products of member-major vectors, as an array."""
+    def dots(self, a: np.ndarray, b: np.ndarray):
+        """Per-member dot products of member-major vectors, as an array;
+        the one product itself for a single member."""
         if len(self.sizes) == 1:
-            return np.array([a @ b])
+            return a @ b
         return np.concatenate([
             np.matmul(a[lo:hi].reshape(count, 1, -1), b[lo:hi].reshape(count, -1, 1))
             .reshape(count) for lo, hi, count in self.spans])
@@ -399,7 +409,7 @@ class _ConeLayout:
     """
 
     def __init__(self, unit_dims: np.ndarray, unit_support: np.ndarray):
-        self.unit_dims, self.unit_support = unit_dims, unit_support
+        self.unit_dims, self.unit_support = _readonly(unit_dims), _readonly(unit_support)
         self.m = int(unit_dims.sum())
         self.degree = len(unit_dims)
         self.classes: list[tuple[int, int, int, int]] = []
@@ -468,12 +478,10 @@ class _Scaling:
         U = L.columns(u)
         return (two_cv * L.spread(L.unit_sum(v * U)) - cJ * U).reshape(u.shape)
 
-    def inverse_blocks(self, rows: np.ndarray, units: np.ndarray, dim: int,
-                       U: np.ndarray) -> np.ndarray:
+    def inverse_blocks(self, w: np.ndarray, scale: np.ndarray, U: np.ndarray) -> np.ndarray:
         """W^-1 applied to stacked column blocks U of shape (count, dim, k):
-        block i belongs to unit ``units[i]``, whose rows are
-        ``rows[i * dim : (i + 1) * dim]``."""
-        w = self.w[rows].reshape(-1, dim)
+        block i belongs to the unit whose scaling point is ``w[i]`` and
+        whose W^-1 carries the factor ``scale[i]``."""
         w0, w1 = w[:, 0], w[:, 1:]
         u0, u1 = U[:, 0], U[:, 1:]
         # V(w)^-1 = V(Jw), block by block
@@ -482,7 +490,7 @@ class _Scaling:
         res = np.empty_like(U)
         res[:, 0] = w0[:, None] * u0 - dot
         res[:, 1:] = u1 + w1[:, :, None] * coef[:, None]
-        return res * self.unit_scale[True][units].reshape(-1, 1, 1)
+        return res * scale.reshape(-1, 1, 1)
 
 
 def _jordan_product(layout: _BatchLayout, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -537,45 +545,135 @@ def _max_step(layout: _BatchLayout, u: np.ndarray, du: np.ndarray) -> np.ndarray
     return layout.member_min(np.minimum(first, second))
 
 
-def _csr_pair(M: np.ndarray, nonzero: np.ndarray) -> tuple[tuple, tuple]:
-    """The CSR forms (data, indices, indptr) of M and of M': the arrays
-    ``scipy.sparse.csr_array(M)`` and ``csr_array(M).T.tocsr()`` hold,
-    found from M's pattern ``nonzero`` (M != 0) by one ``flatnonzero`` and
-    one stable sort by column."""
-    rows, cols = M.shape
-    flat = np.flatnonzero(nonzero)
-    row, col = np.divmod(flat, cols)
-    data = M.ravel()[flat]
-    order = np.argsort(col, kind="stable")
-
-    def csr(data, indices, lead, size):
-        indptr = np.searchsorted(lead, np.arange(size + 1))
-        return data, indices.astype(np.int32), indptr.astype(np.int32)
-
-    return csr(data, col, row, rows), csr(data[order], row[order], col[order], cols)
+def _csr_index(indices: np.ndarray, lead: np.ndarray, size: int) -> tuple:
+    """(indices, indptr) of a CSR matrix with ``size`` rows whose nonzeros,
+    in storage order, lie in the rows ``lead`` and the columns ``indices``."""
+    indptr = np.searchsorted(lead, np.arange(size + 1))
+    return _readonly(indices.astype(np.int32)), _readonly(indptr.astype(np.int32))
 
 
-def _block_diagonal(blocks: list, cols: list[int]) -> scipy.sparse.csr_array:
-    """The block-diagonal CSR matrix of CSR blocks (data, indices, indptr)
-    with ``cols`` columns each, every row keeping its block's nonzeros in
-    their order."""
-    ends = np.cumsum([0] + [len(data) for data, _, _ in blocks[:-1]])
-    starts = np.cumsum([0] + cols[:-1])
-    data = np.concatenate([data for data, _, _ in blocks])
-    indices = np.concatenate([indices + start for (_, indices, _), start
-                              in zip(blocks, starts)])
-    indptr = np.concatenate([[0]] + [indptr[1:] + end for (_, _, indptr), end
-                                     in zip(blocks, ends)])
-    return scipy.sparse.csr_array((data, indices, indptr.astype(np.int32)),
-                                  shape=(len(indptr) - 1, sum(cols)))
+class _Pattern:
+    """Everything a cone-only program's nonzero pattern determines, found
+    once per pattern and shared, read-only, by every program that has it.
+
+    Built from the unit dimensions (one unit per nonnegative row, one per
+    second-order block, in program order) and the pattern ``nonzero`` (A !=
+    0) in one pass: each unit's column cover, the columns its rows touch,
+    gives its support size for the stable (dimension, support) sort of
+    :class:`_ConeLayout`, and the cover of each layout class gives the
+    column supports of its units.  It holds:
+
+    * ``rows``: the program row of each cone row, in layout order, and
+      ``layout``, the :class:`_ConeLayout`;
+    * ``at``: where G's nonzeros lie in A's entries (row-major), in CSR
+      order, and ``t_order``, their order in G' (a stable sort by column);
+      ``csr`` and ``csr_t``, the (indices, indptr) of G and G', the arrays
+      ``scipy.sparse.csr_array(G)`` and ``csr_array(G).T.tocsr()`` hold;
+    * ``classes``: per layout class, where its units' restricted blocks
+      G_k[:, support_k] lie in A's entries, as an array (units, dim, s),
+      and the span of their Gram terms in a member's list of ``terms``;
+    * ``index``: the flat index in the n x n Gram matrix of each of a
+      member's terms, which one bincount per member sums.
+    """
+
+    def __init__(self, dims: np.ndarray, nonzero: np.ndarray):
+        m, n = nonzero.shape
+        self.n = n
+        starts = np.cumsum(dims) - dims
+        cover = np.logical_or.reduceat(nonzero, starts, axis=0)
+        support = cover.sum(axis=1)
+        order = np.lexsort((support, dims))
+        self.rows = _readonly(_row_ranges(starts[order], dims[order]))
+        self.layout = _ConeLayout(dims[order], support[order])
+        cover = cover[order]
+        row, col = np.divmod(np.flatnonzero(nonzero[self.rows]), n)
+        self.at = _readonly(self.rows[row] * n + col)
+        self.t_order = _readonly(np.argsort(col, kind="stable"))
+        self.csr = _csr_index(col, row, m)
+        self.csr_t = _csr_index(row[self.t_order], col[self.t_order], n)
+        self.classes, index, self.terms = [], [np.zeros(0, dtype=np.intp)], 0
+        for first, units, dim, start in self.layout.classes:
+            cols = np.nonzero(cover[first : first + units])[1].reshape(units, -1)
+            at = self.rows[start : start + units * dim].reshape(units, dim, 1) * n
+            index.append((cols[:, :, None] * n + cols[:, None, :]).ravel())
+            self.classes.append((_readonly(at + cols[:, None, :]),
+                                 self.terms, self.terms + index[-1].size))
+            self.terms += index[-1].size
+        self.index = _readonly(np.concatenate(index))
+
+
+# how many patterns a process keeps (least recently used goes first); a
+# design program's pattern depends on its method, size and perturbation
+# mode, and on exact zeros in its data
+_PATTERNS = 32
+
+
+@functools.lru_cache(maxsize=_PATTERNS)
+def _pattern(shape: tuple[int, int], dims: bytes, bits: bytes) -> _Pattern:
+    """The :class:`_Pattern` of a cone-only program of ``shape`` whose unit
+    dimensions are the intp bytes ``dims`` and whose pattern A != 0 is
+    ``np.packbits`` of it: analysed on first use, then shared."""
+    nonzero = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=shape[0] * shape[1])
+    return _Pattern(np.frombuffer(dims, dtype=np.intp), nonzero.reshape(shape).view(bool))
+
+
+def _block_diagonal(parts: list[tuple[np.ndarray, tuple, int]]) -> scipy.sparse.csr_array:
+    """The block-diagonal CSR matrix of the blocks of each part (values,
+    (indices, indptr), width): row k of ``values`` holds the CSR data of
+    one block, and the blocks of a part share the pattern (indices, indptr)
+    and ``width`` columns.  Every row keeps its block's nonzeros in their
+    order."""
+    data, indices, indptr = [], [], [np.zeros(1, dtype=np.intp)]
+    cols = nnz = 0
+    for values, (index, pointer), width in parts:
+        count, size = values.shape
+        blocks = np.arange(count)
+        data.append(values.ravel())
+        indices.append((index + (cols + width * blocks)[:, None]).ravel())
+        indptr.append((pointer[1:] + (nnz + size * blocks)[:, None]).ravel())
+        cols, nnz = cols + count * width, nnz + count * size
+    indptr = np.concatenate(indptr)
+    return scipy.sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
+                                  shape=(len(indptr) - 1, cols))
+
+
+@dataclass(eq=False)
+class _Group:
+    """Loop members that share one :class:`_Pattern`, with their values
+    stacked member by member: ``data`` and ``data_t`` (members, nnz) hold
+    the CSR data of each member's G and G', and ``blocks`` holds, per
+    layout class, every member's restricted blocks as (members, units,
+    dim, s)."""
+
+    pattern: _Pattern
+    members: list
+    data: np.ndarray
+    data_t: np.ndarray
+    blocks: list
+
+    @classmethod
+    def of(cls, members: list["_Member"]) -> "_Group":
+        """The group of ``members``, which share one pattern."""
+        pattern = members[0].pattern
+        data = np.stack([member.data for member in members])
+        return cls(pattern, members, data, data[:, pattern.t_order],
+                   [np.stack(blocks) for blocks in zip(*(m.blocks for m in members))])
+
+    def take(self, keep: np.ndarray) -> "_Group":
+        """The group of the members the mask ``keep`` marks."""
+        members = [member for member, stays in zip(self.members, keep.tolist()) if stays]
+        return _Group(self.pattern, members, self.data[keep], self.data_t[keep],
+                      [blocks[keep] for blocks in self.blocks])
 
 
 class _KktPlan:
-    """The members an interior-point loop still runs, as groups of members
-    that share a cone layout, with their row layout and the structure of
-    their reduced KKT systems.  ``live`` lists the members in order,
-    ``members`` counts them, ``layout`` lays out their cone rows and ``x``
-    segments their variables, with ``sizes`` each member's n.
+    """The members an interior-point loop still runs, as :class:`_Group` s
+    of members that share a pattern, with their row layout and the
+    structure of their reduced KKT systems.  ``live`` lists the members in
+    order, ``members`` counts them, ``layout`` lays out their cone rows and
+    ``x`` segments their variables, with ``sizes`` each member's n.  A plan
+    is put together from its groups' patterns and stacked values, with
+    member offsets; nothing is derived member by member.
 
     The plan holds the members' cone rows G as one block-diagonal CSR
     matrix, with its transpose, for the matrix-vector products: each row
@@ -589,77 +687,73 @@ class _KktPlan:
         G' W^-2 G = sum_k T_k' T_k,   T_k = W_k^-1 G_k[:, support_k].
 
     The units of one layout class share dimension and support size, so
-    their restricted blocks G_k[:, support_k] stack, over the members of
-    the layout's group, into one dense (members x count, dim, s) array.
-    Each iteration scales the stacks, takes batched Grams T_k' T_k and
-    scatter-adds them into the group's span of one flat array of every
-    member's n x n matrix, with one bincount per group over the flat
-    indices precomputed here.  Each bin
-    receives its member's terms in the member's own order, so each
-    member's matrix is the one a solo solve assembles: the arithmetic of a
-    dense (W^-1 G)' (W^-1 G) in another summation order, without forming
-    W^-1 G.
+    their restricted blocks G_k[:, support_k] stack, over the members of a
+    group, into one dense (members x count, dim, s) array.  Each iteration
+    scales the stacks, takes batched Grams T_k' T_k into a (members, terms)
+    array of every member's terms, and sums each member's row into its
+    n x n matrix with one bincount over the pattern's flat indices.  Each
+    entry receives its member's terms in the member's own order, so each
+    member's matrix is the one a solo solve assembles: the
+    arithmetic of a dense (W^-1 G)' (W^-1 G) in another summation order,
+    without forming W^-1 G.
     """
 
-    def __init__(self, groups: list[list["_Member"]]):
+    def __init__(self, groups: list[_Group]):
         self.groups = groups
-        self.live = [member for group in groups for member in group]
+        self.live = [member for group in groups for member in group.members]
         self.members = len(self.live)
-        counts = [len(group) for group in groups]
-        self.layout = _BatchLayout([(group[0].layout, count)
-                                    for group, count in zip(groups, counts)])
-        self.x = _Segments([len(group[0].c) for group in groups], counts)
+        counts = [len(group.members) for group in groups]
+        patterns = [group.pattern for group in groups]
+        self.layout = _BatchLayout([(pattern.layout, count)
+                                    for pattern, count in zip(patterns, counts)])
+        self.x = _Segments([pattern.n for pattern in patterns], counts)
         self.sizes = self.x.sizes.tolist()
-        self.G = _block_diagonal([member.csr for member in self.live], self.sizes)
-        self.Gt = _block_diagonal([member.csr_t for member in self.live],
-                                  self.layout.rows.sizes.tolist())
-        self.gram_bounds = [0, *itertools.accumulate(n * n for n in self.sizes)]
-        # per group: its class stacks, each with the span of its Gram terms
-        # in the group's list of terms, and the flat index of every term
-        # within the group's span lo .. hi of the flat array
-        self.gram_groups = []
-        row = unit = first = 0
-        for group in groups:
-            count, layout = len(group), group[0].layout
-            n, m, degree = len(group[0].c), layout.m, layout.degree
-            lo, hi = self.gram_bounds[first], self.gram_bounds[first + count]
-            members = np.arange(count)
-            stacks, index, terms = [], [np.zeros(0, dtype=np.intp)], 0
-            for c, (head, units, dim, start) in enumerate(layout.classes):
-                rows = (row + m * members + start)[:, None] + np.arange(units * dim)
-                unit_ids = (unit + degree * members + head)[:, None] + np.arange(units)
-                stack = np.concatenate([member.classes[c][0] for member in group])
-                cols = np.stack([member.classes[c][1] for member in group])
-                flat = cols[..., :, None] * n + cols[..., None, :]
-                flat += (n * n * members)[:, None, None, None]
-                index.append(flat.ravel())
-                stacks.append((rows.ravel(), unit_ids.ravel(), dim, stack,
-                               terms, terms + flat.size))
-                terms += flat.size
-            self.gram_groups.append((stacks, np.concatenate(index), lo, hi))
-            row, unit, first = row + count * m, unit + count * degree, first + count
+        self.G = _block_diagonal([(group.data, group.pattern.csr, group.pattern.n)
+                                  for group in groups])
+        self.Gt = _block_diagonal([(group.data_t, group.pattern.csr_t, group.pattern.layout.m)
+                                   for group in groups])
+        self.starts, row, unit = [], 0, 0  # each group's first cone row and unit
+        for pattern, count in zip(patterns, counts):
+            self.starts.append((row, unit))
+            row, unit = row + count * pattern.layout.m, unit + count * pattern.layout.degree
 
     def survivors(self, keep: np.ndarray):
         """The groups of the members that the mask ``keep`` marks, for the
         next plan, and the masks of their variables and of their cone
         rows."""
-        stays = iter(keep.tolist())  # in member order, as the groups list them
-        groups = [[member for member in group if next(stays)] for group in self.groups]
-        return ([group for group in groups if group], np.repeat(keep, self.sizes),
-                np.repeat(keep, self.layout.rows.sizes))
+        groups, first = [], 0
+        for group in self.groups:
+            stays = keep[first : first + len(group.members)]
+            first += len(stays)
+            if stays.all():
+                groups.append(group)
+            elif stays.any():
+                groups.append(group.take(stays))
+        return groups, np.repeat(keep, self.sizes), np.repeat(keep, self.layout.rows.sizes)
 
     def gram(self, scaling: _Scaling) -> list[np.ndarray]:
         """Each member's G' W^-2 G, as a dense (n, n) array."""
-        flat = np.empty(self.gram_bounds[-1])
-        for stacks, index, lo, hi in self.gram_groups:
-            weights = np.empty(len(index))
-            for rows, units, dim, stack, first, end in stacks:
-                T = scaling.inverse_blocks(rows, units, dim, stack)
-                s = T.shape[2]
-                np.matmul(T.transpose(0, 2, 1), T, out=weights[first:end].reshape(-1, s, s))
-            flat[lo:hi] = np.bincount(index, weights=weights, minlength=hi - lo)
-        return [flat[lo:hi].reshape(n, n) for lo, hi, n
-                in zip(self.gram_bounds, self.gram_bounds[1:], self.sizes)]
+        grams = []
+        for group, (row, unit) in zip(self.groups, self.starts):
+            count, pattern = len(group.members), group.pattern
+            m, degree = pattern.layout.m, pattern.layout.degree
+            # the group's scaling points and unit factors of W^-1, per member
+            w = scaling.w[row : row + count * m].reshape(count, m)
+            scale = scaling.unit_scale[True][unit : unit + count * degree].reshape(count, degree)
+            weights = np.empty((count, pattern.terms))
+            for (first, units, dim, start), blocks, (_, lo, hi) in zip(
+                    pattern.layout.classes, group.blocks, pattern.classes):
+                s = blocks.shape[-1]
+                T = scaling.inverse_blocks(w[:, start : start + units * dim].reshape(-1, dim),
+                                           scale[:, first : first + units],
+                                           blocks.reshape(-1, dim, s))
+                T = T.reshape(count, units, dim, s)
+                np.matmul(T.transpose(0, 1, 3, 2), T,
+                          out=weights[:, lo:hi].reshape(count, units, s, s))
+            n = pattern.n
+            grams += [np.bincount(pattern.index, weights=terms, minlength=n * n).reshape(n, n)
+                      for terms in weights]
+        return grams
 
 
 class _KktSolver:
@@ -738,7 +832,7 @@ class _KktSolver:
             res_z = rz - (Gdx - self.scaling.apply_sq(dz))
             ok = np.maximum(X.max_abs(res_x), Z.max_abs(res_z)) <= bound
             pending &= ~ok.reshape(K, -1).all(axis=1)
-            if not pending.any():
+            if not np.count_nonzero(pending):
                 break
             cx, cz, _ = self._base_solve(res_x, res_z, pending)
             # in place: the other members keep their solves, -0.0 included;
@@ -781,25 +875,26 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     Every other program then runs through one interior-point loop, as one
     block-diagonal program, whatever its size and cone layout: the loop
     pays its per-iteration interpreter cost once for all of them.  Programs
-    that share the number of variables and the cone layout (unit dimensions
-    and column-support sizes) form a group, whose Gram blocks stack.  Every
+    that share a nonzero pattern (unit dimensions, shape and A != 0) share
+    one cached :class:`_Pattern` and form a group, whose Gram blocks stack.
+    ``programs`` may be any iterable; each program is let go once its
+    member is built, so a generator never has them all alive.  Every
     step length, stopping test and certificate stays per program, every
     floating-point operation of a member is the one its solo solve makes,
     and a program leaves the loop at the first convergence test after it
     returns.
     """
     settings = settings or SolverSettings()
-    solutions: list[Solution | None] = [None] * len(programs)
-    groups: dict[tuple, list[_Member]] = {}
-    for index, program in enumerate(programs):
-        validate(program)
-        member = _reduce(index, program, settings)
+    solutions: list[Solution | None] = []
+    groups: dict[_Pattern, list[_Member]] = {}
+    # each program is dropped once its member holds what the loop needs
+    for member in (_reduce(index, program, settings)
+                   for index, program in enumerate(programs)):
         if isinstance(member, Solution):
-            solutions[index] = member
-            continue
-        layout = member.layout
-        key = (len(member.c), layout.unit_dims.tobytes(), layout.unit_support.tobytes())
-        groups.setdefault(key, []).append(member)
+            solutions.append(member)
+        else:
+            solutions.append(None)
+            groups.setdefault(member.pattern, []).append(member)
     if groups:
         _interior_point(list(groups.values()), settings, solutions)
     return solutions
@@ -808,21 +903,20 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
 @dataclass(eq=False)
 class _Member:
     """One program's cone-only form, minimize c'w + offset subject to
-    h - G w in K with the cone rows permuted as ``layout`` lays them out.
-    G is held as the CSR forms of G and G' and, per layout class, as the
-    restricted blocks G_k[:, support_k] of its units, stacked as
-    (count, dim, s), with their column supports (count, s).  The program's
-    x is x0 + N w, or w itself when ``N`` is None.  The interior-point
-    loop keeps the member's iterate, scalars and result in its own
-    arrays."""
+    h - G w in K with the cone rows permuted as ``pattern.layout`` lays
+    them out.  G is held as its values at the places its :class:`_Pattern`
+    names: ``data``, the CSR data of G, and ``blocks``, per layout class
+    the restricted blocks G_k[:, support_k] of its units as (units, dim,
+    s).  The program's x is x0 + N w, or w itself when ``N`` is None.  The
+    interior-point loop keeps the member's iterate, scalars and result in
+    its own arrays."""
 
     index: int
     c: np.ndarray
-    csr: tuple
-    csr_t: tuple
-    classes: list
+    pattern: _Pattern
+    data: np.ndarray
+    blocks: list
     h: np.ndarray
-    layout: _ConeLayout
     offset: float = 0.0
     x0: np.ndarray | None = None
     N: np.ndarray | None = None
@@ -834,16 +928,11 @@ class _Member:
 
 
 def _member(index: int, c: np.ndarray, program: ConeProgram, **reduction) -> _Member:
-    """A program without Zero rows as a :class:`_Member`, from one pass
-    over its nonzero pattern.
-
-    The cone block holds one unit per nonnegative row (SecondOrder(1)
-    included) and one per second-order block, stably sorted by dimension
-    and then by the number of columns the unit's rows touch; see
-    :class:`_ConeLayout`.  Each unit's column cover, the columns its rows
-    touch, gives that number and the column supports of the layout
-    classes, and the permuted pattern gives the CSR forms.
-    """
+    """A program without Zero rows as a :class:`_Member`: its
+    :class:`_Pattern`, looked up by the unit dimensions and A != 0 (one
+    unit per nonnegative row, SecondOrder(1) included, and one per
+    second-order block), and its values gathered at the places the pattern
+    names."""
     unit_dims: list[int] = []
     for cone in program.cones:  # Zero blocks have no rows here
         if isinstance(cone, SecondOrder) and cone.dim > 1:
@@ -851,27 +940,19 @@ def _member(index: int, c: np.ndarray, program: ConeProgram, **reduction) -> _Me
         else:
             unit_dims.extend([1] * cone.dim)
     A, b = program.constraint_matrix, program.offset
-    dims = np.asarray(unit_dims, dtype=np.intp)
-    starts = np.cumsum(dims) - dims
-    nonzero = A != 0
-    cover = np.logical_or.reduceat(nonzero, starts, axis=0)
-    support = cover.sum(axis=1)
-    order = np.lexsort((support, dims))
-    cone_rows = _row_ranges(starts[order], dims[order])
-    G, cover = A[cone_rows], cover[order]
-    layout = _ConeLayout(dims[order], support[order])
-    classes = []
-    for first, units, dim, start in layout.classes:
-        rows = G[start : start + units * dim].reshape(units, dim, -1)
-        cols = np.nonzero(cover[first : first + units])[1].reshape(units, -1)
-        classes.append((np.take_along_axis(rows, cols[:, None, :], axis=2), cols))
-    return _Member(index, c, *_csr_pair(G, nonzero[cone_rows]), classes, b[cone_rows],
-                   layout, **reduction)
+    pattern = _pattern(A.shape, np.asarray(unit_dims, dtype=np.intp).tobytes(),
+                       np.packbits(A != 0).tobytes())
+    values = A.ravel()
+    return _Member(index, c, pattern, values[pattern.at],
+                   [values[at] for at, _, _ in pattern.classes], b[pattern.rows],
+                   **reduction)
 
 
 def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
     """The program's cone-only form as a :class:`_Member`, or its Solution
-    when the Zero rows, or the lack of cone rows, decide it."""
+    when the Zero rows, or the lack of cone rows, decide it; raises
+    ConeProgramError for an invalid program."""
+    validate(program)
     zero = np.repeat([isinstance(cone, Zero) for cone in program.cones],
                      [cone.dim for cone in program.cones])
     if not zero.any():
@@ -893,7 +974,7 @@ def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
         reduced = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
         member = _member(index, reduced.objective, reduced,
                          offset=float(c @ x0), x0=x0, N=N)
-    if member.layout.m:
+    if member.pattern.layout.m:
         return member
     # no cone rows: every w is feasible, so the program is bounded iff c = 0
     w = np.zeros(len(member.c))
@@ -917,7 +998,7 @@ _CERTIFIED = {SolveStatus.PRIMAL_INFEASIBLE: (np.nan, np.inf),
 def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
                     solutions: list[Solution | None]) -> None:
     """The interior-point loop on groups of cone-only programs, each group
-    sharing one layout, run as one member-major block program; writes each
+    sharing one pattern, run as one member-major block program; writes each
     member's Solution into ``solutions`` at the member's index.
 
     Vectors hold the members' entries one member after another, and every
@@ -942,13 +1023,13 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
     program is the reduction of one with Zero rows, so the gap is that of
     the original objective.
     """
-    plan = _KktPlan(groups)
+    plan = _KktPlan([_Group.of(members) for members in groups])
     live, X, Z = plan.live, plan.x, plan.layout.rows
     c = np.concatenate([member.c for member in live])
     h = np.concatenate([member.h for member in live])
     norm_c, norm_h = np.maximum(1.0, X.max_abs(c)), np.maximum(1.0, Z.max_abs(h))
     offset = np.array([member.offset for member in live])
-    degree = np.array([member.layout.degree + 1.0 for member in live])
+    degree = np.array([member.pattern.layout.degree + 1.0 for member in live])
     tau, kappa = np.ones(plan.members), np.ones(plan.members)
     best_merit = np.full(plan.members, np.inf)  # the merit of each member's best
     stall = np.zeros(plan.members, dtype=int)   # iterations since it improved
@@ -987,7 +1068,7 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
         """Progress has stalled for the masked members: each accepts a
         modestly looser certificate if one is in hand, otherwise reports
         numerical failure at its best iterate."""
-        if not members.any():
+        if not np.count_nonzero(members):
             return
         primal, dual = certificates(max(1e3 * settings.feas_tol, 1e-6))
         finish(members & primal, SolveStatus.PRIMAL_INFEASIBLE)
@@ -1037,14 +1118,15 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
             # fmax: a NaN dual or gap term is passed over, not propagated
             merit = np.fmax(np.fmax(pres, dres / dual_scale), relgap)
             improved = tested & (merit < 0.9 * best_merit)
-            best_merit = np.where(improved, merit, best_merit)
-            stall = np.where(improved, 0, stall + 1)
+            np.copyto(best_merit, merit, where=improved)
+            stall += 1
+            np.copyto(stall, 0, where=improved)
             primal, dual = certificates(settings.feas_tol)
             primal, dual = tested & primal, tested & dual
             better = optimal | improved
-            best_x = np.where(X.spread(better | primal | dual), xh, best_x)
-            best_obj = np.where(better, pobj, best_obj)
-            best_gap = np.where(better, relgap, best_gap)
+            np.copyto(best_x, xh, where=X.spread(better | primal | dual))
+            np.copyto(best_obj, pobj, where=better)
+            np.copyto(best_gap, relgap, where=better)
             finish(optimal, SolveStatus.OPTIMAL)
             finish(primal, SolveStatus.PRIMAL_INFEASIBLE)
             finish(dual, SolveStatus.DUAL_INFEASIBLE)
@@ -1053,7 +1135,7 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
             stop(~done & (~finite | (mu < 1e-18) | (interior < 1e-40) | (stall >= 15)))
 
             kkt = None  # it holds the plan
-            if done.any():
+            if np.count_nonzero(done):
                 if done.all():
                     break
                 leave(done)
@@ -1124,7 +1206,7 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
             alpha = np.minimum(0.99 * _step_limit(step, tau, dtau, kappa, dkappa), 1.0)
             stop(~done & ~(X.all(np.isfinite(dx)) & Z.all(np.isfinite(ds)) & np.isfinite(dtau)
                            & np.isfinite(dkappa) & np.isfinite(alpha)))
-            alpha = np.where(done, 0.0, alpha)
+            np.copyto(alpha, 0.0, where=done)
 
             # keep iterates strictly interior despite floating-point step
             # rounding: each member halves its own step until it is; the
@@ -1136,11 +1218,11 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
                 inside = _margin(layout, sz_new)
                 searching &= ~((tau + alpha * dtau > 0) & (kappa + alpha * dkappa > 0)
                                & (inside > 0))
-                alpha = np.where(searching, alpha * 0.5, alpha)
-                if not searching.any():
+                np.multiply(alpha, 0.5, out=alpha, where=searching)
+                if not np.count_nonzero(searching):
                     break
             stop(searching | ~done & (alpha <= 1e-13))
-            alpha = np.where(done, 0.0, alpha)
+            np.copyto(alpha, 0.0, where=done)
             tau, kappa = tau + alpha * dtau, kappa + alpha * dkappa
 
             x += X.spread(alpha) * dx

@@ -435,20 +435,28 @@ def _request_key(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None
 def _design(requests: list[tuple[str, tuple]]) -> list[DesignResult]:
     """Solve each (method, request)'s program at the noise divided by s =
     max_k sigma_k, scale each solution back by s, and check it at the
-    estimates."""
-    scales, built = [], []
-    for method, (channels, qos, *robust) in requests:
-        scale = float(np.max(qos.sigma))
-        unit = QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale)
-        scales.append(scale)
-        built.append(build_nominal(channels, unit) if method == "nominal"
-                     else build_robust(channels, unit, *robust))
-    programs = [program for program, _ in built]
-    solutions = ([conic.solve(programs[0])] if len(programs) == 1
-                 else conic.solve_batch(programs))
+    estimates.  The programs are built one at a time as the solver takes
+    them, and only the scales and variable layouts that the checks read
+    are kept, so each dense program can go once the solver holds its
+    member."""
+    scales, layouts = [], []
+
+    def programs():
+        for method, (channels, qos, *robust) in requests:
+            scale = float(np.max(qos.sigma))
+            unit = QosSpec(gamma=qos.gamma, sigma=qos.sigma / scale)
+            program, layout = (build_nominal(channels, unit) if method == "nominal"
+                               else build_robust(channels, unit, *robust))
+            scales.append(scale)
+            layouts.append(layout)
+            yield program
+
+    built = programs()
+    solutions = ([conic.solve(next(built))] if len(requests) == 1
+                 else conic.solve_batch(built))
     return [_checked(channels, qos, scale, solution, layout)
-            for (_, (channels, qos, *_)), scale, solution, (_, layout)
-            in zip(requests, scales, solutions, built)]
+            for (_, (channels, qos, *_)), scale, solution, layout
+            in zip(requests, scales, solutions, layouts)]
 
 
 def _checked(channels: ChannelSet, qos: QosSpec, scale: float, solution: Solution,

@@ -27,7 +27,8 @@ def solves(monkeypatch) -> list:
     solved, solve_batch = [], conic.solve_batch
 
     def counted(programs, settings=None):
-        solved.append(list(programs))
+        programs = list(programs)  # a design hands over a generator
+        solved.append(programs)
         return solve_batch(programs, settings)
 
     monkeypatch.setattr(conic, "solve_batch", counted)

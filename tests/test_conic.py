@@ -1,5 +1,8 @@
 """Cone program validation, solving, and the independent residual audit."""
 
+import concurrent.futures
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -27,6 +30,7 @@ from misobeam.conic import (
 from misobeam.conic import (
     _BatchLayout,
     _ConeLayout,
+    _Group,
     _jordan_product,
     _jordan_solve,
     _KktPlan,
@@ -388,11 +392,10 @@ def projection_program(a, x0, beta):
 
 def split(program):
     """The cone rows G of a program as the solver permutes them, dense
-    (rebuilt from the CSR form of the program's loop member), and the KKT
-    plan of that member alone, whose ``layout`` the cone kernels take."""
-    member = _reduce(0, program, SolverSettings())
-    G = scipy.sparse.csr_array(member.csr, shape=(member.layout.m, len(member.c)))
-    return G.toarray(), _KktPlan([[member]])
+    (from the CSR form the KKT plan holds), and the KKT plan of the
+    program's loop member alone, whose ``layout`` the cone kernels take."""
+    plan = _KktPlan([_Group.of([_reduce(0, program, SolverSettings())])])
+    return plan.G.toarray(), plan
 
 
 def unit_spans(layout):
@@ -579,7 +582,8 @@ class TestStructuredKkt:
     def test_csr_forms_are_scipys(self):
         # a batch's products round as its members' solo products because
         # each member's CSR rows keep one order, scipy's: no explicit
-        # zeros (all-zero rows, delta 0) and columns ascending in each row
+        # zeros (all-zero rows, delta 0) and columns ascending in each row,
+        # in the member's values and its pattern's indices and in the plan
         rng = np.random.default_rng(41)
         programs = [mixed_structure_program(rng), random_feasible_socp(rng)]
         for n in (1, 3, 8):
@@ -587,13 +591,18 @@ class TestStructuredKkt:
             programs += [design_program(kind, n, 0, 5.0, delta)
                          for kind in ("paper", "zero") for delta in (0.0, 0.015)]
         for program in programs:
-            G, plan = split(program)
-            member = plan.live[0]
-            reference = scipy.sparse.csr_array(G)
-            for ours, theirs in ((member.csr, reference),
-                                 (member.csr_t, reference.T.tocsr())):
-                for a, b in zip(ours, (theirs.data, theirs.indices, theirs.indptr)):
+            plan = split(program)[1]
+            member, pattern = plan.live[0], plan.live[0].pattern
+            reference = scipy.sparse.csr_array(program.constraint_matrix[pattern.rows])
+            for data, (indices, indptr), matrix, theirs in (
+                    (member.data, pattern.csr, plan.G, reference),
+                    (member.data[pattern.t_order], pattern.csr_t, plan.Gt,
+                     reference.T.tocsr())):
+                theirs = (theirs.data, theirs.indices, theirs.indptr)
+                for a, b in zip((data, indices, indptr), theirs):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip((matrix.data, matrix.indices, matrix.indptr), theirs):
+                    assert np.array_equal(a, b)
 
     def test_one_pass_square_scaling_matches_two_applies(self):
         rng = np.random.default_rng(7)
@@ -868,3 +877,145 @@ class TestSolveBatch:
 
     def test_empty_batch(self):
         assert solve_batch([]) == []
+
+
+def solve_cold(program):
+    """The program's solve with an empty pattern cache."""
+    conic._pattern.cache_clear()
+    return solve(program)
+
+
+class TestPatternCache:
+    """Each nonzero pattern is analysed once per process; a program whose
+    pattern is cached only gathers its values, bit for bit as a cold
+    solve."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("kind", ["nominal", "paper", "zero"])
+    def test_cold_and_warm_cache_solve_alike(self, kind, n):
+        # the second program reuses the entry the first one made
+        first, second = (design_program(kind, n, seed, 5.0, 0.015) for seed in (0, 1))
+        cold = solve_cold(second)
+        solve(first)
+        misses = conic._pattern.cache_info().misses
+        warm = solve(second)
+        assert conic._pattern.cache_info().misses == misses
+        assert_same_solution(warm, cold)
+
+    def test_zeros_in_the_data_have_their_own_patterns(self):
+        # delta = 0 for one user, kappa = 0 and an exact-zero channel entry
+        # each leave nonzeros of the robust pattern at zero
+        n = 3
+        channels = model.generate_channels(n, n, 4)
+        rows = channels.rows.copy()
+        rows[1, 2] = 0.0
+        qos = model.QosSpec.from_db([5.0] * n, [1.0] * n)
+        full = design.UncertaintySpec(delta=[0.015] * n)
+        programs = [design.build_robust(ch, qos, unc)[0] for ch, unc in (
+            (channels, full),
+            (channels, design.UncertaintySpec(delta=[0.015, 0.0, 0.015])),
+            (channels, design.UncertaintySpec(delta=[0.015] * n, kappa=0.0)),
+            (model.ChannelSet(rows), full))]
+        cold = [solve_cold(program) for program in programs]
+        conic._pattern.cache_clear()
+        patterns = [_reduce(0, program, SolverSettings()).pattern for program in programs]
+        assert len({id(pattern) for pattern in patterns}) == len(programs)
+        assert conic._pattern.cache_info().misses == len(programs)
+        for warm, alone in zip(solve_batch(programs), cold):
+            assert_same_solution(warm, alone)
+        for program, alone in zip(programs, cold):
+            assert_same_solution(solve(program), alone)
+        assert conic._pattern.cache_info().misses == len(programs)
+
+    def test_another_mask_never_reuses_an_entry(self):
+        # same shape and cones; one entry of the matrix set to 0.0, and to
+        # -0.0, which A != 0 reads as the same pattern
+        program = mixed_structure_program(np.random.default_rng(8))
+        row, col = np.argwhere(program.constraint_matrix != 0)[5]
+        variants = []
+        for zero in (0.0, -0.0):
+            A = program.constraint_matrix.copy()
+            A[row, col] = zero
+            variants.append(ConeProgram(program.num_vars, program.objective, A,
+                                        program.offset, program.cones))
+        cold = [solve_cold(variant) for variant in variants]
+        conic._pattern.cache_clear()
+        first, second, third = (_reduce(0, p, SolverSettings()).pattern
+                                for p in (program, *variants))
+        assert second is not first and third is second
+        assert conic._pattern.cache_info().misses == 2
+        for variant, alone in zip(variants, cold):
+            assert_same_solution(solve(variant), alone)
+
+    def test_sweep_batch_analyses_each_pattern_once(self, monkeypatch):
+        # a delta sweep's batch: one nominal and six robust programs, two
+        # patterns, and a new plan at every compaction
+        n = 3
+        channels = model.generate_channels(n, n, 3)
+        qos = model.QosSpec.from_db([5.0] * n, [1.0] * n)
+        programs = [design.build_nominal(channels, qos)[0]] + [
+            design.build_robust(channels, qos, design.UncertaintySpec(delta=[d] * n))[0]
+            for d in (0.005, 0.01, 0.02, 0.04, 0.08, 0.16)]
+        alone = [solve(program) for program in programs]
+        analysed, plans = [], []
+
+        class Pattern(conic._Pattern):
+            def __init__(self, *args):
+                analysed.append(self)
+                super().__init__(*args)
+
+        class Plan(_KktPlan):
+            def __init__(self, *args):
+                plans.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(conic, "_Pattern", Pattern)
+        monkeypatch.setattr(conic, "_KktPlan", Plan)
+        conic._pattern.cache_clear()
+        solutions = solve_batch(programs)
+        conic._pattern.cache_clear()  # drop the patterns of the test class
+        assert len(analysed) == 2
+        assert len(plans) >= 4  # the first plan, then a compaction at 7, 9, 10 and 15
+        for batched, solo in zip(solutions, alone):
+            assert_same_solution(batched, solo)
+
+    def test_threads_designing_different_patterns_get_their_solo_results(self):
+        # more threads than cores, each designing its own patterns into one
+        # empty cache, with frequent thread switches; designs at sigma 1,
+        # whose Solutions are the solver's own
+        def requests(method, n, mode=None):
+            qos = model.QosSpec.from_db([5.0] * n, [1.0] * n)
+            unc = design.UncertaintySpec(delta=[0.015] * n)
+            return [(method, (model.generate_channels(n, n, seed), qos)
+                     + ((unc, mode) if method == "robust" else ()))
+                    for seed in (60, 61, 62)]
+
+        def program(method, request):
+            build = design.build_nominal if method == "nominal" else design.build_robust
+            return build(*request)[0]
+
+        lists = [requests("robust", 3, "paper"),
+                 requests("nominal", 4) + requests("robust", 2, "zero"),
+                 requests("robust", 1, "zero"), requests("nominal", 3)]
+        alone = [[solve(program(*pair)) for pair in pairs] for pairs in lists]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                conic._pattern.cache_clear()
+                design.design_nominal(model.ChannelSet([[0.5 + 0.25j]]),
+                                      model.QosSpec(gamma=[0.5], sigma=[0.75]))
+                start = threading.Barrier(len(lists))
+
+                def run(pairs):
+                    start.wait(timeout=60)
+                    return design.design_batch(pairs)
+
+                with concurrent.futures.ThreadPoolExecutor(len(lists)) as pool:
+                    futures = [pool.submit(run, pairs) for pairs in lists]
+                    results = [future.result(timeout=120) for future in futures]
+                for designs, solos in zip(results, alone):
+                    for result, solo in zip(designs, solos):
+                        assert_same_solution(result.solution, solo)
+        finally:
+            sys.setswitchinterval(interval)

@@ -34,6 +34,7 @@ import argparse
 import collections
 import hashlib
 import os
+import resource
 import time
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -102,6 +103,11 @@ def solve(batch: bool) -> list:
     return [design.design_batch([pair])[0] for pair in designs]
 
 
+def peak_rss() -> str:
+    """The process's peak resident set size so far (Linux reports KiB)."""
+    return f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--batch", action="store_true",
@@ -114,6 +120,7 @@ def main() -> None:
         count, digest = experiments_digest()
         print(f"experiments {count}")
         print(f"sha256 {digest}")
+        print(peak_rss())
         print(f"seconds {time.perf_counter() - start:.2f}")
         return
     results = solve(args.batch)
@@ -128,6 +135,7 @@ def main() -> None:
         f"{status} {count}" for status, count in sorted(statuses.items())))
     print(f"iterations {sum(r.solution.iterations for r in results)}")
     print(f"sha256 {digest.hexdigest()}")
+    print(peak_rss())
     print(f"seconds {seconds:.2f}")
 
 
