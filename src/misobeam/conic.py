@@ -19,18 +19,20 @@ Zero rows are removed before the interior point starts: one SVD of their
 matrix E writes every x with E x = f as x0 + N w, and the loop runs on the
 cone-only program in w.  Each iteration's Newton system is reduced to
 G' W^-2 G.  The cone rows are kept in CSR form for matrix-vector products,
-and the Gram matrix is assembled cone by cone from dense blocks restricted
-to the columns each cone touches, so the work follows the constraint
-matrix's nonzeros rather than its full size.  Each program's nonzero
-pattern is read once per process: the first program with a pattern (its
-cone dimensions, shape and A != 0) has it analysed, which orders the
-cones and gives the CSR index arrays, the Gram column supports and one
-member's Gram scatter index, and every program with that pattern, in the
-same call or a later one, only gathers its values at the places the
-analysis names.  The key is the exact mask, so a zero in the data (a
-radius or kappa of 0, an exact-zero channel entry) makes its own pattern,
-and a cached analysis gives the bits a fresh one gives.  The
-reduced matrix is positive definite and is factored densely by Cholesky.
+and the Gram matrix is assembled from dense blocks restricted to the
+columns each cone touches, one product per cone, or one product over the
+union of their columns for a class of equal cones whose columns mostly
+coincide, so the work follows the constraint matrix's nonzeros rather
+than its full size.  Each program's nonzero pattern is read once per
+process: the first program with a pattern (its cone dimensions, shape and
+A != 0) has it analysed, which orders the cones and gives the CSR index
+arrays, the Gram column supports and one member's Gram scatter index, and
+every program with that pattern, in the same call or a later one, only
+gathers its values at the places the analysis names.  The key is the
+exact mask, so a zero in the data (a radius or kappa of 0, an exact-zero
+channel entry) makes its own pattern, and a cached analysis gives the
+bits a fresh one gives.  The reduced matrix is positive definite and is
+factored densely by Cholesky.
 Each iteration runs two solves with the factorization: the predictor's
 right-hand side together with the column that carries the step in tau,
 then the corrector.  Iterative refinement runs only while a solve's residual is
@@ -569,9 +571,16 @@ class _Pattern:
       order, and ``t_order``, their order in G' (a stable sort by column);
       ``csr`` and ``csr_t``, the (indices, indptr) of G and G', the arrays
       ``scipy.sparse.csr_array(G)`` and ``csr_array(G).T.tocsr()`` hold;
-    * ``classes``: per layout class, where its units' restricted blocks
-      G_k[:, support_k] lie in A's entries, as an array (units, dim, s),
-      and the span of their Gram terms in a member's list of ``terms``;
+    * ``classes``: per layout class, where its units' dense blocks lie in
+      A's entries, as an array (units, dim, width), how many products of
+      the form T'T the class's Gram share takes, and the span of their
+      terms in a member's list of ``terms``.  A class whose units' column
+      supports have a small union U, |U|^2 <= units * s^2 for supports of
+      size s, is stacked: its blocks are G_k[:, U], which A holds as zeros
+      outside each unit's own support, and one product over all its units
+      gives its |U|^2 terms.  Every other class keeps its restricted
+      blocks G_k[:, support_k] and takes one product, of s^2 terms, per
+      unit.  Which classes stack follows from the pattern alone;
     * ``index``: the flat index in the n x n Gram matrix of each of a
       member's terms, which one bincount per member sums.
     """
@@ -593,10 +602,16 @@ class _Pattern:
         self.csr_t = _csr_index(row[self.t_order], col[self.t_order], n)
         self.classes, index, self.terms = [], [np.zeros(0, dtype=np.intp)], 0
         for first, units, dim, start in self.layout.classes:
-            cols = np.nonzero(cover[first : first + units])[1].reshape(units, -1)
+            covers = cover[first : first + units]
+            union = np.flatnonzero(covers.any(axis=0))
+            s = int(self.layout.unit_support[first])
+            if union.size ** 2 <= units * s * s:
+                products, cols = 1, union[None, :]
+            else:
+                products, cols = units, np.nonzero(covers)[1].reshape(units, s)
             at = self.rows[start : start + units * dim].reshape(units, dim, 1) * n
             index.append((cols[:, :, None] * n + cols[:, None, :]).ravel())
-            self.classes.append((_readonly(at + cols[:, None, :]),
+            self.classes.append((_readonly(at + cols[:, None, :]), products,
                                  self.terms, self.terms + index[-1].size))
             self.terms += index[-1].size
         self.index = _readonly(np.concatenate(index))
@@ -642,8 +657,8 @@ class _Group:
     """Loop members that share one :class:`_Pattern`, with their values
     stacked member by member: ``data`` and ``data_t`` (members, nnz) hold
     the CSR data of each member's G and G', and ``blocks`` holds, per
-    layout class, every member's restricted blocks as (members, units,
-    dim, s)."""
+    layout class, every member's blocks as (members, units, dim, width).
+    The group owns these values; its members no longer hold them."""
 
     pattern: _Pattern
     members: list
@@ -653,11 +668,14 @@ class _Group:
 
     @classmethod
     def of(cls, members: list["_Member"]) -> "_Group":
-        """The group of ``members``, which share one pattern."""
+        """The group of ``members``, which share one pattern; takes their
+        values over."""
         pattern = members[0].pattern
         data = np.stack([member.data for member in members])
-        return cls(pattern, members, data, data[:, pattern.t_order],
-                   [np.stack(blocks) for blocks in zip(*(m.blocks for m in members))])
+        blocks = [np.stack(blocks) for blocks in zip(*(m.blocks for m in members))]
+        for member in members:
+            member.data = member.blocks = None
+        return cls(pattern, members, data, data[:, pattern.t_order], blocks)
 
     def take(self, keep: np.ndarray) -> "_Group":
         """The group of the members the mask ``keep`` marks."""
@@ -687,15 +705,19 @@ class _KktPlan:
         G' W^-2 G = sum_k T_k' T_k,   T_k = W_k^-1 G_k[:, support_k].
 
     The units of one layout class share dimension and support size, so
-    their restricted blocks G_k[:, support_k] stack, over the members of a
-    group, into one dense (members x count, dim, s) array.  Each iteration
-    scales the stacks, takes batched Grams T_k' T_k into a (members, terms)
-    array of every member's terms, and sums each member's row into its
-    n x n matrix with one bincount over the pattern's flat indices.  Each
+    their blocks stack, over the members of a group, into one dense
+    (members x units, dim, width) array, which each iteration scales by
+    W^-1 in one pass.  A class whose pattern stacks it (see
+    :class:`_Pattern`) has blocks G_k[:, U] over the union U of its units'
+    supports, and each member takes one product T'T of its
+    (units x dim, |U|) stack of them; every other class takes one product
+    T_k' T_k per unit.  The products go, as batched Grams, into a (members,
+    terms) array of every member's terms, and one bincount per member over
+    the pattern's flat indices sums its row into its n x n matrix.  Each
     entry receives its member's terms in the member's own order, so each
-    member's matrix is the one a solo solve assembles: the
-    arithmetic of a dense (W^-1 G)' (W^-1 G) in another summation order,
-    without forming W^-1 G.
+    member's matrix is the one a solo solve assembles: the arithmetic of a
+    dense (W^-1 G)' (W^-1 G) in another summation order, without forming
+    W^-1 G.
     """
 
     def __init__(self, groups: list[_Group]):
@@ -741,15 +763,15 @@ class _KktPlan:
             w = scaling.w[row : row + count * m].reshape(count, m)
             scale = scaling.unit_scale[True][unit : unit + count * degree].reshape(count, degree)
             weights = np.empty((count, pattern.terms))
-            for (first, units, dim, start), blocks, (_, lo, hi) in zip(
+            for (first, units, dim, start), blocks, (_, products, lo, hi) in zip(
                     pattern.layout.classes, group.blocks, pattern.classes):
-                s = blocks.shape[-1]
+                width = blocks.shape[-1]
                 T = scaling.inverse_blocks(w[:, start : start + units * dim].reshape(-1, dim),
                                            scale[:, first : first + units],
-                                           blocks.reshape(-1, dim, s))
-                T = T.reshape(count, units, dim, s)
+                                           blocks.reshape(-1, dim, width))
+                T = T.reshape(count, products, -1, width)
                 np.matmul(T.transpose(0, 1, 3, 2), T,
-                          out=weights[:, lo:hi].reshape(count, units, s, s))
+                          out=weights[:, lo:hi].reshape(count, products, width, width))
             n = pattern.n
             grams += [np.bincount(pattern.index, weights=terms, minlength=n * n).reshape(n, n)
                       for terms in weights]
@@ -905,17 +927,17 @@ class _Member:
     """One program's cone-only form, minimize c'w + offset subject to
     h - G w in K with the cone rows permuted as ``pattern.layout`` lays
     them out.  G is held as its values at the places its :class:`_Pattern`
-    names: ``data``, the CSR data of G, and ``blocks``, per layout class
-    the restricted blocks G_k[:, support_k] of its units as (units, dim,
-    s).  The program's x is x0 + N w, or w itself when ``N`` is None.  The
-    interior-point loop keeps the member's iterate, scalars and result in
-    its own arrays."""
+    names, until the member's :class:`_Group` takes them over: ``data``,
+    the CSR data of G, and ``blocks``, per layout class the dense blocks
+    of its units as (units, dim, width).  The program's x is x0 + N w, or
+    w itself when ``N`` is None.  The interior-point loop keeps the
+    member's iterate, scalars and result in its own arrays."""
 
     index: int
     c: np.ndarray
     pattern: _Pattern
-    data: np.ndarray
-    blocks: list
+    data: np.ndarray | None
+    blocks: list | None
     h: np.ndarray
     offset: float = 0.0
     x0: np.ndarray | None = None
@@ -944,7 +966,7 @@ def _member(index: int, c: np.ndarray, program: ConeProgram, **reduction) -> _Me
                        np.packbits(A != 0).tobytes())
     values = A.ravel()
     return _Member(index, c, pattern, values[pattern.at],
-                   [values[at] for at, _, _ in pattern.classes], b[pattern.rows],
+                   [values[at] for at, _, _, _ in pattern.classes], b[pattern.rows],
                    **reduction)
 
 

@@ -563,21 +563,53 @@ class TestFlatConeKernels:
 
 class TestStructuredKkt:
     def test_gram_matches_dense_reference(self):
+        # every cone kind, and the design programs, whose patterns take one
+        # product for some classes and sum the others' terms
         rng = np.random.default_rng(2024)
-        G, plan = split(mixed_structure_program(rng))
-        layout = plan.layout
-        for _ in range(5):
-            s, z = interior_point(layout, rng), interior_point(layout, rng)
-            scaling = _Scaling(layout, np.column_stack([s, z]))
-            gram = plan.gram(scaling)[0]
+        programs = [mixed_structure_program(rng)]
+        for n in (1, 3, 8):
+            programs.append(design_program("nominal", n, 0, 5.0, 0.0))
+            programs += [design_program(kind, n, 0, 5.0, delta)
+                         for kind in ("paper", "zero") for delta in (0.015, 0.0)]
+        for program in programs:
+            G, plan = split(program)
+            layout = plan.layout
+            for _ in range(5):
+                s, z = interior_point(layout, rng), interior_point(layout, rng)
+                scaling = _Scaling(layout, np.column_stack([s, z]))
+                gram = plan.gram(scaling)[0]
 
-            W_inv = block_diagonal(layout, lambda r: nt_scaling_inverse(s[r], z[r]))
-            # the reference is the NT scaling: W z = W^-1 s
-            np.testing.assert_allclose(np.linalg.solve(W_inv, z), W_inv @ s,
-                                       rtol=1e-10, atol=1e-12)
-            scaled = W_inv @ G
-            reference = scaled.T @ scaled
-            assert np.abs(gram - reference).max() <= 1e-12 * np.abs(reference).max()
+                scaled = np.empty_like(G)
+                for start, dim in unit_spans(layout):
+                    rows = slice(start, start + dim)
+                    W_inv = nt_scaling_inverse(s[rows], z[rows])
+                    # the reference is the NT scaling: W z = W^-1 s
+                    np.testing.assert_allclose(np.linalg.solve(W_inv, z[rows]),
+                                               W_inv @ s[rows], rtol=1e-10, atol=1e-12)
+                    scaled[rows] = W_inv @ G[rows]
+                reference = scaled.T @ scaled
+                assert np.abs(gram - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("kind, n, summed", [
+        ("nominal", 8, 0), ("paper", 8, 6928), ("zero", 8, 6928), ("paper", 3, 618),
+        ("nominal", 1, 0), ("paper", 1, 0)])
+    def test_classes_with_a_small_union_take_one_product(self, kind, n, summed):
+        # a layout class whose units' column supports have a union U with
+        # |U|^2 <= units * s^2 takes one product over U; the others one per
+        # unit, whose terms the bincount sums (``summed`` of them)
+        G, plan = split(design_program(kind, n, 0, 5.0, 0.015))
+        pattern = plan.groups[0].pattern
+        terms = 0
+        for (first, units, dim, start), (at, products, lo, hi) in zip(
+                pattern.layout.classes, pattern.classes):
+            s = int(pattern.layout.unit_support[first])
+            union = np.flatnonzero(np.any(G[start : start + units * dim] != 0, axis=0))
+            stacked = len(union) ** 2 <= units * s * s
+            assert products == (1 if stacked else units)
+            assert at.shape == (units, dim, len(union) if stacked else s)
+            assert hi - lo == (len(union) ** 2 if stacked else units * s * s)
+            terms += 0 if stacked else hi - lo
+        assert terms == summed
 
     def test_csr_forms_are_scipys(self):
         # a batch's products round as its members' solo products because
@@ -592,11 +624,12 @@ class TestStructuredKkt:
                          for kind in ("paper", "zero") for delta in (0.0, 0.015)]
         for program in programs:
             plan = split(program)[1]
-            member, pattern = plan.live[0], plan.live[0].pattern
+            group = plan.groups[0]
+            values, pattern = group.data[0], group.pattern
             reference = scipy.sparse.csr_array(program.constraint_matrix[pattern.rows])
             for data, (indices, indptr), matrix, theirs in (
-                    (member.data, pattern.csr, plan.G, reference),
-                    (member.data[pattern.t_order], pattern.csr_t, plan.Gt,
+                    (values, pattern.csr, plan.G, reference),
+                    (values[pattern.t_order], pattern.csr_t, plan.Gt,
                      reference.T.tocsr())):
                 theirs = (theirs.data, theirs.indices, theirs.indptr)
                 for a, b in zip((data, indices, indptr), theirs):
@@ -757,6 +790,21 @@ class TestSolveBatch:
         assert members == [sum(i < last for last in iterations)
                            for i in range(max(iterations))]
         assert members[-1] < members[0]
+        for batched, program in zip(solutions, programs):
+            assert_same_solution(batched, solve(program))
+
+    def test_members_with_stacked_classes_leave_at_different_iterations(self):
+        # n = 8 robust designs, whose SINR and power classes take one
+        # product each, at a feasible and an infeasible radius: the group's
+        # stacked blocks are sliced at every compaction, and each member
+        # still matches its solo solve
+        programs = [design_program(kind, 8, seed, 5.0, delta)
+                    for kind, seed in (("paper", 0), ("zero", 1), ("paper", 2))
+                    for delta in (0.015, 0.3)]
+        solutions = solve_batch(programs)
+        assert {s.status for s in solutions} == {SolveStatus.OPTIMAL,
+                                                 SolveStatus.PRIMAL_INFEASIBLE}
+        assert len({s.iterations for s in solutions}) > 2
         for batched, program in zip(solutions, programs):
             assert_same_solution(batched, solve(program))
 

@@ -2,13 +2,20 @@
 
 Solves every design of the grid below and prints the status counts, the
 total iteration count and one SHA-256 over every design's status,
-iteration count and ``x`` bytes, in grid order.  Two versions of the
-solver that print the same digest give the same designs, bit for bit.
-The digests depend on the BLAS library and its thread count (threaded
-BLAS sums in another order), so the tool pins one BLAS thread before
-numpy loads, as ``bench/run.py`` does.  With OpenBLAS on x86-64 the grid
-prints ``1f75976e...e08e`` solo and with ``--batch``, and
-``--experiments`` prints ``cc99581a...5fc1``.
+iteration count and ``x`` bytes, in grid order, then one line per method
+(and perturbation mode) and size with its status counts and iteration
+total.  Two versions of the solver that print the same digest give the
+same designs, bit for bit; two that print the same per-size lines reach
+the same statuses in the same iteration counts, even where their
+arithmetic rounds differently.  The digests depend on the BLAS library
+and its thread count (threaded BLAS sums in another order), so the tool
+pins one BLAS thread before numpy loads, as ``bench/run.py`` does.  With
+OpenBLAS on x86-64 the grid prints ``68d761ed...61e8`` solo and with
+``--batch``, and ``--experiments`` prints ``50d3a170...1136``.  They
+moved from ``1f75976e...e08e`` and ``cc99581a...5fc1`` when the Gram
+assembly started to take one product over the union of a cone class's
+columns: that sums the Gram entries in another order, while every status
+and iteration count on the grid stayed as it was.
 
     PYTHONPATH=src python tools/solver_fingerprint.py                # one solve per design
     PYTHONPATH=src python tools/solver_fingerprint.py --batch        # one batch
@@ -103,6 +110,23 @@ def solve(batch: bool) -> list:
     return [design.design_batch([pair])[0] for pair in designs]
 
 
+def breakdown(results: list) -> list[str]:
+    """One line per (method, n_t = n_u), in grid order: its status counts
+    and its total iteration count."""
+    kinds: dict[tuple[str, int], list] = {}
+    for (method, request), result in zip(grid(), results):
+        kind = method if method == "nominal" else f"{method}/{request[3]}"
+        kinds.setdefault((kind, request[0].n_tx), []).append(result)
+    return [f"  {kind} n={n}  {status_counts(group)}  "
+            f"iterations {sum(r.solution.iterations for r in group)}"
+            for (kind, n), group in kinds.items()]
+
+
+def status_counts(results: list) -> str:
+    statuses = collections.Counter(result.status.value for result in results)
+    return "  ".join(f"{status} {count}" for status, count in sorted(statuses.items()))
+
+
 def peak_rss() -> str:
     """The process's peak resident set size so far (Linux reports KiB)."""
     return f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
@@ -130,11 +154,11 @@ def main() -> None:
         solution = result.solution
         digest.update(f"{result.status.value}:{solution.iterations}:".encode())
         digest.update(solution.x.tobytes())
-    statuses = collections.Counter(result.status.value for result in results)
-    print(f"designs {len(results)}  " + "  ".join(
-        f"{status} {count}" for status, count in sorted(statuses.items())))
+    print(f"designs {len(results)}  {status_counts(results)}")
     print(f"iterations {sum(r.solution.iterations for r in results)}")
     print(f"sha256 {digest.hexdigest()}")
+    for line in breakdown(results):
+        print(line)
     print(peak_rss())
     print(f"seconds {seconds:.2f}")
 
