@@ -13,7 +13,7 @@ The package splits into:
 * :mod:`misobeam.cli` - the ``misobeam`` command-line front end.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .conic import (
     ConeProgram,
@@ -24,7 +24,6 @@ from .conic import (
     Solution,
     SolverSettings,
     SolveStatus,
-    Zero,
     residuals,
     solve,
     validate,
@@ -65,7 +64,7 @@ __all__ = [
     "ChannelSet", "Precoder", "QosSpec",
     "achieved_sinr", "generate_channels", "sample_error", "transmit_power",
     "ConeProgram", "ConeProgramError", "ConeResiduals", "Nonnegative",
-    "SecondOrder", "Solution", "SolverSettings", "SolveStatus", "Zero",
+    "SecondOrder", "Solution", "SolverSettings", "SolveStatus",
     "residuals", "solve", "validate",
     "DesignResult", "ProgramLayout", "RobustProgramLayout", "UncertaintySpec",
     "build_nominal", "build_robust", "design_nominal", "design_robust",

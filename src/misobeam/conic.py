@@ -5,9 +5,10 @@ Problem form:
     minimize    objective . x
     subject to  offset - constraint_matrix @ x  in  K_1 x K_2 x ... x K_r
 
-where each cone K is one of Zero(d) (the slack block must vanish),
-Nonnegative(d) (componentwise nonnegative), or SecondOrder(d) (the first
-slack entry dominates the Euclidean norm of the remaining d - 1 entries).
+where each cone K is either Nonnegative(d) (componentwise nonnegative) or
+SecondOrder(d) (the first slack entry dominates the Euclidean norm of the
+remaining d - 1 entries).  An equality a'x = b is written as the two
+Nonnegative rows a'x - b >= 0 and b - a'x >= 0.
 
 The solver runs a Mehrotra predictor-corrector interior-point method on the
 homogeneous self-dual embedding of the primal-dual pair, with Nesterov-Todd
@@ -15,24 +16,21 @@ scaling for the nonnegative and second-order blocks.  Infeasible and
 unbounded problems are reported through approximate Farkas certificates,
 never through exceptions.
 
-Zero rows are removed before the interior point starts: one SVD of their
-matrix E writes every x with E x = f as x0 + N w, and the loop runs on the
-cone-only program in w.  Each iteration's Newton system is reduced to
-G' W^-2 G.  The cone rows are kept in CSR form for matrix-vector products,
-and the Gram matrix is assembled from dense blocks restricted to the
-columns each cone touches, one product per cone, or one product over the
-union of their columns for a class of equal cones whose columns mostly
-coincide, so the work follows the constraint matrix's nonzeros rather
-than its full size.  Each program's nonzero pattern is read once per
-process: the first program with a pattern (its cone dimensions, shape and
-A != 0) has it analysed, which orders the cones and gives the CSR index
-arrays, the Gram column supports and one member's Gram scatter index, and
-every program with that pattern, in the same call or a later one, only
-gathers its values at the places the analysis names.  The key is the
-exact mask, so a zero in the data (a radius or kappa of 0, an exact-zero
-channel entry) makes its own pattern, and a cached analysis gives the
-bits a fresh one gives.  The reduced matrix is positive definite and is
-factored densely by Cholesky.
+Each iteration's Newton system is reduced to G' W^-2 G.  The cone rows are
+kept in CSR form for matrix-vector products, and the Gram matrix is
+assembled from dense blocks restricted to the columns each cone touches,
+one product per cone, or one product over the union of their columns for a
+class of equal cones whose columns mostly coincide, so the work follows
+the constraint matrix's nonzeros rather than its full size.  Each
+program's nonzero pattern is read once per process: the first program with
+a pattern (its cone dimensions, shape and A != 0) has it analysed, which
+orders the cones and gives the CSR index arrays, the Gram column supports
+and one member's Gram scatter index, and every program with that pattern,
+in the same call or a later one, only gathers its values at the places the
+analysis names.  The key is the exact mask, so a zero in the data (a
+radius or kappa of 0, an exact-zero channel entry) makes its own pattern,
+and a cached analysis gives the bits a fresh one gives.  The reduced
+matrix is positive definite and is factored densely by Cholesky.
 Each iteration runs two solves with the factorization: the predictor's
 right-hand side together with the column that carries the step in tau,
 then the corrector.  Iterative refinement runs only while a solve's residual is
@@ -67,7 +65,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,13 +75,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 class ConeProgramError(ValueError):
     """Raised when a ConeProgram violates its structural invariants."""
-
-
-@dataclass(frozen=True)
-class Zero:
-    """Equality block: the slack entries must all be zero."""
-
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,7 @@ class SecondOrder:
     dim: int
 
 
-Cone = Zero | Nonnegative | SecondOrder
+Cone = Nonnegative | SecondOrder
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -217,7 +208,7 @@ def validate(program: ConeProgram) -> None:
         if isinstance(cone, SecondOrder):
             if cone.dim < 1:
                 raise ConeProgramError("SecondOrder cone must have dim >= 1")
-        elif isinstance(cone, (Zero, Nonnegative)):
+        elif isinstance(cone, Nonnegative):
             if cone.dim < 0:
                 raise ConeProgramError("cone dimensions must be nonnegative")
         else:
@@ -239,7 +230,7 @@ def validate(program: ConeProgram) -> None:
 def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
     """Distance of the slack ``offset - A x`` from the cone product.
 
-    Zero and Nonnegative blocks use the largest componentwise violation; a
+    A Nonnegative block uses the largest componentwise violation; a
     SecondOrder block uses the shortfall along its axis coordinate,
     max(0, ||slack[1:]|| - slack[0]), which upper-bounds the Euclidean
     distance to the cone.  ``worst_row`` is the row where the worst violation
@@ -258,11 +249,7 @@ def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
         block = slack[start : start + cone.dim]
         if cone.dim == 0:
             continue
-        if isinstance(cone, Zero):
-            idx = int(np.argmax(np.abs(block)))
-            violation = abs(block[idx])
-            row = start + idx
-        elif isinstance(cone, Nonnegative):
+        if isinstance(cone, Nonnegative):
             idx = int(np.argmin(block))
             violation = max(0.0, -block[idx])
             row = start + idx
@@ -279,9 +266,8 @@ def residuals(program: ConeProgram, x: np.ndarray) -> ConeResiduals:
 # ---------------------------------------------------------------------------
 # Interior-point solver internals.
 #
-# solve() removes the Zero rows first (see there).  The cone rows are
-# permuted into [nonnegative | second-order], with second-order blocks
-# sorted by dimension:
+# The cone rows are permuted into [nonnegative | second-order], with
+# second-order blocks sorted by dimension:
 #
 #     minimize c'x  s.t.  G x + s = h,   s in K.
 #
@@ -555,7 +541,7 @@ def _csr_index(indices: np.ndarray, lead: np.ndarray, size: int) -> tuple:
 
 
 class _Pattern:
-    """Everything a cone-only program's nonzero pattern determines, found
+    """Everything a program's nonzero pattern determines, found
     once per pattern and shared, read-only, by every program that has it.
 
     Built from the unit dimensions (one unit per nonnegative row, one per
@@ -625,7 +611,7 @@ _PATTERNS = 32
 
 @functools.lru_cache(maxsize=_PATTERNS)
 def _pattern(shape: tuple[int, int], dims: bytes, bits: bytes) -> _Pattern:
-    """The :class:`_Pattern` of a cone-only program of ``shape`` whose unit
+    """The :class:`_Pattern` of a program of ``shape`` whose unit
     dimensions are the intp bytes ``dims`` and whose pattern A != 0 is
     ``np.packbits`` of it: analysed on first use, then shared."""
     nonzero = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=shape[0] * shape[1])
@@ -886,15 +872,8 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     """Solve each program as :func:`solve` would solve it alone, bit for bit:
     the same status, iteration count, objective and ``x`` bytes.
 
-    Zero rows E x = f are removed first, program by program.  One SVD of E
-    gives a point x0 and a basis N of E's null space, so the feasible x are
-    x0 + N w: the rows are inconsistent if E x0 misses f by more than
-    feas_tol (the test :func:`residuals` applies to Zero blocks), x0 is the
-    only candidate if N has no columns, and otherwise the interior point
-    runs on the cone-only program in w.  A cone-only program without cone
-    rows is decided by its objective alone.
-
-    Every other program then runs through one interior-point loop, as one
+    A program without cone rows is decided by its objective alone.  Every
+    other program runs through one interior-point loop, as one
     block-diagonal program, whatever its size and cone layout: the loop
     pays its per-iteration interpreter cost once for all of them.  Programs
     that share a nonzero pattern (unit dimensions, shape and A != 0) share
@@ -910,8 +889,7 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     solutions: list[Solution | None] = []
     groups: dict[_Pattern, list[_Member]] = {}
     # each program is dropped once its member holds what the loop needs
-    for member in (_reduce(index, program, settings)
-                   for index, program in enumerate(programs)):
+    for member in (_reduce(index, program) for index, program in enumerate(programs)):
         if isinstance(member, Solution):
             solutions.append(member)
         else:
@@ -924,13 +902,12 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
 
 @dataclass(eq=False)
 class _Member:
-    """One program's cone-only form, minimize c'w + offset subject to
-    h - G w in K with the cone rows permuted as ``pattern.layout`` lays
-    them out.  G is held as its values at the places its :class:`_Pattern`
-    names, until the member's :class:`_Group` takes them over: ``data``,
-    the CSR data of G, and ``blocks``, per layout class the dense blocks
-    of its units as (units, dim, width).  The program's x is x0 + N w, or
-    w itself when ``N`` is None.  The interior-point loop keeps the
+    """One program as the loop takes it, minimize c'x subject to h - G x
+    in K with the cone rows permuted as ``pattern.layout`` lays them out.
+    G is held as its values at the places its :class:`_Pattern` names,
+    until the member's :class:`_Group` takes them over: ``data``, the CSR
+    data of G, and ``blocks``, per layout class the dense blocks of its
+    units as (units, dim, width).  The interior-point loop keeps the
     member's iterate, scalars and result in its own arrays."""
 
     index: int
@@ -939,70 +916,34 @@ class _Member:
     data: np.ndarray | None
     blocks: list | None
     h: np.ndarray
-    offset: float = 0.0
-    x0: np.ndarray | None = None
-    N: np.ndarray | None = None
-
-    def lift(self, solution: Solution) -> Solution:
-        if self.N is None:
-            return solution
-        return replace(solution, x=self.x0 + self.N @ solution.x)
 
 
-def _member(index: int, c: np.ndarray, program: ConeProgram, **reduction) -> _Member:
-    """A program without Zero rows as a :class:`_Member`: its
-    :class:`_Pattern`, looked up by the unit dimensions and A != 0 (one
-    unit per nonnegative row, SecondOrder(1) included, and one per
-    second-order block), and its values gathered at the places the pattern
-    names."""
+def _reduce(index: int, program: ConeProgram):
+    """The program as a :class:`_Member`, or its Solution when it has no
+    cone rows; raises ConeProgramError for an invalid program.  The
+    member's :class:`_Pattern` is looked up by the unit dimensions and
+    A != 0 (one unit per nonnegative row, SecondOrder(1) included, and one
+    per second-order block), and its values are gathered at the places the
+    pattern names."""
+    validate(program)
+    A, b, c = program.constraint_matrix, program.offset, program.objective
+    if not program.num_rows:
+        # every x is feasible, so the program is bounded iff c = 0
+        x = np.zeros(len(c))
+        if np.linalg.norm(c) == 0.0:
+            return Solution(SolveStatus.OPTIMAL, x, 0.0, 0.0, 0)
+        return Solution(SolveStatus.DUAL_INFEASIBLE, x, -np.inf, np.inf, 0)
     unit_dims: list[int] = []
-    for cone in program.cones:  # Zero blocks have no rows here
+    for cone in program.cones:
         if isinstance(cone, SecondOrder) and cone.dim > 1:
             unit_dims.append(cone.dim)
         else:
             unit_dims.extend([1] * cone.dim)
-    A, b = program.constraint_matrix, program.offset
     pattern = _pattern(A.shape, np.asarray(unit_dims, dtype=np.intp).tobytes(),
                        np.packbits(A != 0).tobytes())
     values = A.ravel()
     return _Member(index, c, pattern, values[pattern.at],
-                   [values[at] for at, _, _, _ in pattern.classes], b[pattern.rows],
-                   **reduction)
-
-
-def _reduce(index: int, program: ConeProgram, settings: SolverSettings):
-    """The program's cone-only form as a :class:`_Member`, or its Solution
-    when the Zero rows, or the lack of cone rows, decide it; raises
-    ConeProgramError for an invalid program."""
-    validate(program)
-    zero = np.repeat([isinstance(cone, Zero) for cone in program.cones],
-                     [cone.dim for cone in program.cones])
-    if not zero.any():
-        member = _member(index, program.objective, program)
-    else:
-        A, b, c = program.constraint_matrix, program.offset, program.objective
-        E, f = A[zero], b[zero]
-        U, S, Vt = np.linalg.svd(E)
-        rank = int(np.count_nonzero(S > max(E.shape) * np.finfo(float).eps * S[0]))
-        x0 = Vt[:rank].T @ ((U[:, :rank].T @ f) / S[:rank])
-        N = Vt[rank:].T
-        inconsistent = np.max(np.abs(E @ x0 - f)) > settings.feas_tol
-        if inconsistent or N.shape[1] == 0:  # the Zero rows decide the program
-            if not inconsistent and residuals(program, x0).cone_violation <= settings.feas_tol:
-                return Solution(SolveStatus.OPTIMAL, x0, float(c @ x0), 0.0, 0)
-            return Solution(SolveStatus.PRIMAL_INFEASIBLE, x0, np.nan, np.inf, 0)
-        G, h = A[~zero], b[~zero]
-        cones = [cone for cone in program.cones if not isinstance(cone, Zero)]
-        reduced = ConeProgram(N.shape[1], N.T @ c, G @ N, h - G @ x0, cones)
-        member = _member(index, reduced.objective, reduced,
-                         offset=float(c @ x0), x0=x0, N=N)
-    if member.pattern.layout.m:
-        return member
-    # no cone rows: every w is feasible, so the program is bounded iff c = 0
-    w = np.zeros(len(member.c))
-    if np.linalg.norm(member.c) == 0.0:
-        return member.lift(Solution(SolveStatus.OPTIMAL, w, member.offset, 0.0, 0))
-    return member.lift(Solution(SolveStatus.DUAL_INFEASIBLE, w, -np.inf, np.inf, 0))
+                   [values[at] for at, _, _, _ in pattern.classes], b[pattern.rows])
 
 
 def _step_limit(step, tau, dtau, kappa, dkappa):
@@ -1019,9 +960,9 @@ _CERTIFIED = {SolveStatus.PRIMAL_INFEASIBLE: (np.nan, np.inf),
 
 def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
                     solutions: list[Solution | None]) -> None:
-    """The interior-point loop on groups of cone-only programs, each group
-    sharing one pattern, run as one member-major block program; writes each
-    member's Solution into ``solutions`` at the member's index.
+    """The interior-point loop on groups of programs with cone rows, each
+    group sharing one pattern, run as one member-major block program;
+    writes each member's Solution into ``solutions`` at the member's index.
 
     Vectors hold the members' entries one member after another, and every
     array operation acts on each member's entries as that member's solo
@@ -1040,17 +981,13 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
     same way.  A member that stops later, because its Gram matrix cannot be
     factored or its step search fails, takes no step and leaves at the next
     iteration's compaction, so the Gram matrices are assembled and factored
-    once per iteration.  A member's ``offset`` is added to the objective
-    values the gap test compares and the Solution reports: c'x0 when the
-    program is the reduction of one with Zero rows, so the gap is that of
-    the original objective.
+    once per iteration.
     """
     plan = _KktPlan([_Group.of(members) for members in groups])
     live, X, Z = plan.live, plan.x, plan.layout.rows
     c = np.concatenate([member.c for member in live])
     h = np.concatenate([member.h for member in live])
     norm_c, norm_h = np.maximum(1.0, X.max_abs(c)), np.maximum(1.0, Z.max_abs(h))
-    offset = np.array([member.offset for member in live])
     degree = np.array([member.pattern.layout.degree + 1.0 for member in live])
     tau, kappa = np.ones(plan.members), np.ones(plan.members)
     best_merit = np.full(plan.members, np.inf)  # the merit of each member's best
@@ -1101,8 +1038,8 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
         """Stores the masked members' Solutions, in their programs' variables."""
         for k in np.flatnonzero(members):
             objective, gap = _CERTIFIED.get(status[k], (best_obj[k], best_gap[k]))
-            solutions[live[k].index] = live[k].lift(Solution(
-                status[k], X.rows(best_x, k), float(objective), float(gap), int(returned_at[k])))
+            solutions[live[k].index] = Solution(
+                status[k], X.rows(best_x, k), float(objective), float(gap), int(returned_at[k]))
 
     with np.errstate(all="ignore"):
         for iteration in range(settings.max_iter):
@@ -1129,8 +1066,8 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
             pres = np.maximum(-_margin(layout, h - Gx / tau_m), 0.0)
             dres = X.max_abs(Gtz / tau_n + c)
             dual_scale = norm_c * (1.0 + Z.max_abs(zh))
-            pobj = X.dots(c, xh) + offset
-            dobj = -Z.dots(h, zh) + offset
+            pobj = X.dots(c, xh)
+            dobj = -Z.dots(h, zh)
             relgap = np.abs(pobj - dobj) / np.maximum(np.maximum(1.0, np.abs(pobj)),
                                                       np.abs(dobj))
             tested = ~done & finite
@@ -1170,10 +1107,10 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
                 x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
                 s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]
                 sz, best_x = sz[on_z], best_x[on_x]
-                (tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, offset, degree,
+                (tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, degree,
                  best_merit, stall, done, status, returned_at, best_obj,
                  best_gap) = (values[keep] for values in (
-                    tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, offset, degree,
+                    tau, kappa, r_gap, mu, cx_dot, hz_dot, norm_c, norm_h, degree,
                     best_merit, stall, done, status, returned_at, best_obj, best_gap))
             scaling = _Scaling(layout, sz)
             kkt = _KktSolver(plan, scaling)
