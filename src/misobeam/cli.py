@@ -70,6 +70,12 @@ class ConfigError(click.ClickException):
     exit_code = 1
 
 
+def _complex(text: str) -> complex:
+    """A channel entry such as 1-2i: a trailing i is the imaginary unit,
+    so inf and nan keep their spelling."""
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
+
+
 def _parse_value(key: str, raw):
     kind = CONFIG_KEYS[key][1]
     try:
@@ -85,8 +91,8 @@ def _parse_value(key: str, raw):
             if isinstance(raw, list):  # manifest round-trip: [[re, im], ...] rows
                 return np.array([[complex(re, im) for re, im in row] for row in raw])
             rows = [r for r in str(raw).split(";") if r.strip()]
-            return np.array([[complex(v.strip().replace("i", "j"))
-                              for v in row.split(",") if v.strip()] for row in rows])
+            return np.array([[_complex(v.strip()) for v in row.split(",") if v.strip()]
+                             for row in rows])
         return kind(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r} ({exc})")

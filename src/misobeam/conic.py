@@ -45,18 +45,19 @@ variables, a few thousand cone rows).
 ``solve_batch`` runs all its programs through one loop as one
 block-diagonal program, member-major, whatever their sizes and cone
 layouts: one segmented kernel and one sparse product serve every member,
-and the Gram blocks of the members that share a pattern stack into one
-batched product per cone class, while each member keeps its own step
-lengths, stopping tests and Cholesky factor.  Each per-member quantity
-of the loop (tau, kappa, mu, step lengths, stall counts, status, best
-iterate) is one array with an entry per member.  Returned members leave
-every array, under one mask, right after the convergence tests, where
-their Solutions are built; the next KKT plan is put together from the
-cached patterns and the members' stacked values, so a compaction slices
-arrays and derives no structure.  Every operation acts on a member's
-entries as that member's solo solve does, so each member's result is bit
-for bit the one :func:`solve` gives it alone; ``solve`` is the batch of
-one.
+while each member keeps its own step lengths, stopping tests and Cholesky
+factor.  The solver keeps two records: a pattern's analysis, and a group,
+the values of the programs that share a pattern, gathered as each program
+arrives and stacked member by member, so that their Gram blocks take one
+batched product per cone class.  Each per-member quantity of the loop
+(tau, kappa, mu, step lengths, stall counts, status, best iterate) is one
+array with an entry per member.  Returned members leave every array, under
+one mask, right after the convergence tests, where their Solutions are
+built; the next KKT plan is put together from the cached patterns and the
+groups' stacked values, so a compaction slices arrays and derives no
+structure.  Every operation acts on a member's entries as that member's
+solo solve does, so each member's result is bit for bit the one
+:func:`solve` gives it alone; ``solve`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -333,9 +334,10 @@ class _Segments:
 
 class _BatchLayout:
     """Row layout of the cone blocks of a batch of programs.  ``groups``
-    lists (layout, count) pairs: ``count`` consecutive members that share
-    the :class:`_ConeLayout` ``layout``.  Each member's rows follow the
-    previous member's (member-major), and ``rows`` segments them.
+    lists (pattern, count) pairs: ``count`` consecutive members that share
+    the :class:`_Pattern` ``pattern``, whose cone rows it lays out.  Each
+    member's rows follow the previous member's (member-major), and ``rows``
+    segments them.
 
     Every cone kernel is one segmented pass over all rows of all members,
     whatever the mix of dimensions: per-unit sums are ``np.add.reduceat``
@@ -348,10 +350,10 @@ class _BatchLayout:
     column stacks of shape (rows, k).
     """
 
-    def __init__(self, groups: list[tuple["_ConeLayout", int]]):
+    def __init__(self, groups: list[tuple["_Pattern", int]]):
         counts = [count for _, count in groups]
-        self.dims = np.concatenate([np.tile(layout.unit_dims, count)
-                                    for layout, count in groups])
+        self.dims = np.concatenate([np.tile(pattern.unit_dims, count)
+                                    for pattern, count in groups])
         self.heads = np.cumsum(self.dims) - self.dims
         self.lp = np.flatnonzero(self.dims == 1)    # every member's nonnegative rows
         self.lp_rows = self.heads[self.lp]
@@ -359,9 +361,9 @@ class _BatchLayout:
         self.head[self.heads] = 1.0
         self.jsign = (2.0 * self.head - 1.0)[:, None]  # the diagonal of J
         self.tail = (1.0 - self.head)[:, None]
-        units = np.repeat([layout.degree for layout, _ in groups], counts)
+        units = np.repeat([pattern.degree for pattern, _ in groups], counts)
         self.first_units = np.cumsum(units) - units
-        self.rows = _Segments([layout.m for layout, _ in groups], counts)
+        self.rows = _Segments([pattern.m for pattern, _ in groups], counts)
 
     @staticmethod
     def columns(u: np.ndarray) -> np.ndarray:
@@ -382,32 +384,6 @@ class _BatchLayout:
 
     def identity(self) -> np.ndarray:
         return self.head.copy()
-
-
-class _ConeLayout:
-    """The cone layout of one program.  Its rows hold one unit per
-    nonnegative row, then one per second-order block, sorted by dimension,
-    then by the size of their column support in G.  A batch lays out its
-    members' rows with :class:`_BatchLayout`.
-
-    ``m`` and ``degree`` count its rows and units.  ``classes`` are its runs
-    of units with equal dimension and equal nonzero support size, as
-    ``(first_unit, count, dim, start)`` with ``start`` the first row.  They
-    drive the Gram assembly in :class:`_KktPlan`.
-    """
-
-    def __init__(self, unit_dims: np.ndarray, unit_support: np.ndarray):
-        self.unit_dims, self.unit_support = _readonly(unit_dims), _readonly(unit_support)
-        self.m = int(unit_dims.sum())
-        self.degree = len(unit_dims)
-        self.classes: list[tuple[int, int, int, int]] = []
-        first = start = 0
-        for (dim, size), run in itertools.groupby(zip(unit_dims.tolist(),
-                                                      unit_support.tolist())):
-            count = len(list(run))
-            if size:
-                self.classes.append((first, count, dim, start))
-            first, start = first + count, start + count * dim
 
 
 class _Scaling:
@@ -546,40 +522,46 @@ class _Pattern:
 
     Built from the unit dimensions (one unit per nonnegative row, one per
     second-order block, in program order) and the pattern ``nonzero`` (A !=
-    0) in one pass: each unit's column cover, the columns its rows touch,
-    gives its support size for the stable (dimension, support) sort of
-    :class:`_ConeLayout`, and the cover of each layout class gives the
-    column supports of its units.  It holds:
+    0) in one pass.  Each unit's column cover, the columns its rows touch,
+    gives its support size, and the units are laid out by a stable sort on
+    (dimension, support size): one unit per nonnegative row, then one per
+    second-order block, by dimension.  It holds:
 
-    * ``rows``: the program row of each cone row, in layout order, and
-      ``layout``, the :class:`_ConeLayout`;
+    * ``unit_dims``, each unit's dimension in layout order, with ``m`` and
+      ``degree`` the counts of cone rows and units, and ``n`` the count of
+      variables; :class:`_BatchLayout` lays the rows out in a batch;
+    * ``rows``: the program row of each cone row, in layout order;
     * ``at``: where G's nonzeros lie in A's entries (row-major), in CSR
       order, and ``t_order``, their order in G' (a stable sort by column);
       ``csr`` and ``csr_t``, the (indices, indptr) of G and G', the arrays
       ``scipy.sparse.csr_array(G)`` and ``csr_array(G).T.tocsr()`` hold;
-    * ``classes``: per layout class, where its units' dense blocks lie in
-      A's entries, as an array (units, dim, width), how many products of
-      the form T'T the class's Gram share takes, and the span of their
-      terms in a member's list of ``terms``.  A class whose units' column
-      supports have a small union U, |U|^2 <= units * s^2 for supports of
-      size s, is stacked: its blocks are G_k[:, U], which A holds as zeros
-      outside each unit's own support, and one product over all its units
-      gives its |U|^2 terms.  Every other class keeps its restricted
-      blocks G_k[:, support_k] and takes one product, of s^2 terms, per
-      unit.  Which classes stack follows from the pattern alone;
+    * ``classes``: the runs of units with equal dimension and equal
+      nonzero support size, as ``(first, units, dim, start, at, products,
+      lo, hi)``: the first unit and the count of units, their dimension,
+      the first row, where their dense blocks lie in A's entries, as an
+      array (units, dim, width), how many products of the form T'T the
+      class's Gram share takes, and the span of their terms in a member's
+      list of ``terms``.  A class whose units' column supports have a small
+      union U, |U|^2 <= units * s^2 for supports of size s, is stacked: its
+      blocks are G_k[:, U], which A holds as zeros outside each unit's own
+      support, and one product over all its units gives its |U|^2 terms.
+      Every other class keeps its restricted blocks G_k[:, support_k] and
+      takes one product, of s^2 terms, per unit.  Which classes stack
+      follows from the pattern alone; units without a nonzero are in no
+      class;
     * ``index``: the flat index in the n x n Gram matrix of each of a
       member's terms, which one bincount per member sums.
     """
 
     def __init__(self, dims: np.ndarray, nonzero: np.ndarray):
-        m, n = nonzero.shape
-        self.n = n
+        self.m, self.n = m, n = nonzero.shape
         starts = np.cumsum(dims) - dims
         cover = np.logical_or.reduceat(nonzero, starts, axis=0)
         support = cover.sum(axis=1)
         order = np.lexsort((support, dims))
-        self.rows = _readonly(_row_ranges(starts[order], dims[order]))
-        self.layout = _ConeLayout(dims[order], support[order])
+        self.unit_dims = _readonly(dims[order])
+        self.degree = len(dims)
+        self.rows = _readonly(_row_ranges(starts[order], self.unit_dims))
         cover = cover[order]
         row, col = np.divmod(np.flatnonzero(nonzero[self.rows]), n)
         self.at = _readonly(self.rows[row] * n + col)
@@ -587,19 +569,23 @@ class _Pattern:
         self.csr = _csr_index(col, row, m)
         self.csr_t = _csr_index(row[self.t_order], col[self.t_order], n)
         self.classes, index, self.terms = [], [np.zeros(0, dtype=np.intp)], 0
-        for first, units, dim, start in self.layout.classes:
-            covers = cover[first : first + units]
-            union = np.flatnonzero(covers.any(axis=0))
-            s = int(self.layout.unit_support[first])
-            if union.size ** 2 <= units * s * s:
-                products, cols = 1, union[None, :]
-            else:
-                products, cols = units, np.nonzero(covers)[1].reshape(units, s)
-            at = self.rows[start : start + units * dim].reshape(units, dim, 1) * n
-            index.append((cols[:, :, None] * n + cols[:, None, :]).ravel())
-            self.classes.append((_readonly(at + cols[:, None, :]), products,
-                                 self.terms, self.terms + index[-1].size))
-            self.terms += index[-1].size
+        first = start = 0
+        for (dim, s), run in itertools.groupby(zip(self.unit_dims.tolist(),
+                                                   support[order].tolist())):
+            units = len(list(run))
+            if s:
+                covers = cover[first : first + units]
+                union = np.flatnonzero(covers.any(axis=0))
+                if union.size ** 2 <= units * s * s:
+                    products, cols = 1, union[None, :]
+                else:
+                    products, cols = units, np.nonzero(covers)[1].reshape(units, s)
+                at = self.rows[start : start + units * dim].reshape(units, dim, 1) * n
+                index.append((cols[:, :, None] * n + cols[:, None, :]).ravel())
+                self.classes.append((first, units, dim, start, _readonly(at + cols[:, None, :]),
+                                     products, self.terms, self.terms + index[-1].size))
+                self.terms += index[-1].size
+            first, start = first + units, start + units * dim
         self.index = _readonly(np.concatenate(index))
 
 
@@ -641,41 +627,45 @@ def _block_diagonal(parts: list[tuple[np.ndarray, tuple, int]]) -> scipy.sparse.
 @dataclass(eq=False)
 class _Group:
     """Loop members that share one :class:`_Pattern`, with their values
-    stacked member by member: ``data`` and ``data_t`` (members, nnz) hold
-    the CSR data of each member's G and G', and ``blocks`` holds, per
-    layout class, every member's blocks as (members, units, dim, width).
-    The group owns these values; its members no longer hold them."""
+    stacked member by member: ``index`` holds each member's place in the
+    batch, ``c`` and ``h`` (members, n) and (members, m) its objective and
+    permuted offset, ``data`` and ``data_t`` (members, nnz) the CSR data of
+    its G and G', and ``blocks``, per class of the pattern, every member's
+    blocks as (members, units, dim, width)."""
 
     pattern: _Pattern
-    members: list
+    index: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
     data: np.ndarray
     data_t: np.ndarray
     blocks: list
 
     @classmethod
-    def of(cls, members: list["_Member"]) -> "_Group":
-        """The group of ``members``, which share one pattern; takes their
-        values over."""
-        pattern = members[0].pattern
-        data = np.stack([member.data for member in members])
-        blocks = [np.stack(blocks) for blocks in zip(*(m.blocks for m in members))]
-        for member in members:
-            member.data = member.blocks = None
-        return cls(pattern, members, data, data[:, pattern.t_order], blocks)
+    def of(cls, pattern: _Pattern, rows: list[tuple]) -> "_Group":
+        """The group of the members ``rows``, each (index, c, h, data,
+        blocks) as :func:`_reduce` gathers them for ``pattern``; empties
+        ``rows``, so that each member's values go once they are stacked."""
+        index, c, h, data, blocks = zip(*rows)
+        rows.clear()
+        data = np.stack(data)
+        blocks = [np.stack(members) for members in zip(*blocks)]
+        return cls(pattern, np.array(index), np.stack(c), np.stack(h), data,
+                   data[:, pattern.t_order], blocks)
 
     def take(self, keep: np.ndarray) -> "_Group":
         """The group of the members the mask ``keep`` marks."""
-        members = [member for member, stays in zip(self.members, keep.tolist()) if stays]
-        return _Group(self.pattern, members, self.data[keep], self.data_t[keep],
-                      [blocks[keep] for blocks in self.blocks])
+        return _Group(self.pattern, self.index[keep], self.c[keep], self.h[keep],
+                      self.data[keep], self.data_t[keep], [blocks[keep] for blocks in self.blocks])
 
 
 class _KktPlan:
     """The members an interior-point loop still runs, as :class:`_Group` s
     of members that share a pattern, with their row layout and the
-    structure of their reduced KKT systems.  ``live`` lists the members in
-    order, ``members`` counts them, ``layout`` lays out their cone rows and
-    ``x`` segments their variables, with ``sizes`` each member's n.  A plan
+    structure of their reduced KKT systems.  ``index`` holds each member's
+    place in the batch, in order, ``members`` counts them, ``layout`` lays
+    out their cone rows and ``x`` segments their variables, with ``sizes``
+    each member's n.  A plan
     is put together from its groups' patterns and stacked values, with
     member offsets; nothing is derived member by member.
 
@@ -690,7 +680,7 @@ class _KktPlan:
 
         G' W^-2 G = sum_k T_k' T_k,   T_k = W_k^-1 G_k[:, support_k].
 
-    The units of one layout class share dimension and support size, so
+    The units of one class share dimension and support size, so
     their blocks stack, over the members of a group, into one dense
     (members x units, dim, width) array, which each iteration scales by
     W^-1 in one pass.  A class whose pattern stacks it (see
@@ -708,22 +698,21 @@ class _KktPlan:
 
     def __init__(self, groups: list[_Group]):
         self.groups = groups
-        self.live = [member for group in groups for member in group.members]
-        self.members = len(self.live)
-        counts = [len(group.members) for group in groups]
+        self.index = np.concatenate([group.index for group in groups])
+        self.members = len(self.index)
+        counts = [len(group.index) for group in groups]
         patterns = [group.pattern for group in groups]
-        self.layout = _BatchLayout([(pattern.layout, count)
-                                    for pattern, count in zip(patterns, counts)])
+        self.layout = _BatchLayout(list(zip(patterns, counts)))
         self.x = _Segments([pattern.n for pattern in patterns], counts)
         self.sizes = self.x.sizes.tolist()
         self.G = _block_diagonal([(group.data, group.pattern.csr, group.pattern.n)
                                   for group in groups])
-        self.Gt = _block_diagonal([(group.data_t, group.pattern.csr_t, group.pattern.layout.m)
+        self.Gt = _block_diagonal([(group.data_t, group.pattern.csr_t, group.pattern.m)
                                    for group in groups])
         self.starts, row, unit = [], 0, 0  # each group's first cone row and unit
         for pattern, count in zip(patterns, counts):
             self.starts.append((row, unit))
-            row, unit = row + count * pattern.layout.m, unit + count * pattern.layout.degree
+            row, unit = row + count * pattern.m, unit + count * pattern.degree
 
     def survivors(self, keep: np.ndarray):
         """The groups of the members that the mask ``keep`` marks, for the
@@ -731,7 +720,7 @@ class _KktPlan:
         rows."""
         groups, first = [], 0
         for group in self.groups:
-            stays = keep[first : first + len(group.members)]
+            stays = keep[first : first + len(group.index)]
             first += len(stays)
             if stays.all():
                 groups.append(group)
@@ -743,14 +732,14 @@ class _KktPlan:
         """Each member's G' W^-2 G, as a dense (n, n) array."""
         grams = []
         for group, (row, unit) in zip(self.groups, self.starts):
-            count, pattern = len(group.members), group.pattern
-            m, degree = pattern.layout.m, pattern.layout.degree
+            count, pattern = len(group.index), group.pattern
+            m, degree = pattern.m, pattern.degree
             # the group's scaling points and unit factors of W^-1, per member
             w = scaling.w[row : row + count * m].reshape(count, m)
             scale = scaling.unit_scale[True][unit : unit + count * degree].reshape(count, degree)
             weights = np.empty((count, pattern.terms))
-            for (first, units, dim, start), blocks, (_, products, lo, hi) in zip(
-                    pattern.layout.classes, group.blocks, pattern.classes):
+            for (first, units, dim, start, _, products, lo, hi), blocks in zip(
+                    pattern.classes, group.blocks):
                 width = blocks.shape[-1]
                 T = scaling.inverse_blocks(w[:, start : start + units * dim].reshape(-1, dim),
                                            scale[:, first : first + units],
@@ -877,54 +866,39 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     block-diagonal program, whatever its size and cone layout: the loop
     pays its per-iteration interpreter cost once for all of them.  Programs
     that share a nonzero pattern (unit dimensions, shape and A != 0) share
-    one cached :class:`_Pattern` and form a group, whose Gram blocks stack.
-    ``programs`` may be any iterable; each program is let go once its
-    member is built, so a generator never has them all alive.  Every
-    step length, stopping test and certificate stays per program, every
-    floating-point operation of a member is the one its solo solve makes,
-    and a program leaves the loop at the first convergence test after it
-    returns.
+    one cached :class:`_Pattern` and form a :class:`_Group`, whose Gram
+    blocks stack.  ``programs`` may be any iterable; each program is let go
+    once its values are gathered, before the next is taken, so a generator
+    never has more than two alive.  Every step length, stopping test and
+    certificate stays per program, every floating-point operation of a
+    member is the one its solo solve makes, and a program leaves the loop
+    at the first convergence test after it returns.
     """
     settings = settings or SolverSettings()
     solutions: list[Solution | None] = []
-    groups: dict[_Pattern, list[_Member]] = {}
-    # each program is dropped once its member holds what the loop needs
-    for member in (_reduce(index, program) for index, program in enumerate(programs)):
-        if isinstance(member, Solution):
-            solutions.append(member)
-        else:
-            solutions.append(None)
-            groups.setdefault(member.pattern, []).append(member)
-    if groups:
-        _interior_point(list(groups.values()), settings, solutions)
+    gathered: dict[_Pattern, list[tuple]] = {}
+    # map lets each program go once it is reduced, and only its group
+    # keeps its values
+    for index, reduced in enumerate(map(_reduce, programs)):
+        if not isinstance(reduced, Solution):
+            gathered.setdefault(reduced[0], []).append((index, *reduced[1:]))
+            reduced = None  # the loop gives this program's Solution
+        solutions.append(reduced)
+    if gathered:
+        _interior_point([_Group.of(pattern, rows) for pattern, rows in gathered.items()],
+                        settings, solutions)
     return solutions
 
 
-@dataclass(eq=False)
-class _Member:
-    """One program as the loop takes it, minimize c'x subject to h - G x
-    in K with the cone rows permuted as ``pattern.layout`` lays them out.
-    G is held as its values at the places its :class:`_Pattern` names,
-    until the member's :class:`_Group` takes them over: ``data``, the CSR
-    data of G, and ``blocks``, per layout class the dense blocks of its
-    units as (units, dim, width).  The interior-point loop keeps the
-    member's iterate, scalars and result in its own arrays."""
-
-    index: int
-    c: np.ndarray
-    pattern: _Pattern
-    data: np.ndarray | None
-    blocks: list | None
-    h: np.ndarray
-
-
-def _reduce(index: int, program: ConeProgram):
-    """The program as a :class:`_Member`, or its Solution when it has no
-    cone rows; raises ConeProgramError for an invalid program.  The
-    member's :class:`_Pattern` is looked up by the unit dimensions and
+def _reduce(program: ConeProgram):
+    """The program's Solution when it has no cone rows, else its
+    :class:`_Pattern` followed by its values gathered at the places the
+    pattern names, c, h, data and blocks: the objective, the offset in layout row
+    order, the CSR data of G and, per class of the pattern, its units'
+    dense blocks as (units, dim, width).  Raises ConeProgramError for an
+    invalid program.  The pattern is looked up by the unit dimensions and
     A != 0 (one unit per nonnegative row, SecondOrder(1) included, and one
-    per second-order block), and its values are gathered at the places the
-    pattern names."""
+    per second-order block)."""
     validate(program)
     A, b, c = program.constraint_matrix, program.offset, program.objective
     if not program.num_rows:
@@ -942,8 +916,8 @@ def _reduce(index: int, program: ConeProgram):
     pattern = _pattern(A.shape, np.asarray(unit_dims, dtype=np.intp).tobytes(),
                        np.packbits(A != 0).tobytes())
     values = A.ravel()
-    return _Member(index, c, pattern, values[pattern.at],
-                   [values[at] for at, _, _, _ in pattern.classes], b[pattern.rows])
+    return (pattern, c, b[pattern.rows], values[pattern.at],
+            [values[at] for _, _, _, _, at, _, _, _ in pattern.classes])
 
 
 def _step_limit(step, tau, dtau, kappa, dkappa):
@@ -958,11 +932,11 @@ _CERTIFIED = {SolveStatus.PRIMAL_INFEASIBLE: (np.nan, np.inf),
               SolveStatus.DUAL_INFEASIBLE: (-np.inf, np.inf)}
 
 
-def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
+def _interior_point(groups: list[_Group], settings: SolverSettings,
                     solutions: list[Solution | None]) -> None:
     """The interior-point loop on groups of programs with cone rows, each
     group sharing one pattern, run as one member-major block program;
-    writes each member's Solution into ``solutions`` at the member's index.
+    writes each member's Solution into ``solutions`` at its batch index.
 
     Vectors hold the members' entries one member after another, and every
     array operation acts on each member's entries as that member's solo
@@ -983,12 +957,13 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
     iteration's compaction, so the Gram matrices are assembled and factored
     once per iteration.
     """
-    plan = _KktPlan([_Group.of(members) for members in groups])
-    live, X, Z = plan.live, plan.x, plan.layout.rows
-    c = np.concatenate([member.c for member in live])
-    h = np.concatenate([member.h for member in live])
+    plan = _KktPlan(groups)
+    X, Z = plan.x, plan.layout.rows
+    c = np.concatenate([group.c.ravel() for group in groups])
+    h = np.concatenate([group.h.ravel() for group in groups])
     norm_c, norm_h = np.maximum(1.0, X.max_abs(c)), np.maximum(1.0, Z.max_abs(h))
-    degree = np.array([member.pattern.layout.degree + 1.0 for member in live])
+    degree = np.repeat([group.pattern.degree + 1.0 for group in groups],
+                       [len(group.index) for group in groups])
     tau, kappa = np.ones(plan.members), np.ones(plan.members)
     best_merit = np.full(plan.members, np.inf)  # the merit of each member's best
     stall = np.zeros(plan.members, dtype=int)   # iterations since it improved
@@ -1038,7 +1013,7 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
         """Stores the masked members' Solutions, in their programs' variables."""
         for k in np.flatnonzero(members):
             objective, gap = _CERTIFIED.get(status[k], (best_obj[k], best_gap[k]))
-            solutions[live[k].index] = Solution(
+            solutions[plan.index[k]] = Solution(
                 status[k], X.rows(best_x, k), float(objective), float(gap), int(returned_at[k]))
 
     with np.errstate(all="ignore"):
@@ -1102,7 +1077,7 @@ def _interior_point(groups: list[list[_Member]], settings: SolverSettings,
                 groups, on_x, on_z = plan.survivors(keep)
                 plan = None  # the old plan goes before the next is built
                 plan = _KktPlan(groups)
-                live, layout = plan.live, plan.layout
+                layout = plan.layout
                 X, Z = plan.x, layout.rows
                 x, c, Gtz, r_dual = x[on_x], c[on_x], Gtz[on_x], r_dual[on_x]
                 s, z, h, Gx, r_cone = s[on_z], z[on_z], h[on_z], Gx[on_z], r_cone[on_z]

@@ -112,17 +112,13 @@ class ProgramLayout:
     """Variable index map for the nominal design program.
 
     Real decision variables are ordered [vec(Re B), vec(Im B), tau]
-    (column-major vec).  ``cone_tags`` records, per cone in program order,
-    a (tag, user, coordinate) provenance triple; a cone that belongs to no
-    user, such as a robust program's ("row-norm", None, j), has user None
-    and its antenna j as coordinate.
+    (column-major vec).
     """
 
     def __init__(self, n_tx: int, n_users: int):
         self.n_tx = n_tx
         self.n_users = n_users
         self.num_vars = 2 * n_tx * n_users + 1
-        self.cone_tags: list[tuple[str, int | None, int | None]] = []
 
     def b_re(self, i: int, k: int) -> int:
         return k * self.n_tx + i
@@ -203,25 +199,19 @@ def _check_dims(channels: ChannelSet, qos: QosSpec):
         )
 
 
-def _blocks(method: str, nt: int, nu: int) -> tuple[ProgramLayout, list, list]:
-    """The layout of the ``method`` program, and its cones that repeat per
-    user and per antenna, in row order, as (dimension, tag, coordinate)."""
+def _blocks(method: str, nt: int, nu: int) -> tuple[ProgramLayout, list[int], list[int]]:
+    """The layout of the ``method`` program, and the dimensions of its
+    cones that repeat per user and per antenna, in row order."""
     if method == "nominal":
-        return ProgramLayout(nt, nu), [(2 * nu + 2, "sinr", None)], []
-    return (RobustProgramLayout(nt, nu),
-            [(2 * nu + 2, "main-robust", None)]
-            + [(3, tag, i) for i in range(2 * nt)
-               for tag in ("perturbation-plus", "perturbation-minus")]
-            + [(1 + 2 * nt, "aggregation", None)],
-            [(1 + 2 * nu, "row-norm", None)])
+        return ProgramLayout(nt, nu), [2 * nu + 2], []
+    return RobustProgramLayout(nt, nu), [2 * nu + 2] + [3] * (4 * nt) + [1 + 2 * nt], [1 + 2 * nu]
 
 
 def program_shape(method: str, n_tx: int, n_users: int) -> tuple[int, int]:
     """(rows, variables) of the ``method`` design program for n_users users
     and n_tx antennas: the shape of its dense constraint matrix."""
     layout, user_cones, antenna_cones = _blocks(method, n_tx, n_users)
-    rows = (1 + 2 * n_tx * n_users + n_users * sum(dim for dim, _, _ in user_cones)
-            + n_tx * sum(dim for dim, _, _ in antenna_cones))
+    rows = 1 + 2 * n_tx * n_users + n_users * sum(user_cones) + n_tx * sum(antenna_cones)
     return rows, layout.num_vars
 
 
@@ -229,10 +219,13 @@ def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = Non
            perturbation_sigma: str = "paper") -> tuple[ConeProgram, ProgramLayout]:
     """Assemble the nominal program (``unc`` None) or the robust one.
 
-    Rows: the power epigraph, then per user k the cones of ``user_cones``
-    as (dimension, tag, coordinate), then per antenna j the cones of
-    ``antenna_cones``.  Entries are placed by index arithmetic over users,
-    antennas, channel coordinates and signs.
+    Rows: the power epigraph, then per user k its cones (the SINR cone;
+    for the robust program the main robust cone, the plus and the minus
+    perturbation cone of each real coordinate i in 0..2 n_tx - 1, and the
+    aggregation cone), then per antenna j its row-norm cone (robust only).
+    ``_blocks`` gives the dimensions of the per-user and per-antenna cones.
+    Entries are placed by index arithmetic over users, antennas, channel
+    coordinates and signs.
     """
     nt, nu = channels.n_tx, channels.n_users
     user_dim, agg_dim, norm_dim = 2 * nu + 2, 1 + 2 * nt, 1 + 2 * nu
@@ -242,7 +235,7 @@ def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = Non
     h_re, h_im = channels.rows.real, channels.rows.imag
     n_b = 2 * nt * nu
     power_dim = 1 + n_b
-    per_user = sum(dim for dim, _, _ in user_cones)
+    per_user = sum(user_cones)
     A = np.zeros(program_shape(method, nt, nu))
     b = np.zeros(A.shape[0])
 
@@ -294,11 +287,8 @@ def _build(channels: ChannelSet, qos: QosSpec, unc: UncertaintySpec | None = Non
         A[norm[:, None] + 1 + nu + users, im.T] = -1.0
 
     cones = ([SecondOrder(power_dim)]
-             + [SecondOrder(dim) for _ in users for dim, _, _ in user_cones]
-             + [SecondOrder(dim) for _ in range(nt) for dim, _, _ in antenna_cones])
-    layout.cone_tags.append(("objective-epigraph", None, None))
-    layout.cone_tags.extend((tag, k, i) for k in range(nu) for _, tag, i in user_cones)
-    layout.cone_tags.extend((tag, None, j) for j in range(nt) for _, tag, _ in antenna_cones)
+             + [SecondOrder(dim) for _ in users for dim in user_cones]
+             + [SecondOrder(dim) for _ in range(nt) for dim in antenna_cones])
     objective = np.zeros(layout.num_vars)
     objective[layout.tau] = 1.0
     return ConeProgram(layout.num_vars, objective, A, b, tuple(cones)), layout

@@ -118,6 +118,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("name,text,message", [
         ("c.cfg", "channels = nan,1;1,1\n", "non-finite entry in channel rows"),
+        ("c.cfg", "channels = inf,1;1,1\n", "non-finite entry in channel rows"),
+        ("c.cfg", "channels = 1,-inf;1,1\n", "non-finite entry in channel rows"),
+        ("c.cfg", "channels = 1,1;1,1+infi\n", "non-finite entry in channel rows"),
         ("c.cfg", "channels = ;\n", "nonempty 2-D"),
         ("manifest.json", '{"channels": []}', "nonempty 2-D"),
     ])

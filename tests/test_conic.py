@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import sys
 import threading
+import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -28,8 +29,6 @@ from misobeam.conic import (
     validate,
 )
 from misobeam.conic import (
-    _BatchLayout,
-    _ConeLayout,
     _Group,
     _jordan_product,
     _jordan_solve,
@@ -387,8 +386,9 @@ def projection_program(a, x0, beta):
 def split(program):
     """The cone rows G of a program as the solver permutes them, dense
     (from the CSR form the KKT plan holds), and the KKT plan of the
-    program's loop member alone, whose ``layout`` the cone kernels take."""
-    plan = _KktPlan([_Group.of([_reduce(0, program)])])
+    program alone, whose ``layout`` the cone kernels take."""
+    pattern, *values = _reduce(program)
+    plan = _KktPlan([_Group.of(pattern, [(0, *values)])])
     return plan.G.toarray(), plan
 
 
@@ -543,7 +543,8 @@ class TestFlatConeKernels:
         # subtracts nearly equal numbers.  Every entry is chosen so that the
         # coefficients c2, c1, c0 are exact in floating point: the only
         # rounding left is the formula's own
-        layout = _BatchLayout([(_ConeLayout(np.array([4]), np.array([1])), 1)])
+        layout = split(ConeProgram(1, [1.0], [[-1.0], [0.0], [0.0], [0.0]], np.zeros(4),
+                                   [SecondOrder(4)]))[1].layout
         u = np.array([5.0 + 2.0**-24, 3.0, 4.0, 0.0])
         du = np.array([0.0, 3.0, 4.0, 1.0])
         exact = exact_block_step(u, du)
@@ -594,9 +595,12 @@ class TestStructuredKkt:
         G, plan = split(design_program(kind, n, 0, 5.0, 0.015))
         pattern = plan.groups[0].pattern
         terms = 0
-        for (first, units, dim, start), (at, products, lo, hi) in zip(
-                pattern.layout.classes, pattern.classes):
-            s = int(pattern.layout.unit_support[first])
+        for _, units, dim, start, at, products, lo, hi in pattern.classes:
+            # the support size of each unit of the class, from the dense G
+            supports = {np.count_nonzero(G[row : row + dim].any(axis=0))
+                        for row in range(start, start + units * dim, dim)}
+            assert len(supports) == 1
+            s = supports.pop()
             union = np.flatnonzero(np.any(G[start : start + units * dim] != 0, axis=0))
             stacked = len(union) ** 2 <= units * s * s
             assert products == (1 if stacked else units)
@@ -920,6 +924,31 @@ class TestSolveBatch:
     def test_empty_batch(self):
         assert solve_batch([]) == []
 
+    def test_generator_programs_are_let_go_one_by_one(self, monkeypatch):
+        # while the generator builds a program, the batch holds at most the
+        # one it yielded last: every earlier program is already gone, and
+        # the loop starts without any
+        draws = [("paper", 0), ("nominal", 1), ("paper", 2), ("zero", 3), ("paper", 4)]
+        refs = []
+        interior_point = conic._interior_point
+
+        def loop(*args):
+            assert all(ref() is None for ref in refs)
+            return interior_point(*args)
+
+        def programs():
+            for kind, seed in draws:
+                assert all(ref() is None for ref in refs[:-1])
+                program = design_program(kind, 2, seed, 5.0, 0.015)
+                refs.append(weakref.ref(program))
+                yield program
+
+        monkeypatch.setattr(conic, "_interior_point", loop)
+        solutions = solve_batch(programs())
+        assert len(solutions) == len(refs) == len(draws)
+        for solution, (kind, seed) in zip(solutions, draws):
+            assert_same_solution(solution, solve(design_program(kind, 2, seed, 5.0, 0.015)))
+
 
 def solve_cold(program):
     """The program's solve with an empty pattern cache."""
@@ -960,7 +989,7 @@ class TestPatternCache:
             (model.ChannelSet(rows), full))]
         cold = [solve_cold(program) for program in programs]
         conic._pattern.cache_clear()
-        patterns = [_reduce(0, program).pattern for program in programs]
+        patterns = [_reduce(program)[0] for program in programs]
         assert len({id(pattern) for pattern in patterns}) == len(programs)
         assert conic._pattern.cache_info().misses == len(programs)
         for warm, alone in zip(solve_batch(programs), cold):
@@ -982,7 +1011,7 @@ class TestPatternCache:
                                         program.offset, program.cones))
         cold = [solve_cold(variant) for variant in variants]
         conic._pattern.cache_clear()
-        first, second, third = (_reduce(0, p).pattern for p in (program, *variants))
+        first, second, third = (_reduce(p)[0] for p in (program, *variants))
         assert second is not first and third is second
         assert conic._pattern.cache_info().misses == 2
         for variant, alone in zip(variants, cold):

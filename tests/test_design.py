@@ -30,6 +30,24 @@ def scalar_channel(h=1.0 + 0.0j):
     return ChannelSet(np.array([[h]]))
 
 
+def cone_provenance(method, n_t, n_u):
+    """(tag, user, coordinate) of each cone of a design program, in the
+    documented row order: the power epigraph; then per user k its SINR
+    cone, or for a robust program its main robust cone, the plus and the
+    minus perturbation cone of each real coordinate i, and its aggregation
+    cone; then per antenna j its row-norm cone (robust only)."""
+    if method == "nominal":
+        per_user = [("sinr", None)]
+    else:
+        per_user = ([("main-robust", None)]
+                    + [(tag, i) for i in range(2 * n_t)
+                       for tag in ("perturbation-plus", "perturbation-minus")]
+                    + [("aggregation", None)])
+    return ([("objective-epigraph", None, None)]
+            + [(tag, k, i) for k in range(n_u) for tag, i in per_user]
+            + [("row-norm", None, j) for j in range(n_t) if method != "nominal"])
+
+
 def scalar_robust_oracle(gamma, sigma, delta, kappa=1.0, step=1e-5):
     """Grid search over real b >= 0 against the hand-written scalar
     constraints: with N(b) = sqrt(b^2 + sigma^2) the per-coordinate bounds
@@ -295,16 +313,20 @@ class TestBuildRobust:
             assert all(isinstance(c, SecondOrder) for c in prog.cones)
             index = layout.var_index()
             assert sorted(index.values()) == list(range(prog.num_vars))
-            tags = [t for t, _, _ in layout.cone_tags]
+            provenance = cone_provenance("robust", n_t, n_u)
+            assert len(provenance) == len(prog.cones)
+            tags = [t for t, _, _ in provenance]
             assert tags.count("main-robust") == n_u
             assert tags.count("perturbation-plus") == 2 * n_t * n_u
             assert tags.count("perturbation-minus") == 2 * n_t * n_u
             assert tags.count("aggregation") == n_u
             assert tags.count("row-norm") == n_t
-            dims = {tag: {c.dim for c, (t, _, _) in zip(prog.cones, layout.cone_tags)
-                          if t == tag} for tag in set(tags)}
+            dims = {tag: {c.dim for c, t in zip(prog.cones, tags) if t == tag}
+                    for tag in set(tags)}
             assert dims["perturbation-plus"] == dims["perturbation-minus"] == {3}
             assert dims["row-norm"] == {2 * n_u + 1}
+            assert dims["main-robust"] == {2 * n_u + 2}
+            assert dims["aggregation"] == {2 * n_t + 1}
 
     def test_dominance_in_delta_and_kappa(self):
         rng = np.random.default_rng(100)  # draw verified feasible through delta = 0.02
@@ -384,7 +406,7 @@ def test_slack_matches_complex_arithmetic(method, n_u, n_t):
     hB = ch.rows @ B
     slack = prog.offset - prog.constraint_matrix @ x
     expected = []
-    for tag, k, i in layout.cone_tags:
+    for tag, k, i in cone_provenance(method, n_t, n_u):
         if tag == "objective-epigraph":
             expected.append(np.concatenate([[x[layout.tau]], B.real.T.ravel(),
                                             B.imag.T.ravel()]))
